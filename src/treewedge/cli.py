@@ -12,41 +12,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .coherent import CoherentSystem
-from .families import BitFamily, DigitFamily, InjFamily
 from .forcing import simulate_filter, serialize_condition
-from .literals import format_node, parse_cover, parse_node
+from .literals import UsageError, format_node, parse_cover, parse_node, parse_target, split_top
 from .ordinal import CNFSyntaxError, parse_cnf, to_cnf
 from .sorgenfrey import format_interval, format_point, isolating_box, neg, parse_point
-from .suites import SUITES, RunConfig, run_suite
+from .suites import SUITES, RunConfig, Workspace, run_suite
 from .trees import ExplicitTree
 from .wedge import CoverUndecided, covers_within, find_safe_point, is_safe
 
-
-class UsageError(ValueError):
-    pass
-
-
-def split_args(text: str) -> list[str]:
-    """Whitespace split at bracket depth zero, so literals stay whole."""
-    out, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if ch.isspace() and depth == 0:
-            if cur:
-                out.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return out
+# Kept for callers that still import the old name: the benchmark harness
+# builds and traces query contexts as cli.QueryContext.
+QueryContext = Workspace
 
 
 def load_config_file(path: str) -> dict:
@@ -80,28 +60,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def merge_config(args) -> tuple[RunConfig, dict]:
+    """RunConfig from the flags, then the config file, then the field
+    defaults.  A file key is the field name with '-' for '_'."""
     file_cfg = load_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, cast, default):
+    values = {}
+    for field in fields(RunConfig):
+        flag_value = getattr(args, field.name, None)
+        key = field.name.replace("_", "-")
         if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            return cast(file_cfg[key])
-        return default
-
-    config = RunConfig(
-        seed=pick(args.seed, "seed", int, 0),
-        trials=pick(args.trials, "trials", int, 1000),
-        budget_enum=pick(args.budget_enum, "budget-enum", int, 64),
-        budget_range=pick(args.budget_range, "budget-range", int, 10_000),
-        oracle_max=pick(None, "oracle-max", int, 100_000),
-        oracle_sample=pick(None, "oracle-sample", int, 20_000),
-        nat_anchors=pick(None, "nat-anchors", int, 64),
-        anchors=tuple(
-            s.strip()
-            for s in file_cfg.get("anchors", ",".join(RunConfig().anchors)).split(",")
-        ),
-    )
+            values[field.name] = flag_value
+        elif key in file_cfg:
+            values[field.name] = _cast(field.default, file_cfg[key])
+    config = RunConfig(**values)
     actions = {
         "suite": args.suite or file_cfg.get("suite"),
         "query": args.query or file_cfg.get("query"),
@@ -110,39 +80,24 @@ def merge_config(args) -> tuple[RunConfig, dict]:
     return config, actions
 
 
-class QueryContext:
-    def __init__(self, config: RunConfig):
-        self.config = config
-        self.coh = CoherentSystem()
-        self.injs = InjFamily(self.coh, budget=config.budget_range)
-        self.bits = BitFamily(self.coh)
-        self.digits = DigitFamily(self.bits)
+def _cast(default, text: str):
+    if isinstance(default, tuple):
+        return tuple(s.strip() for s in text.split(","))
+    return type(default)(text)
 
-    def load_tree(self, path: str) -> ExplicitTree:
-        return ExplicitTree.from_text(Path(path).read_text())
 
-    def cover(self, text: str):
-        return parse_cover(text, self.digits, self.load_tree)
-
-    def node(self, family, text: str):
-        return parse_node(family, text)
-
-    def target(self, text: str):
-        if text.startswith("include(") and text.endswith(")"):
-            return ("include", self.node(self.digits, text[8:-1]))
-        if text.startswith("reach(") and text.endswith(")"):
-            return ("reach", parse_cnf(text[6:-1]))
-        raise UsageError(f"bad target {text!r}")
+def load_tree(path: str) -> ExplicitTree:
+    return ExplicitTree.from_text(Path(path).read_text())
 
 
 def run_query(expr: str, config: RunConfig) -> dict:
-    tokens = split_args(expr)
+    tokens = split_top(expr, None)
     if not tokens:
         raise UsageError("empty query")
     cmd, args = tokens[0], tokens[1:]
-    ctx = QueryContext(config)
+    ws = Workspace(config)
     try:
-        result = _dispatch(ctx, cmd, args)
+        result = _dispatch(ws, cmd, args)
     except (CNFSyntaxError, ValueError, KeyError, CoverUndecided) as err:
         if isinstance(err, UsageError):
             raise
@@ -155,34 +110,34 @@ def run_query(expr: str, config: RunConfig) -> dict:
     }
 
 
-def _dispatch(ctx: QueryContext, cmd: str, args: list[str]) -> dict:
+def _dispatch(ws: Workspace, cmd: str, args: list[str]) -> dict:
     if cmd == "eval-e":
         _arity(cmd, args, 2)
-        return {"value": ctx.coh.eval_e(parse_cnf(args[0]), parse_cnf(args[1]))}
+        return {"value": ws.coh.eval_e(parse_cnf(args[0]), parse_cnf(args[1]))}
     if cmd == "delta-e":
         _arity(cmd, args, 2)
-        delta = ctx.coh.delta_e(parse_cnf(args[0]), parse_cnf(args[1]))
+        delta = ws.coh.delta_e(parse_cnf(args[0]), parse_cnf(args[1]))
         return {"delta": sorted(to_cnf(x) for x in delta)}
     if cmd == "delta-x":
         _arity(cmd, args, 2)
         a, b = parse_cnf(args[0]), parse_cnf(args[1])
         return {
-            "delta": sorted(to_cnf(x) for x in ctx.bits.char_delta(a, b)),
-            "candidates": sorted(to_cnf(x) for x in ctx.bits.char_delta_candidates(a, b)),
+            "delta": sorted(to_cnf(x) for x in ws.bits.char_delta(a, b)),
+            "candidates": sorted(to_cnf(x) for x in ws.bits.char_delta_candidates(a, b)),
         }
     if cmd == "is-safe":
         _arity(cmd, args, 2)
-        cover = ctx.cover(args[0])
-        node = ctx.node(cover.family, args[1])
+        cover = parse_cover(args[0], ws.digits, load_tree)
+        node = parse_node(cover.family, args[1])
         return {"safe": is_safe(cover, node)}
     if cmd == "find-safe":
         _arity(cmd, args, 2)
-        cover = ctx.cover(args[0])
-        found = find_safe_point(cover, parse_cnf(args[1]), budget=ctx.config.budget_enum)
+        cover = parse_cover(args[0], ws.digits, load_tree)
+        found = find_safe_point(cover, parse_cnf(args[1]), budget=ws.config.budget_enum)
         return {"node": None if found is None else format_node(cover.family, found)}
     if cmd == "covers-within":
         _arity(cmd, args, 2)
-        cover = ctx.cover(args[0])
+        cover = parse_cover(args[0], ws.digits, load_tree)
         return {"covered": covers_within(cover, parse_cnf(args[1]))}
     if cmd == "isolate":
         _arity(cmd, args, 1)
@@ -195,13 +150,13 @@ def _dispatch(ctx: QueryContext, cmd: str, args: list[str]) -> dict:
             "checks": {"contains_own_pair": box.contains((x, neg(x)))},
         }
     if cmd == "simulate":
-        targets = [ctx.target(t) for t in args]
-        _, report = simulate_filter(ctx.digits, targets, budget=ctx.config.budget_enum)
+        targets = [parse_target(ws.digits, t) for t in args]
+        _, report = simulate_filter(ws.digits, targets, budget=ws.config.budget_enum)
         return report
     if cmd == "extend":
-        targets = [ctx.target(t) for t in args]
-        p, _ = simulate_filter(ctx.digits, targets, budget=ctx.config.budget_enum)
-        return {"condition": serialize_condition(ctx.digits, p)}
+        targets = [parse_target(ws.digits, t) for t in args]
+        p, _ = simulate_filter(ws.digits, targets, budget=ws.config.budget_enum)
+        return {"condition": serialize_condition(ws.digits, p)}
     raise UsageError(f"unknown query command {cmd!r}")
 
 

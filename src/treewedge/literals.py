@@ -14,12 +14,16 @@ Cover literals:
   subtree(T-in-U<h)          the same, truncated to height h
   patched(<base>; <node>=>{<node>,...}, ...)
   table(<tree-file>; <id>=>{<id>,...}, ...)
+
+Forcing targets:
+  include(<u-literal>)       the filter must contain this digit node
+  reach(<ordinal>)           the filter must reach this height
 """
 
 from __future__ import annotations
 
 from .families import BitFamily, BitNode, DigitFamily, DigitNode, InjFamily, InjNode
-from .ordinal import parse_cnf, to_cnf
+from .ordinal import Ordinal, parse_cnf, to_cnf
 from .trees import ExplicitFamily
 from .wedge import (
     BinaryInsideDigits,
@@ -31,19 +35,28 @@ from .wedge import (
 )
 
 
-def split_top(text: str, sep: str) -> list[str]:
-    """Split on sep at bracket depth zero."""
+class UsageError(ValueError):
+    """Malformed command input, reported as a usage error rather than as a
+    failed answer."""
+
+
+def split_top(text: str, sep: str | None) -> list[str]:
+    """Split on sep at bracket depth zero, dropping empty pieces.  With sep
+    None, split on runs of whitespace as str.split(None) does, so bracketed
+    literals stay whole; otherwise strip each piece."""
     out, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch in "([{":
             depth += 1
         elif ch in ")]}":
             depth -= 1
-        elif ch == sep and depth == 0:
+        elif depth == 0 and (ch.isspace() if sep is None else ch == sep):
             out.append(text[start:i])
             start = i + 1
     out.append(text[start:])
-    return [s.strip() for s in out if s.strip()]
+    if sep is not None:
+        out = [s.strip() for s in out]
+    return [s for s in out if s]
 
 
 # --- nodes -------------------------------------------------------------------
@@ -145,6 +158,15 @@ def _parse_u(digits: DigitFamily, text: str) -> DigitNode:
 
 def node_sort_key(family, x) -> str:
     return format_node(family, x)
+
+
+def parse_target(digits: DigitFamily, text: str) -> tuple[str, DigitNode | Ordinal]:
+    """A forcing target: ("include", digit node) or ("reach", ordinal)."""
+    if text.startswith("include(") and text.endswith(")"):
+        return ("include", parse_node(digits, text[8:-1]))
+    if text.startswith("reach(") and text.endswith(")"):
+        return ("reach", parse_cnf(text[6:-1]))
+    raise UsageError(f"bad target {text!r}")
 
 
 # --- covers ------------------------------------------------------------------

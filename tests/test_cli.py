@@ -2,7 +2,8 @@ import json
 import subprocess
 import sys
 
-from treewedge.cli import main, run_query, split_args
+from treewedge.cli import main, run_query
+from treewedge.literals import split_top
 from treewedge.suites import RunConfig
 
 
@@ -16,7 +17,7 @@ def run_cli(args, **kw):
 
 
 def test_split_args_respects_brackets():
-    assert split_args("is-safe subtree(T-in-U) u:[d0, d1]") == [
+    assert split_top("is-safe subtree(T-in-U) u:[d0, d1]", None) == [
         "is-safe",
         "subtree(T-in-U)",
         "u:[d0, d1]",
