@@ -68,6 +68,22 @@ class SubtreeHandle:
         or None when every prefix (including x itself) is a member."""
         raise NotImplementedError
 
+    def safe_witness(self, alpha: Ordinal):
+        """A node of height alpha that is safe for the subtree rule, or None
+        when there is none."""
+        raise NotImplementedError
+
+    def covers_level(self, alpha: Ordinal) -> bool:
+        """Whether the subtree rule covers level alpha > 0 of a symbolic
+        family, decided by the safe witness."""
+        w = self.safe_witness(alpha)
+        if w is None:
+            return True
+        bad = self.first_bad(w)
+        if bad is None or not bad < self.family.height(w):
+            return False
+        raise CoverUndecided(f"stale witness for subtree({self.describe()}) at {alpha}")
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -142,8 +158,7 @@ class TruncatedSubtree(SubtreeHandle):
         # at a limit truncation height the level itself still has safe points:
         # every tested prefix sits strictly below h
         if alpha < self.h or (alpha == self.h and classify(self.h) == "limit"):
-            witness = getattr(self.inner, "safe_witness", None)
-            return witness(alpha) if witness else None
+            return self.inner.safe_witness(alpha)
         return None
 
     def describe(self) -> str:
@@ -210,6 +225,26 @@ class CoverRule:
         x is not in f(b-prefix).  None means x is safe."""
         raise NotImplementedError
 
+    def witness_candidates(self, alpha: Ordinal, budget: int) -> list:
+        """Nodes of height alpha > 0 that find_safe_point tests, in order."""
+        raise NotImplementedError
+
+    def covers_within(self, alpha: Ordinal) -> bool:
+        """Whether the wedges of the rule below level alpha > 0 cover that
+        level.  This base version scans the level, which is finite on an
+        explicit tree."""
+        return all(not is_safe(self, x) for x in self.family.tree.level_nodes(alpha.to_nat()))
+
+    def _explicit_violation(self, x) -> Ordinal | None:
+        """first_violation on an explicit tree: a scan of x's finitely many
+        steps."""
+        tree = self.family.tree
+        for b in range(tree.depth[x]):
+            y = tree.ancestor_at(x, b)
+            if tree.ancestor_at(x, b + 1) not in self.values(y):
+                return from_nat(b)
+        return None
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -229,6 +264,15 @@ class SubtreeCover(CoverRule):
         if bad is None or not bad < self.family.height(x):
             return None
         return bad
+
+    def witness_candidates(self, alpha: Ordinal, budget: int) -> list:
+        w = self.handle.safe_witness(alpha)
+        return [w] if w is not None else []
+
+    def covers_within(self, alpha: Ordinal) -> bool:
+        if isinstance(self.family, ExplicitFamily):
+            return super().covers_within(alpha)
+        return self.handle.covers_level(alpha)
 
     def describe(self) -> str:
         return f"subtree({self.handle.describe()})"
@@ -251,12 +295,10 @@ class TableCover(CoverRule):
         return sorted(self.table.get(x, frozenset()))
 
     def first_violation(self, x) -> Ordinal | None:
-        tree = self.family.tree
-        for b in range(tree.depth[x]):
-            y = tree.ancestor_at(x, b)
-            if tree.ancestor_at(x, b + 1) not in self.table.get(y, frozenset()):
-                return from_nat(b)
-        return None
+        return self._explicit_violation(x)
+
+    def witness_candidates(self, alpha: Ordinal, budget: int) -> list:
+        return self.family.tree.level_nodes(alpha.to_nat())
 
     def describe(self) -> str:
         return f"table({len(self.table)} rows)"
@@ -284,12 +326,7 @@ class PatchedCover(CoverRule):
     def first_violation(self, x) -> Ordinal | None:
         fam = self.family
         if isinstance(fam, ExplicitFamily):
-            tree = fam.tree
-            for b in range(tree.depth[x]):
-                y = tree.ancestor_at(x, b)
-                if tree.ancestor_at(x, b + 1) not in set(self.values(y)):
-                    return from_nat(b)
-            return None
+            return self._explicit_violation(x)
         core, table = _flatten(self)
         hx = fam.height(x)
         patched = {}
@@ -312,6 +349,38 @@ class PatchedCover(CoverRule):
                     break
                 b = add_ord(b, from_nat(1))
         return best
+
+    def witness_candidates(self, alpha: Ordinal, budget: int) -> list:
+        out = list(self.base.witness_candidates(alpha, budget))
+        out.extend(self._threaded_candidates(alpha, budget))
+        out.extend(islice(self.family.level(alpha), budget))
+        return out
+
+    def _threaded_candidates(self, alpha: Ordinal, budget: int) -> list:
+        """Candidates routed through the allowed successors of patched nodes."""
+        fam = self.family
+        _, table = _flatten(self)
+        out = []
+        for y, succ in table.items():
+            if not fam.height(y) < alpha:
+                continue
+            for z in succ:
+                if not alpha < fam.height(z):
+                    try:
+                        out.append(fam.canonical_extension(z, alpha))
+                    except ValueError:
+                        continue
+                if len(out) >= budget:
+                    return out
+        return out
+
+    def covers_within(self, alpha: Ordinal) -> bool:
+        if isinstance(self.family, ExplicitFamily):
+            return super().covers_within(alpha)
+        if find_safe_point(self, alpha) is not None:
+            return False
+        raise CoverUndecided("no safe point found within budget; patched "
+                             "symbolic covers are only refuted by a witness")
 
     def describe(self) -> str:
         return f"patched({self.base.describe()}; {len(self.table)} rows)"
@@ -347,76 +416,19 @@ def find_safe_point(f: CoverRule, alpha: Ordinal, budget: int = 64):
     search."""
     if alpha.is_zero():
         return f.family.root()
-    candidates = _witness_candidates(f, alpha, budget)
-    for x in candidates:
+    for x in f.witness_candidates(alpha, budget):
         if is_safe(f, x):
             return x
     return None
 
 
-def _witness_candidates(f: CoverRule, alpha: Ordinal, budget: int):
-    if isinstance(f, SubtreeCover):
-        witness = getattr(f.handle, "safe_witness", None)
-        if witness is not None:
-            w = witness(alpha)
-            return [w] if w is not None else []
-    if isinstance(f, TableCover):
-        return f.family.tree.level_nodes(alpha.to_nat())
-    if isinstance(f, PatchedCover):
-        out = list(_witness_candidates(f.base, alpha, budget))
-        out.extend(_threaded_candidates(f, alpha, budget))
-        out.extend(islice(f.family.level(alpha), budget))
-        return out
-    return list(islice(f.family.level(alpha), budget))
-
-
-def _threaded_candidates(f: PatchedCover, alpha: Ordinal, budget: int):
-    """Candidates routed through the allowed successors of patched nodes."""
-    fam = f.family
-    _, table = _flatten(f)
-    out = []
-    for y, succ in table.items():
-        if not fam.height(y) < alpha:
-            continue
-        for z in succ:
-            if not alpha < fam.height(z):
-                try:
-                    out.append(fam.canonical_extension(z, alpha))
-                except ValueError:
-                    continue
-            if len(out) >= budget:
-                return out
-    return out
-
-
 def covers_within(f: CoverRule, alpha: Ordinal) -> bool:
     """True iff the wedges of f below level alpha cover that whole level,
-    which happens exactly when no safe point of height alpha exists."""
+    which happens exactly when no safe point of height alpha exists.  Raises
+    CoverUndecided when the rule cannot decide the level."""
     if alpha.is_zero():
         return False  # the root is always safe
-    if isinstance(f.family, ExplicitFamily):
-        return all(not is_safe(f, x) for x in f.family.tree.level_nodes(alpha.to_nat()))
-    if isinstance(f, SubtreeCover):
-        if isinstance(f.handle, SafeSubtree):
-            # safety for the derived rule coincides with safety for the
-            # underlying one, so the question delegates
-            return covers_within(f.handle.f, alpha)
-        witness = getattr(f.handle, "safe_witness", None)
-        if witness is not None:
-            w = witness(alpha)
-            if w is None:
-                return True
-            if is_safe(f, w):
-                return False
-            raise CoverUndecided(f"stale witness for {f.describe()} at {alpha}")
-        raise CoverUndecided(f"{f.describe()} has no witness rule")
-    if isinstance(f, PatchedCover):
-        w = find_safe_point(f, alpha)
-        if w is not None:
-            return False
-        raise CoverUndecided("no safe point found within budget; patched "
-                             "symbolic covers are only refuted by a witness")
-    raise CoverUndecided(f"unstructured rule {f.describe()}")
+    return f.covers_within(alpha)
 
 
 class SafeSubtree(SubtreeHandle):
@@ -438,9 +450,13 @@ class SafeSubtree(SubtreeHandle):
             return []
         return list(self.f.values(x))
 
+    # a node is safe for the derived rule iff it is safe for f itself, so
+    # both questions go to f
     def safe_witness(self, alpha: Ordinal):
-        # a node is safe for the derived rule iff it is safe for f itself
         return find_safe_point(self.f, alpha)
+
+    def covers_level(self, alpha: Ordinal) -> bool:
+        return covers_within(self.f, alpha)
 
     def describe(self) -> str:
         return f"safe({self.f.describe()})"
