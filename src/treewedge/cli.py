@@ -4,7 +4,10 @@ Reports are deterministic: they embed the config and the library version,
 carry no timestamps, and all randomness comes from the seed, so identical
 (config, seed) pairs produce byte-identical JSON.
 
-Exit codes: 0 all properties pass, 1 a property failed, 2 usage error.
+Exit codes: 0 all properties pass (or the query was answered), 1 a property
+failed (or the query answered an error, including an unreadable tree file),
+2 usage error: a bad flag, command or target, an unreadable config file or
+a config value that does not parse, or a --json path that cannot be written.
 """
 
 from __future__ import annotations
@@ -70,7 +73,10 @@ def merge_config(args) -> tuple[RunConfig, dict]:
         if flag_value is not None:
             values[field.name] = flag_value
         elif key in file_cfg:
-            values[field.name] = _cast(field.default, file_cfg[key])
+            try:
+                values[field.name] = _cast(field.default, file_cfg[key])
+            except ValueError as err:
+                raise UsageError(f"{key}={file_cfg[key]}: {err}") from err
     config = RunConfig(**values)
     actions = {
         "suite": args.suite or file_cfg.get("suite"),
@@ -82,7 +88,11 @@ def merge_config(args) -> tuple[RunConfig, dict]:
 
 def _cast(default, text: str):
     if isinstance(default, tuple):
-        return tuple(s.strip() for s in text.split(","))
+        # anchors: parse them now, so a bad one stops the run before any suite
+        anchors = tuple(s.strip() for s in text.split(","))
+        for a in anchors:
+            parse_cnf(a)
+        return anchors
     return type(default)(text)
 
 
@@ -98,7 +108,7 @@ def run_query(expr: str, config: RunConfig) -> dict:
     ws = Workspace(config)
     try:
         result = _dispatch(ws, cmd, args)
-    except (CNFSyntaxError, ValueError, KeyError, CoverUndecided) as err:
+    except (CNFSyntaxError, ValueError, KeyError, CoverUndecided, OSError) as err:
         if isinstance(err, UsageError):
             raise
         result = {"error": f"{type(err).__name__}: {err}"}
@@ -183,7 +193,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config, actions = merge_config(args)
-    except (UsageError, FileNotFoundError) as err:
+    except (OSError, ValueError) as err:  # unreadable or undecodable file, bad line or value
         print(f"error: {err}", file=sys.stderr)
         return 2
     if bool(actions["suite"]) == bool(actions["query"]):
@@ -197,7 +207,11 @@ def main(argv=None) -> int:
     except (UsageError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    emit(report, actions["json"])
+    try:
+        emit(report, actions["json"])
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     if actions["suite"]:
         return 0 if report["pass"] else 1
     return 0 if "error" not in report["result"] else 1

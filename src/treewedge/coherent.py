@@ -24,6 +24,7 @@ from .ordinal import (
     Ordinal,
     ZERO,
     _encode_terms,
+    block_decompose,
     classify,
     cmp_ord,
     decode_structural,
@@ -102,7 +103,10 @@ class CoherentSystem:
         if cached is not None:
             return cached
         if classify(beta) == "successor":
-            result = self.delta_e(alpha, pred(beta))
+            # e_{lam+m} extends e_{lam+k} for k <= m, so the finite tail of
+            # beta drops out in one step instead of one recursion per unit
+            lam, _ = block_decompose(beta)
+            result = self.delta_e(alpha, lam) if alpha < lam else frozenset()
         else:
             out: set[Ordinal] = set()
             prev = ZERO

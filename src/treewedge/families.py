@@ -128,12 +128,22 @@ def finite_maps(position_stream_factory) -> Iterator[dict]:
 
 
 def _compositions(total, length):
-    if length == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, length - 1):
-            yield (head,) + rest
+    """Tuples of ``length`` naturals summing to ``total``, in lex order.
+    Iterative, so long tuples cost no recursion depth."""
+    a = [0] * (length - 1) + [total]
+    while True:
+        yield tuple(a)
+        # move one unit from the last nonzero slot k >= 1 to slot k-1 and
+        # send the rest of slot k to the end
+        k = length - 1
+        while k > 0 and a[k] == 0:
+            k -= 1
+        if k == 0:
+            return
+        rest = a[k] - 1
+        a[k] = 0
+        a[k - 1] += 1
+        a[-1] = rest
 
 
 def diagonal_product(*factories) -> Iterator[tuple]:
@@ -142,7 +152,7 @@ def diagonal_product(*factories) -> Iterator[tuple]:
     cache = [[] for _ in iters]
     for total in count(0):
         made = False
-        for combo in _index_splits(total, len(iters)):
+        for combo in _compositions(total, len(iters)):
             item = []
             ok = True
             for slot, idx in enumerate(combo):
@@ -160,15 +170,6 @@ def diagonal_product(*factories) -> Iterator[tuple]:
                 yield tuple(item)
         if not made and all(_dead(it, cache[i], total) for i, it in enumerate(iters)):
             return
-
-
-def _index_splits(total, slots):
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _index_splits(total - head, slots - 1):
-            yield (head,) + rest
 
 
 def _dead(it, cached, total):

@@ -88,10 +88,9 @@ def parse_node(family, text: str):
             raise ValueError("te: literal needs the injective family")
         return _parse_te(family, text)
     if text.startswith("t:"):
-        bits = family.bits if isinstance(family, DigitFamily) else family
-        if not isinstance(bits, BitFamily):
+        if not isinstance(family, BitFamily):
             raise ValueError("t: literal needs the binary family")
-        return _parse_t(bits, text)
+        return _parse_t(family, text)
     if text.startswith("u:"):
         if not isinstance(family, DigitFamily):
             raise ValueError("u: literal needs the digit family")

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from treewedge.cli import main, run_query
 from treewedge.literals import split_top
 from treewedge.suites import RunConfig
@@ -71,6 +73,33 @@ def test_bad_query_is_usage_error():
 def test_parse_error_reported():
     report = run_query("eval-e w+w 3", RunConfig())
     assert "error" in report["result"]
+
+
+def _write_config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make_argv, code",
+    [
+        (lambda tmp: ["--query", "covers-within table(/nonexistent; r=>{0}) 1"], 1),
+        (lambda tmp: ["--query", f"covers-within table({tmp}; r=>{{0}}) 1"], 1),
+        (lambda tmp: ["--config", str(tmp), "--suite", "delta-x"], 2),
+        (lambda tmp: ["--config", _write_config(tmp, "suite=delta-x\ntrials=abc\n")], 2),
+        (lambda tmp: ["--config", _write_config(tmp, "suite=delta-x\nanchors=w,,w^\n")], 2),
+        (lambda tmp: ["--query", "eval-e w 3", "--json", str(tmp / "missing" / "r.json")], 2),
+    ],
+    ids=["missing-tree", "tree-is-directory", "config-is-directory", "bad-cast", "bad-anchors", "unwritable-json"],
+)
+def test_io_and_config_errors_exit_cleanly(tmp_path, capsys, make_argv, code):
+    assert main(make_argv(tmp_path)) == code
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert "Error" in json.loads(out)["result"]["error"]
+    else:
+        assert err.startswith("error: ")
 
 
 def test_exit_codes(tmp_path):
