@@ -11,9 +11,10 @@ from __future__ import annotations
 import random
 
 from dataclasses import dataclass, asdict
+from itertools import islice
 from . import __version__
 from .coherent import CoherentSystem
-from .families import BitFamily, DigitFamily, InjFamily
+from .families import BitFamily, DigitFamily, InjFamily, UndecidedError
 from .forcing import (
     ExtensionError,
     cond_leq,
@@ -26,7 +27,7 @@ from .forcing import (
     spec_extend,
     union_compatible,
 )
-from .gen import rand_below, rand_bit_node, rand_digit_node
+from .gen import rand_below, rand_bit_node, rand_digit_node, rand_inj_node
 from .ordinal import Ordinal, ZERO, add_ord, classify, from_nat, parse_cnf
 from .sorgenfrey import (
     HalfOpenInterval,
@@ -238,6 +239,30 @@ def suite_tree_closure(config: RunConfig) -> list[dict]:
         if len(set(seen)) != config.budget_enum:
             ok_split = False
     props.append(_prop("splitting-degrees", ok_split))
+
+    injs = ws.injs
+    ok_inj = True
+    undecided = 0
+    for alpha in anchors:
+        for _ in range(20):
+            x = rand_inj_node(rng, injs, alpha)
+            beta = rand_below(rng, alpha)
+            try:
+                y = injs.restrict(x, beta)
+                if not injs.contains(y):
+                    ok_inj = False
+                for _ in range(5):
+                    if beta.is_zero():
+                        break
+                    xi = rand_below(rng, beta)
+                    if injs.query(y, xi) != injs.query(x, xi):
+                        ok_inj = False
+                kids = list(islice(injs.successors(x), 4))
+                if len(set(kids)) != 4 or any(injs.restrict(k, alpha) != x for k in kids):
+                    ok_inj = False
+            except UndecidedError:  # a range test ran past --budget-range
+                undecided += 1
+    props.append(_prop("inj-restrictions-member", ok_inj, f"20 nodes per anchor, {undecided} undecided"))
     return props
 
 

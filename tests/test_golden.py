@@ -17,7 +17,7 @@ CONFIG = RunConfig(trials=60, nat_anchors=16, oracle_max=3000, oracle_sample=500
 GOLDEN = {
     "coherence": "c27c3833f72eddfbd338861ab2c877565ab35bff04d4d023c545f115abeadefe",
     "delta-x": "f5247be2b3ca77f703d5675734698ef5b98adbe624df05f1789264d8286c709c",
-    "tree-closure": "a18adac4871f0d880f7685c16ff28b28d3e1dae14c9b1a610ddee82c31d0ca17",
+    "tree-closure": "3e2e032f187e06d727d3fd198f4af3bdfa6608102b061ca7d18018e0b1eacefa",
     "wedge-safe": "9fd5af7a0382061e257c3871b3afbb2e22d941453aad6011eabd4547f67dc9b6",
     "wedge-oracle": "1953334a1868bf534b438f77e5e1c4002d4770732465876352f21d31965c98d5",
     "sorgenfrey": "0ffdd12709e1fce2231bbdf157f25378349b21dda885303a9651fc96353bff27",
