@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .forcing import simulate_filter, serialize_condition
 from .literals import UsageError, format_node, parse_cover, parse_node, parse_target, split_top
-from .ordinal import CNFSyntaxError, parse_cnf, to_cnf
+from .ordinal import parse_cnf, to_cnf
 from .sorgenfrey import format_interval, format_point, isolating_box, neg, parse_point
 from .suites import SUITES, RunConfig, Workspace, run_suite
 from .trees import ExplicitTree
@@ -108,9 +108,9 @@ def run_query(expr: str, config: RunConfig) -> dict:
     ws = Workspace(config)
     try:
         result = _dispatch(ws, cmd, args)
-    except (CNFSyntaxError, ValueError, KeyError, CoverUndecided, OSError) as err:
-        if isinstance(err, UsageError):
-            raise
+    except UsageError:
+        raise
+    except (ValueError, KeyError, CoverUndecided, OSError) as err:  # ValueError covers CNFSyntaxError
         result = {"error": f"{type(err).__name__}: {err}"}
     return {
         "version": __version__,
@@ -120,37 +120,36 @@ def run_query(expr: str, config: RunConfig) -> dict:
     }
 
 
+ARITY = {"eval-e": 2, "delta-e": 2, "delta-x": 2, "is-safe": 2, "find-safe": 2, "covers-within": 2, "isolate": 1}
+
+
 def _dispatch(ws: Workspace, cmd: str, args: list[str]) -> dict:
+    n = ARITY.get(cmd)
+    if n is not None and len(args) != n:
+        raise UsageError(f"{cmd} takes {n} arguments, got {len(args)}")
     if cmd == "eval-e":
-        _arity(cmd, args, 2)
         return {"value": ws.coh.eval_e(parse_cnf(args[0]), parse_cnf(args[1]))}
     if cmd == "delta-e":
-        _arity(cmd, args, 2)
         delta = ws.coh.delta_e(parse_cnf(args[0]), parse_cnf(args[1]))
         return {"delta": sorted(to_cnf(x) for x in delta)}
     if cmd == "delta-x":
-        _arity(cmd, args, 2)
         a, b = parse_cnf(args[0]), parse_cnf(args[1])
         return {
             "delta": sorted(to_cnf(x) for x in ws.bits.char_delta(a, b)),
             "candidates": sorted(to_cnf(x) for x in ws.bits.char_delta_candidates(a, b)),
         }
     if cmd == "is-safe":
-        _arity(cmd, args, 2)
         cover = parse_cover(args[0], ws.digits, load_tree)
         node = parse_node(cover.family, args[1])
         return {"safe": is_safe(cover, node)}
     if cmd == "find-safe":
-        _arity(cmd, args, 2)
         cover = parse_cover(args[0], ws.digits, load_tree)
         found = find_safe_point(cover, parse_cnf(args[1]), budget=ws.config.budget_enum)
         return {"node": None if found is None else format_node(cover.family, found)}
     if cmd == "covers-within":
-        _arity(cmd, args, 2)
         cover = parse_cover(args[0], ws.digits, load_tree)
         return {"covered": covers_within(cover, parse_cnf(args[1]))}
     if cmd == "isolate":
-        _arity(cmd, args, 1)
         x = parse_point(args[0])
         u, v, box = isolating_box(x)
         return {
@@ -168,11 +167,6 @@ def _dispatch(ws: Workspace, cmd: str, args: list[str]) -> dict:
         p, _ = simulate_filter(ws.digits, targets, budget=ws.config.budget_enum)
         return {"condition": serialize_condition(ws.digits, p)}
     raise UsageError(f"unknown query command {cmd!r}")
-
-
-def _arity(cmd, args, n):
-    if len(args) != n:
-        raise UsageError(f"{cmd} takes {n} arguments, got {len(args)}")
 
 
 def emit(report: dict, json_path: str | None) -> None:
@@ -204,12 +198,8 @@ def main(argv=None) -> int:
             report = run_suite(actions["suite"], config)
         else:
             report = run_query(actions["query"], config)
-    except (UsageError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
         emit(report, actions["json"])
-    except OSError as err:
+    except (UsageError, KeyError, OSError) as err:  # OSError: the --json path
         print(f"error: {err}", file=sys.stderr)
         return 2
     if actions["suite"]:

@@ -16,7 +16,7 @@ keeps a canonical normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import combinations, count
 from typing import Iterator
 
 from .coherent import CoherentSystem, _UNDECIDED
@@ -128,22 +128,11 @@ def finite_maps(position_stream_factory) -> Iterator[dict]:
 
 
 def _compositions(total, length):
-    """Tuples of ``length`` naturals summing to ``total``, in lex order.
-    Iterative, so long tuples cost no recursion depth."""
-    a = [0] * (length - 1) + [total]
-    while True:
-        yield tuple(a)
-        # move one unit from the last nonzero slot k >= 1 to slot k-1 and
-        # send the rest of slot k to the end
-        k = length - 1
-        while k > 0 and a[k] == 0:
-            k -= 1
-        if k == 0:
-            return
-        rest = a[k] - 1
-        a[k] = 0
-        a[k - 1] += 1
-        a[-1] = rest
+    """Tuples of ``length`` naturals summing to ``total``, in lex order: bar
+    positions among total + length - 1 slots, as combinations yield them."""
+    for bars in combinations(range(total + length - 1), length - 1):
+        edges = (-1, *bars, total + length - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def diagonal_product(*factories) -> Iterator[tuple]:

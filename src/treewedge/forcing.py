@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .literals import format_node, node_sort_key
+from .literals import format_node
 from .ordinal import Ordinal, ZERO, add_ord, from_nat
 from .trees import TreeFamily, first_successor, is_immediate_successor, tree_le
 
@@ -105,7 +105,7 @@ def extend_above(family: TreeFamily, p: Condition, alpha: Ordinal) -> Condition:
         return {z: _own_promise(family, z)}
     promised = sorted(
         (y for succ in p.values() for y in succ),
-        key=lambda y: (family.height(y), node_sort_key(family, y)),
+        key=lambda y: (family.height(y), format_node(family, y)),
     )
     y = promised[-1]
     if not family.height(y) < alpha:
@@ -270,5 +270,5 @@ def serialize_condition(family: TreeFamily, p: Condition) -> list:
             "node": format_node(family, x),
             "promises": sorted(format_node(family, z) for z in succ),
         }
-        for x, succ in sorted(p.items(), key=lambda kv: node_sort_key(family, kv[0]))
+        for x, succ in sorted(p.items(), key=lambda kv: format_node(family, kv[0]))
     ]

@@ -155,10 +155,6 @@ def _parse_u(digits: DigitFamily, text: str) -> DigitNode:
     return node
 
 
-def node_sort_key(family, x) -> str:
-    return format_node(family, x)
-
-
 def parse_target(digits: DigitFamily, text: str) -> tuple[str, DigitNode | Ordinal]:
     """A forcing target: ("include", digit node) or ("reach", ordinal)."""
     if text.startswith("include(") and text.endswith(")"):

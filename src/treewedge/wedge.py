@@ -18,7 +18,8 @@ would need an unbounded scan raises CoverUndecided instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import combinations, islice, product
+from math import comb
 
 from .families import DigitFamily, DigitNode
 from .ordinal import Ordinal, ZERO, add_ord, block_decompose, classify, from_nat
@@ -199,16 +200,12 @@ class ExplicitSubtree(SubtreeHandle):
 
     def safe_witness(self, alpha: Ordinal):
         for x in self.family.tree.level_nodes(alpha.to_nat()):
-            if _prefixes_inside(self.family.tree, x, self.members):
+            if self.first_bad(x) is None:
                 return x
         return None
 
     def describe(self) -> str:
         return f"explicit({len(self.members)} nodes)"
-
-
-def _prefixes_inside(tree: ExplicitTree, x, members) -> bool:
-    return all(tree.ancestor_at(x, b + 1) in members for b in range(tree.depth[x]))
 
 
 # --- cover rules -------------------------------------------------------------------
@@ -230,14 +227,12 @@ class CoverRule:
         raise NotImplementedError
 
     def covers_within(self, alpha: Ordinal) -> bool:
-        """Whether the wedges of the rule below level alpha > 0 cover that
-        level.  This base version scans the level, which is finite on an
-        explicit tree."""
+        """Whether the wedges below level alpha > 0 cover it; this version
+        scans the level, which is finite on an explicit tree."""
         return all(not is_safe(self, x) for x in self.family.tree.level_nodes(alpha.to_nat()))
 
     def _explicit_violation(self, x) -> Ordinal | None:
-        """first_violation on an explicit tree: a scan of x's finitely many
-        steps."""
+        """first_violation on an explicit tree, by scanning x's steps."""
         tree = self.family.tree
         for b in range(tree.depth[x]):
             y = tree.ancestor_at(x, b)
@@ -485,8 +480,6 @@ def all_covers(tree: ExplicitTree, size_bound: int):
 
 
 def _subsets_upto(items, k):
-    from itertools import combinations
-
     for size in range(1, k + 1):
         for c in combinations(items, size):
             yield c
@@ -499,15 +492,9 @@ def cover_space_size(tree: ExplicitTree, size_bound: int) -> int:
         if not kids:
             continue
         n = len(kids)
-        count = sum(_choose(n, s) for s in range(0, size_bound + 1))
+        count = sum(comb(n, s) for s in range(0, size_bound + 1))
         total *= count
     return total
-
-
-def _choose(n, k):
-    from math import comb
-
-    return comb(n, k)
 
 
 def _safe_sets(tree: ExplicitTree, fmap: dict) -> dict:
