@@ -104,7 +104,7 @@ class CoherentSystem:
             return cached
         if classify(beta) == "successor":
             # e_{lam+m} extends e_{lam+k} for k <= m, so the finite tail of
-            # beta drops out in one step instead of one recursion per unit
+            # beta drops out in one step, whatever its length
             lam, _ = block_decompose(beta)
             result = self.delta_e(alpha, lam) if alpha < lam else frozenset()
         else:
