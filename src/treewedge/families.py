@@ -157,12 +157,8 @@ def diagonal_product(*factories) -> Iterator[tuple]:
             if ok:
                 made = True
                 yield tuple(item)
-        if not made and all(_dead(it, cache[i], total) for i, it in enumerate(iters)):
+        if not made and all(len(cached) <= total for cached in cache):
             return
-
-
-def _dead(it, cached, total):
-    return len(cached) <= total
 
 
 # --- injective-sequence family ---------------------------------------------------

@@ -78,10 +78,7 @@ def extend_to_include(family: TreeFamily, p: Condition, x) -> Condition:
     if above:
         promise = frozenset(family.restrict(t, up_one) for t in above)
     else:
-        try:
-            promise = frozenset([first_successor(family, x)])
-        except StopIteration:
-            raise ExtensionError(f"{format_node(family, x)} has no successors to promise")
+        promise = _own_promise(family, x)
     r = dict(p)
     r[x] = promise
     # only pairs through x are new; the law can only fail below x

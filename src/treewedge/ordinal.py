@@ -286,11 +286,18 @@ def godel_code(a: Ordinal) -> int:
 
 # --- text format ------------------------------------------------------------
 
+# Deepest '(' nesting parse_cnf accepts; the parser recurses per level, and
+# a cap well below the interpreter's recursion limit keeps deep input a
+# CNFSyntaxError.
+MAX_NESTING = 100
+
+
 def parse_cnf(text: str) -> Ordinal:
     """Parse the CNF grammar:  0 | term (+ term)*  with
     term := nat | w | w*nat | w^factor | w^factor*nat  and
     factor := nat | ( ordinal ).  Whitespace is ignored; non-canonical
-    input (non-descending exponents, zero coefficients) is rejected.
+    input (non-descending exponents, zero coefficients) and parentheses
+    nested deeper than MAX_NESTING are rejected.
     """
     stripped = [(i, ch) for i, ch in enumerate(text) if not ch.isspace()]
     src = "".join(ch for _, ch in stripped)
@@ -299,13 +306,13 @@ def parse_cnf(text: str) -> Ordinal:
     def pos_of(i: int) -> int:
         return positions[i] if i < len(positions) else len(text)
 
-    ordinal, i = _parse_ordinal(src, 0, pos_of)
+    ordinal, i = _parse_ordinal(src, 0, pos_of, 0)
     if i != len(src):
         raise CNFSyntaxError(f"unexpected {src[i]!r}", pos_of(i))
     return ordinal
 
 
-def _parse_ordinal(src: str, i: int, pos_of) -> tuple[Ordinal, int]:
+def _parse_ordinal(src: str, i: int, pos_of, depth: int) -> tuple[Ordinal, int]:
     if i < len(src) and src[i] == "0" and not (i + 1 < len(src) and src[i + 1].isdigit()):
         nxt = i + 1
         if nxt < len(src) and src[nxt] == "+":
@@ -315,7 +322,7 @@ def _parse_ordinal(src: str, i: int, pos_of) -> tuple[Ordinal, int]:
     terms = []
     while True:
         start = i
-        exp, coeff, i = _parse_term(src, i, pos_of)
+        exp, coeff, i = _parse_term(src, i, pos_of, depth)
         if coeff == 0:
             raise CNFSyntaxError("zero coefficient is not canonical", pos_of(start))
         if terms and not exp < terms[-1][0]:
@@ -327,7 +334,7 @@ def _parse_ordinal(src: str, i: int, pos_of) -> tuple[Ordinal, int]:
         return Ordinal(terms), i
 
 
-def _parse_term(src: str, i: int, pos_of) -> tuple[Ordinal, int, int]:
+def _parse_term(src: str, i: int, pos_of, depth: int) -> tuple[Ordinal, int, int]:
     if i >= len(src):
         raise CNFSyntaxError("expected a term", pos_of(i))
     if src[i].isdigit():
@@ -340,7 +347,9 @@ def _parse_term(src: str, i: int, pos_of) -> tuple[Ordinal, int, int]:
     if i < len(src) and src[i] == "^":
         i += 1
         if i < len(src) and src[i] == "(":
-            exp, i = _parse_ordinal(src, i + 1, pos_of)
+            if depth == MAX_NESTING:
+                raise CNFSyntaxError(f"nesting deeper than {MAX_NESTING}", pos_of(i))
+            exp, i = _parse_ordinal(src, i + 1, pos_of, depth + 1)
             if i >= len(src) or src[i] != ")":
                 raise CNFSyntaxError("expected ')'", pos_of(i))
             i += 1

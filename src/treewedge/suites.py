@@ -43,13 +43,13 @@ from .sorgenfrey import (
 from .trees import ExplicitFamily, ExplicitTree, node_query
 from .wedge import (
     BinaryInsideDigits,
+    SafeSubtree,
     SubtreeCover,
     TruncatedSubtree,
     covers_within,
     find_safe_point,
     is_safe,
     lindelof_oracle,
-    safe_subtree,
 )
 
 DEFAULT_ANCHORS = ("w", "w*2", "w^2", "w^2+w", "w^3")
@@ -289,7 +289,7 @@ def suite_wedge_safe(config: RunConfig) -> list[dict]:
     still = not covers_within(trunc, from_nat(3)) and not covers_within(trunc, cut)
     props.append(_prop("truncated-safe-below-cut", still))
 
-    S = safe_subtree(tinu)
+    S = SafeSubtree(tinu)
     rng = random.Random(config.seed)
     closure = True
     filter_ok = True

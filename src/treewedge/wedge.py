@@ -396,10 +396,6 @@ def _flatten(f: CoverRule):
 
 # --- safety queries -------------------------------------------------------------------
 
-def eval_cover(f: CoverRule, x) -> list:
-    return f.values(x)
-
-
 def is_safe(f: CoverRule, x) -> bool:
     """Safe means: every predecessor y of x has x above some member of f(y)."""
     return f.first_violation(x) is None
@@ -457,10 +453,6 @@ class SafeSubtree(SubtreeHandle):
         return f"safe({self.f.describe()})"
 
 
-def safe_subtree(f: CoverRule) -> SafeSubtree:
-    return SafeSubtree(f)
-
-
 # --- finite exhaustive oracle ------------------------------------------------------------
 
 def all_covers(tree: ExplicitTree, size_bound: int):
@@ -470,19 +462,11 @@ def all_covers(tree: ExplicitTree, size_bound: int):
     options = []
     for x in nodes:
         kids = tree.children[x]
-        opts = [frozenset()]
-        opts.extend(
-            frozenset(c) for c in _subsets_upto(kids, size_bound) if c
-        )
-        options.append(opts)
+        options.append([
+            frozenset(c) for size in range(size_bound + 1) for c in combinations(kids, size)
+        ])
     for combo in product(*options):
         yield dict(zip(nodes, combo))
-
-
-def _subsets_upto(items, k):
-    for size in range(1, k + 1):
-        for c in combinations(items, size):
-            yield c
 
 
 def cover_space_size(tree: ExplicitTree, size_bound: int) -> int:
@@ -517,10 +501,15 @@ def lindelof_oracle(
     sample: int | None = None,
     rng=None,
 ) -> dict:
-    """Exhaustively verify, for every bounded rule on a finite tree, that
-    'no safe point at level a' is the same as 'level a is covered from below
-    a' (and as the whole tree from level a up being covered), and that the
-    safe set is a subtree whose successor filter is f on safe nodes.
+    """Check, for every bounded rule f on a finite tree, the safe-point DP
+    against the wedge sets W(y) = cone(y) minus the cones over f(y), built as
+    int bitmasks.  At each level a <= cutoff, with U the union of W(y) over
+    every y of depth < a:
+
+    * level phrasing: the safe nodes of level a are exactly its nodes
+      outside U (no wedge from strictly below covers a safe point);
+    * whole-tree phrasing: U covers every node of depth >= a exactly when
+      level a has no safe node.
 
     Raises ExplosionGuard when the rule space exceeds ``max_covers``, unless
     a ``sample`` size (with rng) asks for a seeded random sweep instead.
@@ -536,53 +525,34 @@ def lindelof_oracle(
         covers = all_covers(tree, size_bound)
 
     nodes = list(tree.parent)
-    anc = {x: [tree.ancestor_at(x, d) for d in range(tree.depth[x] + 1)] for x in nodes}
+    bit = {x: 1 << i for i, x in enumerate(nodes)}
+    cone = {}
+    for x in reversed(nodes):  # insertion order puts every parent before its children
+        cone[x] = bit[x]
+        for c in tree.children[x]:
+            cone[x] |= cone[c]
     levels = [tree.level_nodes(d) for d in range(min(cutoff + 1, tree.tree_height()))]
-    empty = frozenset()
-
-    def covered_below(fmap, x, a):
-        chain = anc[x]
-        for d in range(min(a, len(chain) - 1)):
-            if chain[d + 1] not in fmap.get(chain[d], empty):
-                return True  # x is above chain[d] but escapes every cone over f
-        return False
+    level_mask = [sum(bit[x] for x in level) for level in levels]
+    deep_mask = [sum(bit[x] for x in nodes if tree.depth[x] >= a) for a in range(len(levels))]
 
     checked = 0
     counterexamples = []
     for fmap in covers:
         checked += 1
         safe = _safe_sets(tree, fmap)
-        # independent safety recomputation straight from the definition
-        for x in nodes:
-            chain = anc[x]
-            direct = all(
-                chain[d + 1] in fmap.get(chain[d], empty) for d in range(len(chain) - 1)
-            )
-            if direct != safe[x]:
-                counterexamples.append({"cover": _show(fmap), "kind": "dp-vs-direct", "node": x})
+        safe_mask = sum(bit[x] for x in nodes if safe[x])
+        union = 0
         for a, level in enumerate(levels):
-            no_safe = not any(safe[x] for x in level)
-            all_covered = all(covered_below(fmap, x, a) for x in level)
-            if no_safe != all_covered:
-                counterexamples.append({"cover": _show(fmap), "kind": "level-equivalence", "level": a})
-            # full-tree phrasing: the restricted rule covers everything at or
-            # above the level too (points below cover themselves)
-            whole = all(
-                covered_below(fmap, z, a) for z in nodes if tree.depth[z] >= a
-            )
-            if no_safe != whole:
-                counterexamples.append({"cover": _show(fmap), "kind": "full-coverage", "level": a})
-        # the safe set is downward closed and its filter is f on safe nodes
-        for x in nodes:
-            p = tree.parent[x]
-            if safe[x] and p is not None and not safe[p]:
-                counterexamples.append({"cover": _show(fmap), "kind": "closure", "node": x})
-            if safe[x]:
-                inside = {c for c in tree.children[x] if safe[c]}
-                if inside != set(fmap.get(x, empty)) & set(tree.children[x]):
-                    counterexamples.append({"cover": _show(fmap), "kind": "filter", "node": x})
-            if x in fmap.get(x, empty):
-                counterexamples.append({"cover": _show(fmap), "kind": "self", "node": x})
+            safe_here = safe_mask & level_mask[a]
+            if safe_here != level_mask[a] & ~union:
+                counterexamples.append({"cover": _show(fmap), "kind": "level", "level": a})
+            if (deep_mask[a] & ~union == 0) != (safe_here == 0):
+                counterexamples.append({"cover": _show(fmap), "kind": "whole-tree", "level": a})
+            for y in level:
+                excluded = 0
+                for z in fmap.get(y, ()):
+                    excluded |= cone[z]
+                union |= cone[y] & ~excluded
         if counterexamples:
             break
     return {
@@ -590,7 +560,6 @@ def lindelof_oracle(
         "space": space,
         "sampled": sampled,
         "counterexamples": counterexamples,
-        "limit_levels_in_range": [],  # finite trees have none; phrasing (2) is vacuous here
     }
 
 

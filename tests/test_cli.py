@@ -75,6 +75,14 @@ def test_parse_error_reported():
     assert "error" in report["result"]
 
 
+def test_deep_nesting_is_a_syntax_error():
+    depth = 5000
+    proc = run_cli(["--query", "eval-e " + "w^(" * depth + "1" + ")" * depth + " 3"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["result"]["error"].startswith("CNFSyntaxError")
+
+
 def _write_config(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)

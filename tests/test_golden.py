@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from treewedge.ordinal import Ordinal
 from treewedge.suites import SUITES, RunConfig, run_suite
 
 CONFIG = RunConfig(trials=60, nat_anchors=16, oracle_max=3000, oracle_sample=500)
@@ -37,3 +38,17 @@ def test_suite_report_digest(name):
     text = json.dumps(report, sort_keys=True, indent=2)
     assert report["pass"]
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
+
+
+def test_wedge_oracle_builds_no_ordinals(monkeypatch):
+    # the benchmark's oracle workload is defined to bypass the ordinal layer
+    calls = []
+    init = Ordinal.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Ordinal, "__init__", counting)
+    run_suite("wedge-oracle", CONFIG)
+    assert not calls

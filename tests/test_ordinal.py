@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from treewedge.ordinal import (
     CNFSyntaxError,
+    MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
@@ -79,6 +80,19 @@ def test_parse_composite_exponent_needs_parens():
     assert parse_cnf("w^(w)") == WW
     with pytest.raises(CNFSyntaxError):
         parse_cnf("w^w")
+
+
+def test_parse_nesting_cap():
+    def tower(n):
+        return "w^(" * n + "1" + ")" * n
+
+    expected = ONE
+    for _ in range(MAX_NESTING):
+        expected = Ordinal([(expected, 1)])
+    assert parse_cnf(tower(MAX_NESTING)) == expected
+    with pytest.raises(CNFSyntaxError) as err:
+        parse_cnf(tower(MAX_NESTING + 1))
+    assert err.value.pos == 3 * MAX_NESTING + 2
 
 
 def test_parse_ignores_whitespace():

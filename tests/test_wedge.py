@@ -6,24 +6,26 @@ from treewedge.coherent import CoherentSystem
 from treewedge.families import BitFamily, DigitFamily
 from treewedge.gen import rand_below, rand_digit_node
 from treewedge.ordinal import OMEGA, ZERO, add_ord, from_nat, parse_cnf
+from treewedge.suites import _random_tree
 from treewedge.trees import ExplicitFamily, ExplicitTree
+from treewedge import wedge
 from treewedge.wedge import (
     BinaryInsideDigits,
     CoverUndecided,
     ExplicitSubtree,
     ExplosionGuard,
     PatchedCover,
+    SafeSubtree,
     SubtreeCover,
     TableCover,
     TruncatedSubtree,
     Wedge,
+    all_covers,
     cover_space_size,
     covers_within,
-    eval_cover,
     find_safe_point,
     is_safe,
     lindelof_oracle,
-    safe_subtree,
     wedge_contains,
 )
 
@@ -59,27 +61,27 @@ def test_wedge_contains(digits):
     assert wedge_contains(digits, Wedge(x, (z,)), other)
 
 
-# --- eval_cover -----------------------------------------------------------------
+# --- rule values -----------------------------------------------------------------
 
 def test_subtree_cover_bit_children(digits, tinu):
     u = digits.embed_bits(digits.bits.canonical_extension(digits.bits.root(), OMEGA))
-    kids = eval_cover(tinu, u)
+    kids = tinu.values(u)
     assert len(kids) == 2
     assert sorted(k.trail[-1] for k in kids) == [0, 1]
 
 
 def test_subtree_cover_outside_empty(digits, tinu):
     u = digits.node([("d", 7)])
-    assert eval_cover(tinu, u) == []
+    assert tinu.values(u) == []
 
 
 def test_patched_cover_override(digits, tinu):
     u = digits.node([("d", 0)])
     override = (digits.node([("d", 0), ("d", 3)]),)
     f = PatchedCover(tinu, {u: override})
-    assert tuple(eval_cover(f, u)) == override
+    assert tuple(f.values(u)) == override
     other = digits.node([("d", 1)])
-    assert eval_cover(f, other) == eval_cover(tinu, other)
+    assert f.values(other) == tinu.values(other)
 
 
 # --- safety ---------------------------------------------------------------------
@@ -172,7 +174,7 @@ def test_patched_blocking_raises(digits, tinu):
 # --- safe subtree ------------------------------------------------------------------
 
 def test_safe_subtree_membership(digits, tinu):
-    S = safe_subtree(tinu)
+    S = SafeSubtree(tinu)
     u = digits.embed_bits(digits.bits.canonical_extension(digits.bits.root(), OMEGA))
     assert S.contains(u)
     assert not S.contains(digits.node([("d", 5)]))
@@ -180,7 +182,7 @@ def test_safe_subtree_membership(digits, tinu):
 
 def test_safe_subtree_table(table_fixture):
     fam, table = table_fixture
-    S = safe_subtree(table)
+    S = SafeSubtree(table)
     assert {x for x in fam.tree.parent if S.contains(x)} == {"r", "0"}
     assert S.filter_successors("r") == ["0"]
     assert S.filter_successors("1") == []
@@ -188,7 +190,7 @@ def test_safe_subtree_table(table_fixture):
 
 def test_safe_subtree_downward_closed(digits, tinu):
     rng = random.Random(41)
-    S = safe_subtree(tinu)
+    S = SafeSubtree(tinu)
     for _ in range(100):
         alpha = rng.choice(LIMITS)
         u = rand_digit_node(rng, digits, alpha)
@@ -206,7 +208,7 @@ def test_safe_child_iff_promised(digits, tinu):
         u = rand_digit_node(rng, digits, alpha)
         if not is_safe(tinu, u):
             continue
-        promised = set(eval_cover(tinu, u))
+        promised = set(tinu.values(u))
         import itertools
 
         for child in itertools.islice(digits.successors(u), 6):
@@ -215,7 +217,7 @@ def test_safe_child_iff_promised(digits, tinu):
 
 def test_safe_subtree_round_trip(digits, tinu):
     # safety for the derived rule equals safety for the base rule
-    derived = SubtreeCover(safe_subtree(tinu))
+    derived = SubtreeCover(SafeSubtree(tinu))
     rng = random.Random(42)
     for _ in range(50):
         alpha = rng.choice(LIMITS)
@@ -230,8 +232,8 @@ def test_safe_subtree_round_trip(digits, tinu):
 def test_explicit_subtree_cover(table_fixture):
     fam, _ = table_fixture
     cover = SubtreeCover(ExplicitSubtree(fam, {"r", "0"}))
-    assert eval_cover(cover, "r") == ["0"]
-    assert eval_cover(cover, "0") == []
+    assert cover.values("r") == ["0"]
+    assert cover.values("0") == []
     assert [x for x in fam.tree.parent if is_safe(cover, x)] == ["r", "0"]
     assert covers_within(cover, from_nat(2))
     assert not covers_within(cover, from_nat(1))
@@ -272,3 +274,79 @@ def test_oracle_explosion_guard():
     report = lindelof_oracle(tree, 4, max_covers=10**6, sample=200, rng=random.Random(1))
     assert report["sampled"]
     assert report["counterexamples"] == []
+
+
+def test_oracle_catches_a_broken_dp(monkeypatch):
+    def forgetful(tree, fmap):
+        # the root's children count as safe whatever the root promises
+        safe = {}
+        for x, p in tree.parent.items():
+            safe[x] = p is None or tree.parent[p] is None or (safe[p] and x in fmap.get(p, ()))
+        return safe
+
+    monkeypatch.setattr(wedge, "_safe_sets", forgetful)
+    report = lindelof_oracle(ExplicitTree.complete(2, 3), 3)
+    assert report["counterexamples"]
+    assert report["counterexamples"][0]["level"] == 1
+
+
+def test_oracle_exhaustive_on_ragged_tree():
+    tree = _random_tree(random.Random(1), 15)
+    report = lindelof_oracle(tree, tree.tree_height())
+    assert not report["sampled"]
+    assert report["covers_checked"] == report["space"] == 6776
+    assert report["counterexamples"] == []
+
+
+# --- the engine against real wedges ---------------------------------------------------
+
+def _wedge_covered(fam, fmap, x):
+    """Whether x lies in the wedge of fmap at some node of lower depth."""
+    depth = fam.tree.depth
+    return any(
+        wedge_contains(fam, Wedge(y, tuple(fmap.get(y, ()))), x)
+        for y in fam.tree.parent
+        if depth[y] < depth[x]
+    )
+
+
+def _assert_engine_matches_wedges(fam, rule, fmap):
+    tree = fam.tree
+    for x in tree.parent:
+        assert is_safe(rule, x) == (not _wedge_covered(fam, fmap, x)), x
+    for d in range(1, tree.tree_height()):
+        covered = all(_wedge_covered(fam, fmap, x) for x in tree.level_nodes(d))
+        assert covers_within(rule, from_nat(d)) == covered, d
+
+
+def _seeded_rules(tree, count, rng):
+    internal = [x for x in tree.parent if tree.children[x]]
+    return [
+        {x: frozenset(rng.sample(tree.children[x], rng.randrange(len(tree.children[x]) + 1)))
+         for x in internal}
+        for _ in range(count)
+    ]
+
+
+def _rule_cases():
+    rng = random.Random(3)
+    binary = ExplicitTree.complete(2, 3)
+    ternary = ExplicitTree.complete(3, 3)
+    ragged = _random_tree(random.Random(0), 15)
+    return [
+        (binary, list(all_covers(binary, 2))),
+        (ternary, _seeded_rules(ternary, 200, rng)),
+        (ragged, _seeded_rules(ragged, 200, rng)),
+    ]
+
+
+@pytest.mark.parametrize("tree, rules", _rule_cases(), ids=["binary-all", "ternary", "ragged"])
+def test_engine_matches_wedges(tree, rules):
+    fam = ExplicitFamily(tree)
+    for fmap in rules:
+        _assert_engine_matches_wedges(fam, TableCover(fam, fmap), fmap)
+    rng = random.Random(5)
+    for fmap, patch in zip(rules[:5], _seeded_rules(tree, 5, rng)):
+        rows = dict(rng.sample(sorted(patch.items()), 2))
+        patched = PatchedCover(TableCover(fam, fmap), rows)
+        _assert_engine_matches_wedges(fam, patched, {**fmap, **rows})
