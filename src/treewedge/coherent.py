@@ -30,7 +30,6 @@ from .ordinal import (
     decode_structural,
     from_nat,
     fund_seq,
-    pred,
 )
 
 
@@ -51,7 +50,6 @@ class CoherentSystem:
         self.ladder = ladder
         self._eval: dict[tuple[Ordinal, Ordinal], int] = {}
         self._delta: dict[tuple[Ordinal, Ordinal], frozenset] = {}
-        self._seams: dict[Ordinal, dict[Ordinal, int]] = {}
 
     def eval_e(self, alpha: Ordinal, xi: Ordinal) -> int:
         """Value of e_alpha at xi < alpha."""
@@ -64,11 +62,13 @@ class CoherentSystem:
         anchor = alpha
         while True:
             if classify(anchor) == "successor":
-                below = pred(anchor)
-                if xi == below:
+                # e_{gam+m} extends e_{xi+1} for gam <= xi < gam+m, and agrees
+                # with e_gam below gam
+                gam = block_decompose(anchor).limit_part
+                if not xi < gam:
                     value = _birth_value(xi)
                     break
-                anchor = below
+                anchor = gam
                 continue
             # limit anchor: locate the ladder block containing xi
             prev = ZERO
@@ -81,7 +81,6 @@ class CoherentSystem:
                 n += 1
             if n >= 1 and xi == prev and not prev.is_nat():
                 value = _seam_value(prev)
-                self._seams.setdefault(anchor, {})[prev] = value
                 break
             anchor = ln
         self._eval[key] = value
@@ -163,15 +162,11 @@ class CoherentSystem:
 
     def correction_table(self, lam: Ordinal, stages: int) -> dict[Ordinal, int]:
         """Seam re-keyings of the limit anchor lam over its first ``stages``
-        ladder blocks (the finite correction table, lazily extended)."""
+        ladder blocks (the finite correction table), read off the ladder."""
         if classify(lam) != "limit":
             raise ValueError(f"{lam} is not a limit anchor")
-        table = self._seams.setdefault(lam, {})
-        for n in range(1, stages + 1):
-            p = self.ladder(lam, n - 1)
-            if not p.is_nat():
-                table[p] = _seam_value(p)
-        return dict(table)
+        points = (self.ladder(lam, n) for n in range(stages))
+        return {p: _seam_value(p) for p in points if not p.is_nat()}
 
 
 class _Undecided:

@@ -13,6 +13,8 @@ Cover literals:
   subtree(T-in-U)            the binary tree inside the digit tree
   subtree(T-in-U<h)          the same, truncated to height h
   patched(<base>; <node>=>{<node>,...}, ...)
+                             nested patches flatten, outer rows winning;
+                             a patched table is a table
   table(<tree-file>; <id>=>{<id>,...}, ...)
 
 Forcing targets:
@@ -23,7 +25,7 @@ Forcing targets:
 from __future__ import annotations
 
 from .families import BitFamily, BitNode, DigitFamily, DigitNode, InjFamily, InjNode
-from .ordinal import Ordinal, parse_cnf, to_cnf
+from .ordinal import MAX_NESTING, Ordinal, parse_cnf, to_cnf
 from .trees import ExplicitFamily
 from .wedge import (
     BinaryInsideDigits,
@@ -179,7 +181,7 @@ def format_cover(f: CoverRule) -> str:
             f"{format_node(f.family, x)}=>{{{','.join(format_node(f.family, z) for z in s)}}}"
             for x, s in f.table.items()
         )
-        return f"patched({format_cover(f.base)}; {rows})"
+        return f"patched({format_cover(f.core)}; {rows})"
     if isinstance(f, TableCover):
         rows = ",".join(
             f"{x}=>{{{','.join(sorted(s))}}}" for x, s in sorted(f.table.items())
@@ -189,7 +191,36 @@ def format_cover(f: CoverRule) -> str:
 
 
 def parse_cover(text: str, digits: DigitFamily, load_tree=None) -> CoverRule:
+    """A cover from its literal.  Nested patches are read outside in without
+    recursion and applied inside out, so outer rows win."""
     text = text.strip()
+    layers = []
+    while text.startswith("patched(") and text.endswith(")"):
+        if len(layers) == MAX_NESTING:
+            raise ValueError(f"patched( nesting deeper than {MAX_NESTING}")
+        base_text, *rows = split_top(text[8:-1], ";") or [""]
+        layers.append(";".join(rows))
+        text = base_text
+    rule = _parse_base_cover(text, digits, load_tree)
+    for rows in reversed(layers):
+        fam = rule.family
+        rule = rule.patched({
+            parse_node(fam, key): tuple(parse_node(fam, v) for v in succ) for key, succ in _rows(rows, "patch")
+        })
+    return rule
+
+
+def _rows(text: str, kind: str):
+    """(key, successor texts) for each '<key>=>{<succ>,...}' row."""
+    for row in split_top(text, ","):
+        key, _, succ = row.partition("=>")
+        succ = succ.strip()
+        if not (succ.startswith("{") and succ.endswith("}")):
+            raise ValueError(f"bad {kind} row {row!r}")
+        yield key.strip(), split_top(succ[1:-1], ",")
+
+
+def _parse_base_cover(text: str, digits: DigitFamily, load_tree) -> CoverRule:
     if text.startswith("subtree(") and text.endswith(")"):
         inner = text[8:-1].strip()
         if inner == "T-in-U":
@@ -198,29 +229,10 @@ def parse_cover(text: str, digits: DigitFamily, load_tree=None) -> CoverRule:
             h = parse_cnf(inner[len("T-in-U<"):])
             return SubtreeCover(TruncatedSubtree(BinaryInsideDigits(digits), h))
         raise ValueError(f"unknown subtree {inner!r}")
-    if text.startswith("patched(") and text.endswith(")"):
-        base_text, _, rows = text[8:-1].partition(";")
-        base = parse_cover(base_text, digits, load_tree)
-        table = {}
-        for row in split_top(rows, ","):
-            key, _, succ = row.partition("=>")
-            if not (succ.strip().startswith("{") and succ.strip().endswith("}")):
-                raise ValueError(f"bad patch row {row!r}")
-            node = parse_node(base.family, key.strip())
-            vals = [parse_node(base.family, v) for v in split_top(succ.strip()[1:-1], ",")]
-            table[node] = tuple(vals)
-        return PatchedCover(base, table)
     if text.startswith("table(") and text.endswith(")"):
         path, _, rows = text[6:-1].partition(";")
         if load_tree is None:
             raise ValueError("table covers need a tree loader")
         family = ExplicitFamily(load_tree(path.strip()))
-        table = {}
-        for row in split_top(rows, ","):
-            key, _, succ = row.partition("=>")
-            succ = succ.strip()
-            if not (succ.startswith("{") and succ.endswith("}")):
-                raise ValueError(f"bad table row {row!r}")
-            table[key.strip()] = {v for v in split_top(succ[1:-1], ",")}
-        return TableCover(family, table)
+        return TableCover(family, {key: set(succ) for key, succ in _rows(rows, "table")})
     raise ValueError(f"cannot parse cover literal {text!r}")

@@ -227,18 +227,12 @@ class CoverRule:
         raise NotImplementedError
 
     def covers_within(self, alpha: Ordinal) -> bool:
-        """Whether the wedges below level alpha > 0 cover it; this version
-        scans the level, which is finite on an explicit tree."""
-        return all(not is_safe(self, x) for x in self.family.tree.level_nodes(alpha.to_nat()))
+        """Whether the wedges below level alpha > 0 cover it."""
+        raise NotImplementedError
 
-    def _explicit_violation(self, x) -> Ordinal | None:
-        """first_violation on an explicit tree, by scanning x's steps."""
-        tree = self.family.tree
-        for b in range(tree.depth[x]):
-            y = tree.ancestor_at(x, b)
-            if tree.ancestor_at(x, b + 1) not in self.values(y):
-                return from_nat(b)
-        return None
+    def patched(self, rows: dict) -> CoverRule:
+        """The rule with f(x) replaced by rows[x] for every x in rows."""
+        raise NotImplementedError
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -265,9 +259,10 @@ class SubtreeCover(CoverRule):
         return [w] if w is not None else []
 
     def covers_within(self, alpha: Ordinal) -> bool:
-        if isinstance(self.family, ExplicitFamily):
-            return super().covers_within(alpha)
         return self.handle.covers_level(alpha)
+
+    def patched(self, rows: dict) -> CoverRule:
+        return PatchedCover(self, rows)
 
     def describe(self) -> str:
         return f"subtree({self.handle.describe()})"
@@ -275,7 +270,8 @@ class SubtreeCover(CoverRule):
 
 class TableCover(CoverRule):
     """Explicit finite assignment over an explicit tree; nodes missing from
-    the table get the empty set."""
+    the table get the empty set.  Levels are finite, so this is the one rule
+    that decides a level by scanning it."""
 
     def __init__(self, family: ExplicitFamily, table: dict):
         self.family = family
@@ -290,43 +286,50 @@ class TableCover(CoverRule):
         return sorted(self.table.get(x, frozenset()))
 
     def first_violation(self, x) -> Ordinal | None:
-        return self._explicit_violation(x)
+        tree = self.family.tree
+        for b in range(tree.depth[x]):
+            if tree.ancestor_at(x, b + 1) not in self.table.get(tree.ancestor_at(x, b), ()):
+                return from_nat(b)
+        return None
 
     def witness_candidates(self, alpha: Ordinal, budget: int) -> list:
         return self.family.tree.level_nodes(alpha.to_nat())
+
+    def covers_within(self, alpha: Ordinal) -> bool:
+        return all(not is_safe(self, x) for x in self.family.tree.level_nodes(alpha.to_nat()))
+
+    def patched(self, rows: dict) -> CoverRule:
+        return TableCover(self.family, {**self.table, **rows})
 
     def describe(self) -> str:
         return f"table({len(self.table)} rows)"
 
 
 class PatchedCover(CoverRule):
-    """A base rule overridden on finitely many nodes.  Safety stays exactly
-    decidable: over explicit trees by a finite scan, over symbolic families
-    by flattening the patches onto the downward-closed base subtree, whose
-    violations form an upward-closed set."""
+    """A subtree rule overridden on finitely many nodes.  Patching again
+    merges the rows into one table, outer rows winning, so the rule is
+    always one layer over its core.  Safety stays exactly decidable: the
+    core's violations form an upward-closed set, and only finitely many
+    steps are patched."""
 
-    def __init__(self, base: CoverRule, table: dict):
-        self.base = base
-        self.family = base.family
+    def __init__(self, core: SubtreeCover, table: dict):
+        if not isinstance(core, SubtreeCover):
+            raise TypeError("patches apply to a subtree rule; use its patched()")
+        self.core = core
+        self.family = core.family
         self.table = {x: tuple(s) for x, s in table.items()}
-        core, _ = _flatten(self)
-        if not isinstance(core, (SubtreeCover, TableCover)):
-            raise TypeError("patched rules must bottom out in a structured base")
 
     def values(self, x) -> list:
         if x in self.table:
             return list(self.table[x])
-        return self.base.values(x)
+        return self.core.values(x)
 
     def first_violation(self, x) -> Ordinal | None:
         fam = self.family
-        if isinstance(fam, ExplicitFamily):
-            return self._explicit_violation(x)
-        core, table = _flatten(self)
         hx = fam.height(x)
         patched = {}
         best = None
-        for y, succ in table.items():
+        for y, succ in self.table.items():
             if tree_le(fam, y, x) != "below":
                 continue
             b = fam.height(y)
@@ -334,7 +337,7 @@ class PatchedCover(CoverRule):
             step = fam.restrict(x, add_ord(b, from_nat(1)))
             if step not in succ and (best is None or b < best):
                 best = b
-        onset = core.handle.first_bad(x)
+        onset = self.core.handle.first_bad(x)
         if onset is not None and onset < hx:
             b = onset
             while b < hx:
@@ -346,7 +349,7 @@ class PatchedCover(CoverRule):
         return best
 
     def witness_candidates(self, alpha: Ordinal, budget: int) -> list:
-        out = list(self.base.witness_candidates(alpha, budget))
+        out = list(self.core.witness_candidates(alpha, budget))
         out.extend(self._threaded_candidates(alpha, budget))
         out.extend(islice(self.family.level(alpha), budget))
         return out
@@ -354,9 +357,8 @@ class PatchedCover(CoverRule):
     def _threaded_candidates(self, alpha: Ordinal, budget: int) -> list:
         """Candidates routed through the allowed successors of patched nodes."""
         fam = self.family
-        _, table = _flatten(self)
         out = []
-        for y, succ in table.items():
+        for y, succ in self.table.items():
             if not fam.height(y) < alpha:
                 continue
             for z in succ:
@@ -370,28 +372,16 @@ class PatchedCover(CoverRule):
         return out
 
     def covers_within(self, alpha: Ordinal) -> bool:
-        if isinstance(self.family, ExplicitFamily):
-            return super().covers_within(alpha)
         if find_safe_point(self, alpha) is not None:
             return False
         raise CoverUndecided("no safe point found within budget; patched "
                              "symbolic covers are only refuted by a witness")
 
+    def patched(self, rows: dict) -> CoverRule:
+        return PatchedCover(self.core, {**self.table, **rows})
+
     def describe(self) -> str:
-        return f"patched({self.base.describe()}; {len(self.table)} rows)"
-
-
-def _flatten(f: CoverRule):
-    """Merge nested patch tables down to the structured core; outer wins."""
-    layers = []
-    base = f
-    while isinstance(base, PatchedCover):
-        layers.append(base.table)
-        base = base.base
-    table = {}
-    for t in reversed(layers):
-        table.update(t)
-    return base, table
+        return f"patched({self.core.describe()}; {len(self.table)} rows)"
 
 
 # --- safety queries -------------------------------------------------------------------

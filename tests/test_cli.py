@@ -83,6 +83,14 @@ def test_deep_nesting_is_a_syntax_error():
     assert json.loads(proc.stdout)["result"]["error"].startswith("CNFSyntaxError")
 
 
+def test_deep_patch_nesting_is_an_error_answer():
+    depth = 3000
+    proc = run_cli(["--query", "find-safe " + "patched(" * depth + "subtree(T-in-U)" + ")" * depth + " w"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["result"]["error"].startswith("ValueError")
+
+
 def _write_config(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)

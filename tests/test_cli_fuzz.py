@@ -1,11 +1,10 @@
 """Seeded fuzz over query strings: every query ends with exit code 0, 1 or 2.
 
 Queries are built from the nine commands and from literal fragments, valid
-and malformed.  Naturals stay below 10^4, and the finite tail of an ordinal
-like w+n stays below 300: ``eval_e`` on a successor anchor walks down one
-step per unit, and ``delta_e`` below a limit repeats that walk once per
-unit.  Larger values only measure that known defect, which the strict xfail
-at the end keeps visible.
+and malformed.  Naturals stay below 10^4 because some answers grow with the
+input: ``find-safe subtree(T-in-U) 100000`` prints a node of 100,000 digits
+(about 300 KB), which takes time to build and print but is no defect.  The
+finite tail of an ordinal like w+n goes up to 9,999.
 """
 
 import contextlib
@@ -38,7 +37,7 @@ def deadline(seconds):
 
 
 naturals = st.integers(0, 9_999).map(str)
-tails = st.integers(0, 299)
+tails = st.integers(0, 9_999)
 ordinals = st.one_of(
     naturals,
     st.sampled_from(["w", "w*2", "w^2", "w^2+w", "w^3", "w^(w)", "w*3+w", "w+w", "w^", "", "x", "(w", "w*0"]),
@@ -67,7 +66,17 @@ covers = st.one_of(
     st.tuples(nodes, st.lists(nodes, max_size=2)).map(
         lambda p: f"patched(subtree(T-in-U); {p[0]}=>{{{','.join(p[1])}}})"
     ),
-    st.sampled_from(["table(/nonexistent; r=>{0})", "subtree(T-in-V)", "patched(subtree(T-in-U); u:[]=>u:[d1])"]),
+    st.tuples(nodes, nodes, nodes).map(
+        lambda p: f"patched(patched(subtree(T-in-U); {p[0]}=>{{{p[1]}}}); {p[1]}=>{{{p[2]}}})"
+    ),
+    st.sampled_from(
+        [
+            "table(/nonexistent; r=>{0})",
+            "patched(table(/nonexistent; r=>{0}); r=>{0})",
+            "subtree(T-in-V)",
+            "patched(subtree(T-in-U); u:[]=>u:[d1])",
+        ]
+    ),
 )
 points = st.one_of(
     st.tuples(st.sampled_from("LR"), st.lists(st.integers(0, 9_999), min_size=1, max_size=4)).map(
@@ -112,12 +121,6 @@ def test_every_query_exits_cleanly(query):
     assert code in (0, 1, 2)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=Deadline,
-    reason="eval_e walks a successor anchor down one step per unit; see the "
-    "ROADMAP item 'Coherent-system and ordinal hot paths: bounded and sub-quadratic'",
-)
 @pytest.mark.parametrize("query", ["eval-e 99999999999999999999999 5", "delta-e w+9999 w^2"])
 def test_huge_successor_anchor_answers_in_time(query, capsys):
     with deadline(2):

@@ -124,3 +124,12 @@ def test_correction_table_matches_eval(coh):
     assert table, "w^2 must re-key its composite ladder points"
     for p, v in table.items():
         assert coh.eval_e(w2, p) == v
+
+
+def test_correction_table_ignores_call_history():
+    w2 = parse_cnf("w^2")
+    fresh = CoherentSystem().correction_table(w2, 2)
+    used = CoherentSystem()
+    used.eval_e(w2, parse_cnf("w*7"))
+    assert used.correction_table(w2, 2) == fresh
+    assert len(fresh) == 2

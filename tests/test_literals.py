@@ -76,6 +76,17 @@ def test_cover_round_trip(ws):
     assert format_cover(again) == text
     assert again.table == patched.table
 
+    # a second layer flattens into one table, its rows winning
+    other = digits.node([("d", 0), ("d", 0)])
+    root_row = (digits.node([("d", 0)]),)
+    two = patched.patched({u: (other,), digits.root(): root_row})
+    assert two.table == {u: (other,), digits.root(): root_row}
+    text = format_cover(two)
+    assert text.count("patched(") == 1
+    assert format_cover(parse_cover(text, digits)) == text
+    nested = f"patched({format_cover(patched)}; u:[]=>{{u:[d0]}}, u:[d0]=>{{u:[d0,d0]}})"
+    assert parse_cover(nested, digits).table == two.table
+
 
 def test_table_cover_literal(tmp_path, ws):
     injs, bits, digits = ws

@@ -348,5 +348,16 @@ def test_engine_matches_wedges(tree, rules):
     rng = random.Random(5)
     for fmap, patch in zip(rules[:5], _seeded_rules(tree, 5, rng)):
         rows = dict(rng.sample(sorted(patch.items()), 2))
-        patched = PatchedCover(TableCover(fam, fmap), rows)
+        patched = TableCover(fam, fmap).patched(rows)
         _assert_engine_matches_wedges(fam, patched, {**fmap, **rows})
+    # subtree rules over explicit trees: the safe set S of each rule, cut at a
+    # seeded height h, promises the children that stay inside it
+    for fmap in rules:
+        S = {x for x in tree.parent if not _wedge_covered(fam, fmap, x)}
+        h = rng.randrange(1, tree.tree_height() + 1)
+        inside = {x: frozenset(c for c in tree.children[x] if c in S) for x in tree.parent}
+        cut = {x: frozenset(c for c in inside[x] if tree.depth[c] < h) for x in tree.parent}
+        handle = ExplicitSubtree(fam, S)
+        _assert_engine_matches_wedges(fam, SubtreeCover(handle), inside)
+        _assert_engine_matches_wedges(fam, SubtreeCover(TruncatedSubtree(handle, from_nat(h))), cut)
+        _assert_engine_matches_wedges(fam, SubtreeCover(SafeSubtree(TableCover(fam, fmap))), inside)
