@@ -13,21 +13,31 @@ explicitly computable finite set.  The construction is block-structured:
 
 Every value is therefore odd and keyed to its position through disjoint
 residue streams, which makes injectivity structural and range membership
-decidable without scanning.  All operations are pure; memo tables are
-idempotent fills, so concurrent use needs no coordination.
+decidable without scanning.
+
+Block 0 of a limit carries no seam and e_{g+1} extends e_g, so e_b agrees
+below g with e_g for every g on b's first-step descent (b, then b[0] of a
+limit or the predecessor of a successor, down to 0).  ``eval_e`` and
+``delta_e`` therefore jump straight to the least such g above the position
+or the lower anchor (``ordinal.descent_floor``, read off the CNF terms)
+instead of walking the descent one step at a time; what is left is a ladder
+scan, linear in the number of blocks below the target.
+
+All operations are pure; memo tables are idempotent fills, so concurrent use
+needs no coordination.
 """
 
 from __future__ import annotations
 
 from .ordinal import (
     DecodeBudgetExceeded,
+    ONE,
     Ordinal,
     ZERO,
     _encode_terms,
-    block_decompose,
     classify,
-    cmp_ord,
     decode_structural,
+    descent_floor,
     from_nat,
     fund_seq,
 )
@@ -47,6 +57,10 @@ class CoherentSystem:
     """Lazy evaluator for the coherent injections, with difference witnesses."""
 
     def __init__(self, ladder=fund_seq):
+        """``ladder(lam, n)`` must follow ``fund_seq``'s rule, since the
+        descent jump reads fund_seq's first steps off the CNF terms.  It is a
+        parameter only so that ``perfbench/tracing.py`` can swap in a
+        counting wrapper through its default."""
         self.ladder = ladder
         self._eval: dict[tuple[Ordinal, Ordinal], int] = {}
         self._delta: dict[tuple[Ordinal, Ordinal], frozenset] = {}
@@ -59,27 +73,26 @@ class CoherentSystem:
         cached = self._eval.get(key)
         if cached is not None:
             return cached
+        # e_alpha agrees below gam with e_gam for every gam on alpha's
+        # first-step descent, so jump to the least such gam above xi
+        above = xi + ONE
         anchor = alpha
         while True:
+            anchor = descent_floor(anchor, above)
             if classify(anchor) == "successor":
-                # e_{gam+m} extends e_{xi+1} for gam <= xi < gam+m, and agrees
-                # with e_gam below gam
-                gam = block_decompose(anchor).limit_part
-                if not xi < gam:
-                    value = _birth_value(xi)
-                    break
-                anchor = gam
-                continue
-            # limit anchor: locate the ladder block containing xi
-            prev = ZERO
-            n = 0
+                # the anchor is xi+1, which extends e_xi by xi's birth value
+                value = _birth_value(xi)
+                break
+            # limit anchor whose block 0 ends at or below xi: locate xi's block
+            prev = self.ladder(anchor, 0)
+            n = 1
             while True:
                 ln = self.ladder(anchor, n)
                 if xi < ln:
                     break
                 prev = ln
                 n += 1
-            if n >= 1 and xi == prev and not prev.is_nat():
+            if xi == prev and not prev.is_nat():
                 value = _seam_value(prev)
                 break
             anchor = ln
@@ -90,44 +103,41 @@ class CoherentSystem:
         """Exact set {xi < alpha : e_alpha(xi) != e_beta(xi)} for alpha <= beta.
 
         Computed by composing block differences and seam tables along the
-        ladder of beta; no coordinate scan happens.
+        ladder of the least anchor >= alpha on beta's first-step descent; no
+        coordinate scan happens.
         """
-        c = cmp_ord(alpha, beta)
-        if c > 0:
+        if beta < alpha:
             raise ValueError(f"anchors out of order: {alpha} > {beta}")
-        if c == 0:
+        # e_beta agrees below alpha with e_top for the least top >= alpha on
+        # beta's first-step descent; a top other than alpha is a limit whose
+        # block 0 ends below alpha
+        top = descent_floor(beta, alpha)
+        if top == alpha:
             return frozenset()
-        key = (alpha, beta)
+        key = (alpha, top)
         cached = self._delta.get(key)
         if cached is not None:
             return cached
-        if classify(beta) == "successor":
-            # e_{lam+m} extends e_{lam+k} for k <= m, so the finite tail of
-            # beta drops out in one step, whatever its length
-            lam, _ = block_decompose(beta)
-            result = self.delta_e(alpha, lam) if alpha < lam else frozenset()
-        else:
-            out: set[Ordinal] = set()
-            prev = ZERO
-            n = 0
-            while True:
-                ln = self.ladder(beta, n)
-                hi = ln if ln < alpha else alpha
-                if prev < hi:
-                    lo_anchor, hi_anchor = (alpha, ln) if alpha < ln else (ln, alpha)
-                    for xi in self.delta_e(lo_anchor, hi_anchor):
-                        if prev <= xi and xi < hi:
-                            out.add(xi)
-                if n >= 1 and prev < alpha and not prev.is_nat():
-                    if self.eval_e(alpha, prev) != _seam_value(prev):
-                        out.add(prev)
-                    else:
-                        out.discard(prev)
-                if not ln < alpha:
-                    break
-                prev = ln
-                n += 1
-            result = frozenset(out)
+        out: set[Ordinal] = set()
+        prev = ZERO
+        n = 0
+        while True:
+            # block [prev, ln) of e_top is copied from e_ln; the lower of
+            # alpha and ln bounds the block's differences from above
+            ln = self.ladder(top, n)
+            lo_anchor, hi_anchor = (alpha, ln) if alpha < ln else (ln, alpha)
+            out.update(xi for xi in self.delta_e(lo_anchor, hi_anchor) if not xi < prev)
+            if n >= 1 and not prev.is_nat():
+                # e_top re-keys the composite ladder point prev < alpha
+                if self.eval_e(alpha, prev) != _seam_value(prev):
+                    out.add(prev)
+                else:
+                    out.discard(prev)
+            if not ln < alpha:
+                break
+            prev = ln
+            n += 1
+        result = frozenset(out)
         self._delta[key] = result
         return result
 

@@ -203,21 +203,21 @@ def parse_cover(text: str, digits: DigitFamily, load_tree=None) -> CoverRule:
         text = base_text
     rule = _parse_base_cover(text, digits, load_tree)
     for rows in reversed(layers):
-        fam = rule.family
-        rule = rule.patched({
-            parse_node(fam, key): tuple(parse_node(fam, v) for v in succ) for key, succ in _rows(rows, "patch")
-        })
+        rule = rule.patched(_rows(rule.family, rows, "patch"))
     return rule
 
 
-def _rows(text: str, kind: str):
-    """(key, successor texts) for each '<key>=>{<succ>,...}' row."""
+def _rows(family, text: str, kind: str) -> dict:
+    """{node: successor nodes} from '<key>=>{<succ>,...}' rows, every node
+    read with parse_node."""
+    table = {}
     for row in split_top(text, ","):
         key, _, succ = row.partition("=>")
         succ = succ.strip()
         if not (succ.startswith("{") and succ.endswith("}")):
             raise ValueError(f"bad {kind} row {row!r}")
-        yield key.strip(), split_top(succ[1:-1], ",")
+        table[parse_node(family, key)] = tuple(parse_node(family, v) for v in split_top(succ[1:-1], ","))
+    return table
 
 
 def _parse_base_cover(text: str, digits: DigitFamily, load_tree) -> CoverRule:
@@ -234,5 +234,5 @@ def _parse_base_cover(text: str, digits: DigitFamily, load_tree) -> CoverRule:
         if load_tree is None:
             raise ValueError("table covers need a tree loader")
         family = ExplicitFamily(load_tree(path.strip()))
-        return TableCover(family, {key: set(succ) for key, succ in _rows(rows, "table")})
+        return TableCover(family, _rows(family, rows, "table"))
     raise ValueError(f"cannot parse cover literal {text!r}")

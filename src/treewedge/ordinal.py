@@ -178,6 +178,40 @@ def fund_seq(lam: Ordinal, n: int) -> Ordinal:
     return Ordinal([*delta.terms, (fund_seq(e, n), 1)])
 
 
+def descent_floor(beta: Ordinal, alpha: Ordinal) -> Ordinal:
+    """Least member >= ``alpha`` of the first-step descent of ``beta``.
+
+    The descent is beta, then fund_seq(., 0) of a limit or pred of a
+    successor, down to 0.  From d + w^e*c it passes through
+    d + w^e*(c-1) + w^j for each j on e's own descent, then continues from
+    d + w^e*(c-1).  So the answer is found from the first term where alpha
+    and beta differ and one recursion into that term's exponent; the
+    recursion depth is bounded by the nesting of beta, never by its
+    coefficients.
+    """
+    if beta < alpha:
+        raise ValueError(f"{alpha} is above {beta}")
+    bt, at = beta.terms, alpha.terms
+    i = 0
+    while i < len(at) and at[i] == bt[i]:
+        i += 1
+    if i == len(at):
+        return alpha  # alpha is beta or a prefix of beta's terms
+    (a, ca), (e, _) = at[i], bt[i]
+    # alpha = head + tail lies between the descent members head and head + w^e,
+    # and the members between those two are head + w^j for j on e's descent
+    if a == e:
+        head, tail = bt[:i] + ((e, ca),), at[i + 1 :]
+        if not tail:
+            return alpha
+    else:
+        head, tail = bt[:i], at[i:]
+    a2, c2 = tail[0]
+    # head + w^j >= alpha exactly when j > a2, or j == a2 and tail is w^a2 alone
+    low = a2 if c2 == 1 and len(tail) == 1 else add_ord(a2, ONE)
+    return add_ord(Ordinal(head), omega_pow(descent_floor(e, low)))
+
+
 def cantor_pair(m: int, n: int) -> int:
     w = m + n
     return w * (w + 1) // 2 + n

@@ -91,6 +91,20 @@ def test_deep_patch_nesting_is_an_error_answer():
     assert json.loads(proc.stdout)["result"]["error"].startswith("ValueError")
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        "delta-e w w*3000",
+        "delta-e 27 w^(w^(w^24*6+w^13*4+w^4)*5+w^3*3)+w^(w^(w^10*3+w^8*3+w^2)*4+w^(w^4*2)*2+w^(w*4)*6)*2",
+    ],
+    ids=["long-tail", "deep-anchor"],
+)
+def test_long_descents_answer(query):
+    proc = run_cli(["--query", query])
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+
+
 def _write_config(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)

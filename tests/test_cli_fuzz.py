@@ -4,7 +4,8 @@ Queries are built from the nine commands and from literal fragments, valid
 and malformed.  Naturals stay below 10^4 because some answers grow with the
 input: ``find-safe subtree(T-in-U) 100000`` prints a node of 100,000 digits
 (about 300 KB), which takes time to build and print but is no defect.  The
-finite tail of an ordinal like w+n goes up to 9,999.
+finite tail of an ordinal like w+n, and the coefficient of the eval-e and
+delta-e anchors w*n and w^2*n, go up to 9,999.
 """
 
 import contextlib
@@ -42,6 +43,12 @@ ordinals = st.one_of(
     naturals,
     st.sampled_from(["w", "w*2", "w^2", "w^2+w", "w^3", "w^(w)", "w*3+w", "w+w", "w^", "", "x", "(w", "w*0"]),
     st.tuples(st.sampled_from(["w", "w*2", "w^2", "w^(w)"]), tails).map(lambda p: f"{p[0]}+{p[1]}"),
+)
+# anchors of eval-e and delta-e also take long ladders, whose first-step
+# descents are as long as their coefficient
+anchors = st.one_of(
+    ordinals,
+    st.tuples(st.sampled_from(["w", "w^2"]), st.integers(1, 9_999)).map(lambda p: f"{p[0]}*{p[1]}"),
 )
 nodes = st.one_of(
     st.lists(st.integers(0, 9_999), max_size=4).map(lambda ds: "u:[" + ",".join(f"d{d}" for d in ds) + "]"),
@@ -91,8 +98,8 @@ targets = st.one_of(
 )
 fragments = st.one_of(ordinals, nodes, covers, points, targets, st.text(alphabet="()[]{}:;,=>w+*^ud0123 ", max_size=8))
 ARGUMENTS = {
-    "eval-e": st.tuples(ordinals, ordinals),
-    "delta-e": st.tuples(ordinals, ordinals),
+    "eval-e": st.tuples(anchors, anchors),
+    "delta-e": st.tuples(anchors, anchors),
     "delta-x": st.tuples(ordinals, ordinals),
     "is-safe": st.tuples(covers, nodes),
     "find-safe": st.tuples(covers, ordinals),

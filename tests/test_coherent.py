@@ -5,6 +5,7 @@ import pytest
 from treewedge.coherent import CoherentSystem
 from treewedge.ordinal import OMEGA, ZERO, from_nat, parse_cnf
 
+from test_cli_fuzz import deadline
 from test_ordinal import rand_below
 
 ANCHORS = [parse_cnf(s) for s in ("w", "w*2", "w^2", "w^2+w", "w^3")]
@@ -133,3 +134,14 @@ def test_correction_table_ignores_call_history():
     used.eval_e(w2, parse_cnf("w*7"))
     assert used.correction_table(w2, 2) == fresh
     assert len(fresh) == 2
+
+
+def test_long_ladders_answer_in_time():
+    # both walk a first-step descent of length linear in the coefficient
+    # unless they jump along it
+    with deadline(2):
+        assert CoherentSystem().delta_e(parse_cnf("w*800"), parse_cnf("w^2")) == frozenset(
+            parse_cnf(f"w*{k}") for k in range(1, 800)
+        )
+    with deadline(2):
+        assert CoherentSystem().eval_e(parse_cnf("w*100000"), from_nat(5)) == 21

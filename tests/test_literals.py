@@ -96,3 +96,12 @@ def test_table_cover_literal(tmp_path, ws):
     f = parse_cover(f"table({path}; r=>{{0}})", digits, lambda p: ExplicitTree.from_text(open(p).read()))
     assert f.values("r") == ["0"]
     assert f.values("0") == []
+
+
+@pytest.mark.parametrize("rows", ["r=>{zz}", "zz=>{}", "zz=>{0}"])
+def test_table_rows_name_known_nodes(tmp_path, ws, rows):
+    injs, bits, digits = ws
+    path = tmp_path / "tree.txt"
+    path.write_text(ExplicitTree.complete(2, 3).to_text())
+    with pytest.raises(ValueError, match="unknown explicit node 'zz'"):
+        parse_cover(f"table({path}; {rows})", digits, lambda p: ExplicitTree.from_text(open(p).read()))

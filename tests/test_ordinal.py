@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,12 +17,14 @@ from treewedge.ordinal import (
     classify,
     cmp_ord,
     decode_structural,
+    descent_floor,
     from_nat,
     fund_seq,
     godel_code,
     omega_pow,
     pair_f,
     parse_cnf,
+    pred,
     structural_key,
     to_cnf,
     unpair_f,
@@ -204,6 +207,63 @@ def test_fund_seq_cofinal_in_small_limits():
         for _ in range(20):
             below = rand_below(rng, lam)
             assert any(below < fund_seq(lam, n) for n in range(64))
+
+
+def small_ordinal(rng, depth):
+    """Random ordinal with naturals below 6 and coefficients up to 3, so that
+    its whole first-step descent stays short enough to walk."""
+    if depth == 0 or rng.random() < 0.3:
+        return from_nat(rng.randrange(0, 6))
+    exps = sorted({small_ordinal(rng, depth - 1) for _ in range(rng.randrange(1, 4))}, reverse=True)
+    return Ordinal([(e, rng.randrange(1, 4)) for e in exps])
+
+
+def walk_descent(beta):
+    """beta, then fund_seq(., 0) of each limit and pred of each successor,
+    down to 0, one step at a time."""
+    out = [beta]
+    while not out[-1].is_zero():
+        d = out[-1]
+        out.append(fund_seq(d, 0) if classify(d) == "limit" else pred(d))
+    return out
+
+
+def test_descent_floor_matches_walk():
+    rng = random.Random(31)
+    checked = hits = 0
+    while checked < 5000:
+        beta = small_ordinal(rng, 3)
+        walk = walk_descent(beta)
+        rising = walk[::-1]
+        for _ in range(16):
+            if rng.random() < 0.5:
+                # at or just above a member, where an off-by-one would show
+                alpha = add_ord(rng.choice(walk), small_ordinal(rng, rng.randrange(3)))
+            else:
+                alpha = small_ordinal(rng, 3)
+            if beta < alpha:
+                continue
+            expected = rising[bisect_left(rising, alpha)]
+            assert descent_floor(beta, alpha) == expected, (beta, alpha)
+            checked += 1
+            hits += expected == alpha
+    assert 0 < hits < checked
+
+
+def test_descent_floor_examples():
+    w5 = parse_cnf("w*5")
+    assert descent_floor(w5, parse_cnf("w*3+2")) == parse_cnf("w*4")
+    assert descent_floor(w5, parse_cnf("w*3")) == parse_cnf("w*3")
+    assert descent_floor(W2, parse_cnf("w*3+2")) == W2
+    assert descent_floor(WW, parse_cnf("w^5+3")) == WW
+    assert descent_floor(parse_cnf("w^3+7"), parse_cnf("w^2*4")) == parse_cnf("w^3")
+    assert descent_floor(parse_cnf("w^(w)*2"), from_nat(9)) == OMEGA
+    assert descent_floor(parse_cnf("w^(w^(w^2*2+w*6))"), parse_cnf("w^(w^(w^2*2+w*4)+3)")) == parse_cnf(
+        "w^(w^(w^2*2+w*4+1))"
+    )
+    assert descent_floor(parse_cnf("w*100000"), from_nat(6)) == OMEGA
+    with pytest.raises(ValueError):
+        descent_floor(OMEGA, OMEGA + 1)
 
 
 def rand_below(rng, bound):
