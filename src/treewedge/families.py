@@ -16,7 +16,7 @@ keeps a canonical normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import combinations, count, product
 from typing import Iterator
 
 from .coherent import CoherentSystem, _UNDECIDED
@@ -170,9 +170,6 @@ class InjNode:
     height: Ordinal
     over: tuple  # sorted tuple of (position, value)
 
-    def over_map(self) -> dict:
-        return dict(self.over)
-
 
 class InjFamily(TreeFamily):
     def __init__(self, coh: CoherentSystem, budget: int = 10_000):
@@ -301,22 +298,6 @@ class BitNode:
     tail: tuple  # bits on [gamma(height), height)
 
 
-@dataclass(frozen=True)
-class RawBitNode:
-    """Foreign representation: the stem of ``anchor`` restricted to ``height``,
-    toggled on ``flips``.  Used to exercise membership decisions."""
-    height: Ordinal
-    anchor: Ordinal
-    flips: tuple
-
-
-@dataclass(frozen=True)
-class FlatBitNode:
-    """Foreign representation: zero everywhere except the listed positions."""
-    height: Ordinal
-    ones: tuple
-
-
 class BitFamily(TreeFamily):
     def __init__(self, coh: CoherentSystem):
         self.coh = coh
@@ -405,34 +386,7 @@ class BitFamily(TreeFamily):
         return BitNode(beta, tuple(sorted(flips)), tail)
 
     def contains(self, x) -> bool:
-        """Membership for own and foreign-represented binary nodes."""
-        if isinstance(x, BitNode):
-            return True
-        if isinstance(x, RawBitNode):
-            # stem-anchored reps differ from the block stem on a finite set
-            return True
-        if isinstance(x, FlatBitNode):
-            # the stem of an infinite block has infinitely many ones
-            return self.gamma(x.height).is_zero()
-        return False
-
-    def adopt(self, x) -> BitNode:
-        """Convert a foreign member into the canonical representation."""
-        if isinstance(x, BitNode):
-            return x
-        if not self.contains(x):
-            raise ValueError(f"{x!r} is not a member")
-        gamma, m = block_decompose(x.height)
-        if isinstance(x, FlatBitNode):
-            ones = set(x.ones)
-            return BitNode(x.height, (), tuple(1 if from_nat(i) in ones else 0 for i in range(m)))
-        if x.height > x.anchor or classify(x.anchor) == "successor":
-            raise ValueError("raw nodes restrict a limit-or-zero stem from above")
-        flips = set(f for f in x.flips if f < gamma)
-        if gamma < x.anchor:
-            flips ^= self.char_delta(gamma, x.anchor)
-        tail = [self.stem_query(x.anchor, p) ^ (p in x.flips) for p in _segment(gamma, m)]
-        return BitNode(x.height, tuple(sorted(flips)), tuple(tail))
+        return isinstance(x, BitNode)
 
     def successors(self, x: BitNode) -> Iterator[BitNode]:
         up = add_ord(x.height, from_nat(1))
@@ -441,7 +395,7 @@ class BitFamily(TreeFamily):
 
     def level(self, alpha: Ordinal) -> Iterator[BitNode]:
         gamma, m = block_decompose(alpha)
-        tails = sorted(digit_tuples_bounded(m, 2))
+        tails = list(product((0, 1), repeat=m))
         if gamma.is_zero():
             for tail in tails:
                 yield BitNode(alpha, (), tail)
@@ -468,19 +422,6 @@ class BitFamily(TreeFamily):
 
 def _segment(start: Ordinal, length: int):
     return [add_ord(start, from_nat(i)) for i in range(length)]
-
-
-def digit_tuples_bounded(length: int, base: int):
-    if length == 0:
-        return [()]
-    out = []
-    for code in range(base**length):
-        bits = []
-        for _ in range(length):
-            bits.append(code % base)
-            code //= base
-        out.append(tuple(reversed(bits)))
-    return out
 
 
 # --- digit family -------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Node literals:
   te:<ordinal>:{<ordinal>=<nat>,...}          injective-family node
   t:<ordinal>:{<flip ordinals>}:[<tail bits>] binary-family node
-  u:[d<нat>, tail(<t-literal>)@<ordinal>, patch(<ordinal>=<nat>), ...]
+  u:[d<nat>, tail(<t-literal>)@<ordinal>, patch(<ordinal>=<nat>), ...]
                                               digit-family node; digits and
                                               tails build left to right,
                                               patches re-dot the current base
@@ -31,7 +31,6 @@ from .wedge import (
     BinaryInsideDigits,
     CoverRule,
     PatchedCover,
-    SubtreeCover,
     TableCover,
     TruncatedSubtree,
 )
@@ -169,13 +168,10 @@ def parse_target(digits: DigitFamily, text: str) -> tuple[str, DigitNode | Ordin
 # --- covers ------------------------------------------------------------------
 
 def format_cover(f: CoverRule) -> str:
-    if isinstance(f, SubtreeCover):
-        h = f.handle
-        if isinstance(h, BinaryInsideDigits):
-            return "subtree(T-in-U)"
-        if isinstance(h, TruncatedSubtree) and isinstance(h.inner, BinaryInsideDigits):
-            return f"subtree(T-in-U<{to_cnf(h.h)})"
-        return f.describe()
+    if isinstance(f, BinaryInsideDigits):
+        return "subtree(T-in-U)"
+    if isinstance(f, TruncatedSubtree) and isinstance(f.inner, BinaryInsideDigits):
+        return f"subtree(T-in-U<{to_cnf(f.h)})"
     if isinstance(f, PatchedCover):
         rows = ",".join(
             f"{format_node(f.family, x)}=>{{{','.join(format_node(f.family, z) for z in s)}}}"
@@ -224,10 +220,10 @@ def _parse_base_cover(text: str, digits: DigitFamily, load_tree) -> CoverRule:
     if text.startswith("subtree(") and text.endswith(")"):
         inner = text[8:-1].strip()
         if inner == "T-in-U":
-            return SubtreeCover(BinaryInsideDigits(digits))
+            return BinaryInsideDigits(digits)
         if inner.startswith("T-in-U<"):
             h = parse_cnf(inner[len("T-in-U<"):])
-            return SubtreeCover(TruncatedSubtree(BinaryInsideDigits(digits), h))
+            return TruncatedSubtree(BinaryInsideDigits(digits), h)
         raise ValueError(f"unknown subtree {inner!r}")
     if text.startswith("table(") and text.endswith(")"):
         path, _, rows = text[6:-1].partition(";")

@@ -239,12 +239,7 @@ def unpair_f(eta: Ordinal) -> tuple[Ordinal, int]:
 
 
 # Structural integer coding.  structural_key is injective on all ordinals
-# (even naturals get even keys, composites odd keys); godel_code keeps the
-# published contract of being the identity on naturals, so its composite
-# codes live above _CODE_OFFSET and are only guaranteed distinct from
-# naturals below that offset.
-
-_CODE_OFFSET = 1 << 40
+# (even naturals get even keys, composites odd keys).
 
 
 def _encode_terms(a: Ordinal) -> int:
@@ -304,18 +299,6 @@ def _spend(tank):
         if tank[0] <= 0:
             raise DecodeBudgetExceeded
         tank[0] -= 1
-
-
-def godel_code(a: Ordinal) -> int:
-    """Deterministic integer code, the identity on natural numbers.
-
-    Composite ordinals are coded structurally above 2**40; codes are
-    injective across naturals below that offset together with all
-    composites, which covers every ordinal this artifact materializes.
-    """
-    if a.is_nat():
-        return a.to_nat()
-    return _CODE_OFFSET + _encode_terms(a)
 
 
 # --- text format ------------------------------------------------------------

@@ -44,7 +44,6 @@ from .trees import ExplicitFamily, ExplicitTree, node_query
 from .wedge import (
     BinaryInsideDigits,
     SafeSubtree,
-    SubtreeCover,
     TruncatedSubtree,
     covers_within,
     find_safe_point,
@@ -264,7 +263,7 @@ def suite_tree_closure(config: RunConfig) -> list[dict]:
 def suite_wedge_safe(config: RunConfig) -> list[dict]:
     ws = Workspace(config)
     digits = ws.digits
-    tinu = SubtreeCover(BinaryInsideDigits(digits))
+    tinu = BinaryInsideDigits(digits)
     limits = [a for a in config.anchor_ordinals() if classify(a) == "limit"]
     props = []
 
@@ -280,7 +279,7 @@ def suite_wedge_safe(config: RunConfig) -> list[dict]:
     props.append(_prop("full-subtree-never-covered", uncovered))
 
     cut = parse_cnf("w")
-    trunc = SubtreeCover(TruncatedSubtree(BinaryInsideDigits(digits), cut))
+    trunc = TruncatedSubtree(BinaryInsideDigits(digits), cut)
     above = [a for a in limits if cut < a]
     covered = all(covers_within(trunc, a) for a in above)
     covered = covered and covers_within(trunc, add_ord(cut, from_nat(1)))
@@ -299,7 +298,7 @@ def suite_wedge_safe(config: RunConfig) -> list[dict]:
         if S.contains(u):
             if not S.contains(digits.restrict(u, rand_below(rng, alpha))):
                 closure = False
-            kids = S.filter_successors(u)
+            kids = S.values(u)
             if sorted(k.trail[-1] for k in kids) != [0, 1]:
                 filter_ok = False
     props.append(_prop("safe-set-downward-closed", closure))

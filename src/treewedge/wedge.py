@@ -9,10 +9,13 @@ predecessor y routes it through f(y); safe points are exactly the points
 no wedge from strictly below can cover, so cover questions at a level
 reduce to the existence of safe points there.
 
-Only structured rules are admitted over symbolic (infinite-level) families:
-subtree-induced rules, finite patches of those, and finite tables over
-explicit trees.  Each knows how to decide safety exactly; anything that
-would need an unbounded scan raises CoverUndecided instead of guessing.
+Only structured rules are admitted over symbolic (infinite-level) families,
+all in one CoverRule hierarchy: the subtree rules (SubtreeCover and its
+subtrees: the binary tree inside the digit tree, its truncations, finite
+explicit subtrees and the safe set of another rule), finite patches of a
+subtree rule (PatchedCover), and finite tables over explicit trees
+(TableCover).  Each decides safety exactly; anything that would need an
+unbounded scan raises CoverUndecided instead of guessing.
 """
 
 from __future__ import annotations
@@ -50,164 +53,6 @@ def wedge_contains(family: TreeFamily, w: Wedge, y) -> bool:
     return all(tree_le(family, z, y) not in ("below", "equal") for z in w.excluded)
 
 
-# --- subtree handles -------------------------------------------------------------
-
-class SubtreeHandle:
-    """Downward-closed set of nodes with a decidable membership and a
-    structural successor filter."""
-
-    family: TreeFamily
-
-    def contains(self, x) -> bool:
-        raise NotImplementedError
-
-    def filter_successors(self, x) -> list:
-        raise NotImplementedError
-
-    def first_bad(self, x) -> Ordinal | None:
-        """Least height b such that the (b+1)-prefix of x leaves the subtree,
-        or None when every prefix (including x itself) is a member."""
-        raise NotImplementedError
-
-    def safe_witness(self, alpha: Ordinal):
-        """A node of height alpha that is safe for the subtree rule, or None
-        when there is none."""
-        raise NotImplementedError
-
-    def covers_level(self, alpha: Ordinal) -> bool:
-        """Whether the subtree rule covers level alpha > 0 of a symbolic
-        family, decided by the safe witness."""
-        w = self.safe_witness(alpha)
-        if w is None:
-            return True
-        bad = self.first_bad(w)
-        if bad is None or not bad < self.family.height(w):
-            return False
-        raise CoverUndecided(f"stale witness for subtree({self.describe()}) at {alpha}")
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-
-class BinaryInsideDigits(SubtreeHandle):
-    """The binary family embedded in the digit family: membership is simply
-    'every digit is a bit', read off the finite descriptor."""
-
-    def __init__(self, digits: DigitFamily):
-        self.digits = digits
-        self.family = digits
-
-    def contains(self, x) -> bool:
-        return isinstance(x, DigitNode) and self.first_bad(x) is None
-
-    def first_bad(self, x: DigitNode) -> Ordinal | None:
-        bad = []
-        base_h = ZERO if x.base is None else x.base.height
-        for p, d in x.patch:
-            if d > 1:
-                bad.append(p)
-        for i, d in enumerate(x.trail):
-            if d > 1:
-                bad.append(add_ord(base_h, from_nat(i)))
-        return min(bad) if bad else None
-
-    def filter_successors(self, x) -> list:
-        if not self.contains(x):
-            return []
-        return [DigitNode(x.base, x.patch, x.trail + (b,)) for b in (0, 1)]
-
-    def safe_witness(self, alpha: Ordinal) -> DigitNode:
-        stem = self.digits.bits.canonical_extension(self.digits.bits.root(), alpha)
-        return self.digits.embed_bits(stem)
-
-    def describe(self) -> str:
-        return "T-in-U"
-
-
-class TruncatedSubtree(SubtreeHandle):
-    """The inner subtree cut to height ``h`` (members of height < h)."""
-
-    def __init__(self, inner: SubtreeHandle, h: Ordinal):
-        self.inner = inner
-        self.h = h
-        self.family = inner.family
-
-    def contains(self, x) -> bool:
-        return self.family.height(x) < self.h and self.inner.contains(x)
-
-    def _onset(self) -> Ordinal:
-        """Least b whose (b+1)-prefix is too tall for the truncation."""
-        if classify(self.h) == "successor":
-            return _minus_one(self.h)
-        return self.h
-
-    def first_bad(self, x) -> Ordinal | None:
-        bad = self.inner.first_bad(x)
-        cut = self._onset()
-        hx = self.family.height(x)
-        if not hx < add_ord(cut, from_nat(1)):  # some prefix of x is too tall
-            bad = cut if bad is None or cut < bad else bad
-        return bad
-
-    def filter_successors(self, x) -> list:
-        up = add_ord(self.family.height(x), from_nat(1))
-        if not up < self.h:
-            return []
-        return self.inner.filter_successors(x)
-
-    def safe_witness(self, alpha: Ordinal):
-        # at a limit truncation height the level itself still has safe points:
-        # every tested prefix sits strictly below h
-        if alpha < self.h or (alpha == self.h and classify(self.h) == "limit"):
-            return self.inner.safe_witness(alpha)
-        return None
-
-    def describe(self) -> str:
-        return f"trunc({self.inner.describe()}, {self.h})"
-
-
-def _minus_one(a: Ordinal) -> Ordinal:
-    lam, m = block_decompose(a)
-    if m == 0:
-        raise ValueError(f"{a} has no predecessor")
-    return add_ord(lam, from_nat(m - 1))
-
-
-class ExplicitSubtree(SubtreeHandle):
-    """Finite set of explicit-tree nodes, checked to be downward closed."""
-
-    def __init__(self, family: ExplicitFamily, members):
-        self.family = family
-        self.members = frozenset(members)
-        tree = family.tree
-        for x in self.members:
-            p = tree.parent[x]
-            if p is not None and p not in self.members:
-                raise ValueError(f"not downward closed: {x!r} without {p!r}")
-
-    def contains(self, x) -> bool:
-        return x in self.members
-
-    def first_bad(self, x) -> Ordinal | None:
-        tree = self.family.tree
-        for b in range(tree.depth[x]):
-            if tree.ancestor_at(x, b + 1) not in self.members:
-                return from_nat(b)
-        return None
-
-    def filter_successors(self, x) -> list:
-        return [c for c in self.family.tree.children[x] if c in self.members]
-
-    def safe_witness(self, alpha: Ordinal):
-        for x in self.family.tree.level_nodes(alpha.to_nat()):
-            if self.first_bad(x) is None:
-                return x
-        return None
-
-    def describe(self) -> str:
-        return f"explicit({len(self.members)} nodes)"
-
-
 # --- cover rules -------------------------------------------------------------------
 
 class CoverRule:
@@ -239,33 +84,153 @@ class CoverRule:
 
 
 class SubtreeCover(CoverRule):
-    """f(x) = immediate successors of x inside the subtree S."""
+    """The rule of a downward-closed subtree S: f(x) = the immediate
+    successors of x inside S, so first_violation(x) is the least height b
+    whose (b+1)-prefix of x leaves S.  Each subclass is one subtree: it
+    decides membership, f and the first violation, and gives a canonical
+    safe witness per level, from which the level questions follow."""
 
-    def __init__(self, handle: SubtreeHandle):
-        self.handle = handle
-        self.family = handle.family
+    def contains(self, x) -> bool:
+        raise NotImplementedError
 
-    def values(self, x) -> list:
-        return self.handle.filter_successors(x)
-
-    def first_violation(self, x) -> Ordinal | None:
-        bad = self.handle.first_bad(x)
-        if bad is None or not bad < self.family.height(x):
-            return None
-        return bad
+    def safe_witness(self, alpha: Ordinal):
+        """A node of height alpha that is safe for the rule, or None when
+        there is none."""
+        raise NotImplementedError
 
     def witness_candidates(self, alpha: Ordinal, budget: int) -> list:
-        w = self.handle.safe_witness(alpha)
+        w = self.safe_witness(alpha)
         return [w] if w is not None else []
 
     def covers_within(self, alpha: Ordinal) -> bool:
-        return self.handle.covers_level(alpha)
+        w = self.safe_witness(alpha)
+        if w is None:
+            return True
+        if self.first_violation(w) is None:
+            return False
+        raise CoverUndecided(f"stale witness for {self.describe()} at {alpha}")
 
     def patched(self, rows: dict) -> CoverRule:
         return PatchedCover(self, rows)
 
+
+class BinaryInsideDigits(SubtreeCover):
+    """The binary family embedded in the digit family: membership is simply
+    'every digit is a bit', read off the finite descriptor."""
+
+    def __init__(self, digits: DigitFamily):
+        self.digits = digits
+        self.family = digits
+
+    def contains(self, x) -> bool:
+        return isinstance(x, DigitNode) and self.first_violation(x) is None
+
+    def first_violation(self, x: DigitNode) -> Ordinal | None:
+        bad = []
+        base_h = ZERO if x.base is None else x.base.height
+        for p, d in x.patch:
+            if d > 1:
+                bad.append(p)
+        for i, d in enumerate(x.trail):
+            if d > 1:
+                bad.append(add_ord(base_h, from_nat(i)))
+        return min(bad) if bad else None
+
+    def values(self, x) -> list:
+        if not self.contains(x):
+            return []
+        return [DigitNode(x.base, x.patch, x.trail + (b,)) for b in (0, 1)]
+
+    def safe_witness(self, alpha: Ordinal) -> DigitNode:
+        stem = self.digits.bits.canonical_extension(self.digits.bits.root(), alpha)
+        return self.digits.embed_bits(stem)
+
     def describe(self) -> str:
-        return f"subtree({self.handle.describe()})"
+        return "subtree(T-in-U)"
+
+
+class TruncatedSubtree(SubtreeCover):
+    """The inner subtree cut to height ``h`` (members of height < h)."""
+
+    def __init__(self, inner: SubtreeCover, h: Ordinal):
+        self.inner = inner
+        self.h = h
+        self.family = inner.family
+
+    def contains(self, x) -> bool:
+        return self.family.height(x) < self.h and self.inner.contains(x)
+
+    def _onset(self) -> Ordinal:
+        """Least b whose (b+1)-prefix is too tall for the truncation."""
+        if classify(self.h) == "successor":
+            return _minus_one(self.h)
+        return self.h
+
+    def first_violation(self, x) -> Ordinal | None:
+        bad = self.inner.first_violation(x)
+        cut = self._onset()
+        hx = self.family.height(x)
+        if not hx < add_ord(cut, from_nat(1)):  # some prefix of x is too tall
+            bad = cut if bad is None or cut < bad else bad
+        return bad
+
+    def values(self, x) -> list:
+        up = add_ord(self.family.height(x), from_nat(1))
+        if not up < self.h:
+            return []
+        return self.inner.values(x)
+
+    def safe_witness(self, alpha: Ordinal):
+        # at a limit truncation height the level itself still has safe points:
+        # every tested prefix sits strictly below h
+        if alpha < self.h or (alpha == self.h and classify(self.h) == "limit"):
+            return self.inner.safe_witness(alpha)
+        return None
+
+    def describe(self) -> str:
+        return f"trunc({self.inner.describe()}, {self.h})"
+
+
+def _minus_one(a: Ordinal) -> Ordinal:
+    lam, m = block_decompose(a)
+    if m == 0:
+        raise ValueError(f"{a} has no predecessor")
+    return add_ord(lam, from_nat(m - 1))
+
+
+class ExplicitSubtree(SubtreeCover):
+    """Finite set of explicit-tree nodes, checked to be downward closed."""
+
+    def __init__(self, family: ExplicitFamily, members):
+        self.family = family
+        self.members = frozenset(members)
+        tree = family.tree
+        for x in self.members:
+            p = tree.parent[x]
+            if p is not None and p not in self.members:
+                raise ValueError(f"not downward closed: {x!r} without {p!r}")
+
+    def contains(self, x) -> bool:
+        return x in self.members
+
+    def first_violation(self, x) -> Ordinal | None:
+        tree = self.family.tree
+        for b in range(tree.depth[x]):
+            if tree.ancestor_at(x, b + 1) not in self.members:
+                return from_nat(b)
+        return None
+
+    def values(self, x) -> list:
+        return [c for c in self.family.tree.children[x] if c in self.members]
+
+    def safe_witness(self, alpha: Ordinal):
+        for x in self.family.tree.level_nodes(alpha.to_nat()):
+            if self.first_violation(x) is None:
+                return x
+        return None
+
+    def describe(self) -> str:
+        return f"subtree(explicit({len(self.members)} nodes))"
 
 
 class TableCover(CoverRule):
@@ -326,7 +291,6 @@ class PatchedCover(CoverRule):
 
     def first_violation(self, x) -> Ordinal | None:
         fam = self.family
-        hx = fam.height(x)
         patched = {}
         best = None
         for y, succ in self.table.items():
@@ -337,8 +301,9 @@ class PatchedCover(CoverRule):
             step = fam.restrict(x, add_ord(b, from_nat(1)))
             if step not in succ and (best is None or b < best):
                 best = b
-        onset = self.core.handle.first_bad(x)
-        if onset is not None and onset < hx:
+        onset = self.core.first_violation(x)
+        if onset is not None:
+            hx = fam.height(x)
             b = onset
             while b < hx:
                 if b not in patched:
@@ -412,9 +377,9 @@ def covers_within(f: CoverRule, alpha: Ordinal) -> bool:
     return f.covers_within(alpha)
 
 
-class SafeSubtree(SubtreeHandle):
-    """The set of safe points of a cover: downward closed, and the successor
-    filter of a safe node is exactly f(x)."""
+class SafeSubtree(SubtreeCover):
+    """The set of safe points of a cover: downward closed, and its rule
+    promises exactly f(x) at a safe node x."""
 
     def __init__(self, f: CoverRule):
         self.f = f
@@ -423,24 +388,24 @@ class SafeSubtree(SubtreeHandle):
     def contains(self, x) -> bool:
         return is_safe(self.f, x)
 
-    def first_bad(self, x) -> Ordinal | None:
+    def first_violation(self, x) -> Ordinal | None:
         return self.f.first_violation(x)
 
-    def filter_successors(self, x) -> list:
+    def values(self, x) -> list:
         if not is_safe(self.f, x):
             return []
         return list(self.f.values(x))
 
     # a node is safe for the derived rule iff it is safe for f itself, so
-    # both questions go to f
+    # both level questions go to f
     def safe_witness(self, alpha: Ordinal):
         return find_safe_point(self.f, alpha)
 
-    def covers_level(self, alpha: Ordinal) -> bool:
+    def covers_within(self, alpha: Ordinal) -> bool:
         return covers_within(self.f, alpha)
 
     def describe(self) -> str:
-        return f"safe({self.f.describe()})"
+        return f"subtree(safe({self.f.describe()}))"
 
 
 # --- finite exhaustive oracle ------------------------------------------------------------

@@ -7,10 +7,8 @@ from treewedge.families import (
     BitFamily,
     BitNode,
     DigitFamily,
-    FlatBitNode,
     InjFamily,
     InjectivityError,
-    RawBitNode,
 )
 from treewedge.gen import rand_below, rand_bit_node, rand_digit_node, rand_inj_node
 from treewedge.ordinal import OMEGA, ZERO, add_ord, from_nat, parse_cnf
@@ -172,22 +170,6 @@ def test_bit_level_below_omega_is_full(bits):
     nodes, truncated = list_level(bits, from_nat(2), 10)
     assert not truncated
     assert sorted(n.tail for n in nodes) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
-def test_bit_foreign_membership(bits):
-    raw = RawBitNode(OMEGA, parse_cnf("w*2"), (from_nat(3),))
-    assert bits.contains(raw)
-    adopted = bits.adopt(raw)
-    assert adopted.height == OMEGA
-    for n in range(8):
-        p = from_nat(n)
-        want = bits.stem_query(parse_cnf("w*2"), p) ^ (n == 3)
-        assert bits.query(adopted, p) == want
-    flat_small = FlatBitNode(from_nat(4), (from_nat(1),))
-    assert bits.contains(flat_small)
-    assert bits.adopt(flat_small).tail == (0, 1, 0, 0)
-    flat_tall = FlatBitNode(OMEGA, (from_nat(1),))
-    assert not bits.contains(flat_tall)
 
 
 # --- digit family ------------------------------------------------------------------

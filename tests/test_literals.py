@@ -8,7 +8,7 @@ from treewedge.gen import rand_below, rand_bit_node, rand_digit_node, rand_inj_n
 from treewedge.literals import format_cover, format_node, parse_cover, parse_node
 from treewedge.ordinal import OMEGA, from_nat, parse_cnf
 from treewedge.trees import ExplicitTree
-from treewedge.wedge import BinaryInsideDigits, PatchedCover, SubtreeCover, TruncatedSubtree
+from treewedge.wedge import BinaryInsideDigits, PatchedCover, TruncatedSubtree
 
 ANCHORS = [parse_cnf(s) for s in ("w", "w*2", "w^2", "w^2+w", "w^3")]
 
@@ -58,14 +58,14 @@ def test_u_component_example(ws):
 
 def test_cover_round_trip(ws):
     injs, bits, digits = ws
-    tinu = SubtreeCover(BinaryInsideDigits(digits))
+    tinu = BinaryInsideDigits(digits)
     assert format_cover(tinu) == "subtree(T-in-U)"
     again = parse_cover("subtree(T-in-U)", digits)
     assert format_cover(again) == "subtree(T-in-U)"
 
     trunc = parse_cover("subtree(T-in-U<w*2)", digits)
-    assert isinstance(trunc.handle, TruncatedSubtree)
-    assert trunc.handle.h == parse_cnf("w*2")
+    assert isinstance(trunc, TruncatedSubtree)
+    assert trunc.h == parse_cnf("w*2")
     assert format_cover(trunc) == "subtree(T-in-U<w*2)"
 
     u = digits.node([("d", 0)])

@@ -20,7 +20,6 @@ from treewedge.ordinal import (
     descent_floor,
     from_nat,
     fund_seq,
-    godel_code,
     omega_pow,
     pair_f,
     parse_cnf,
@@ -317,15 +316,6 @@ def test_pair_onto_limit():
 
 # --- structural codes ----------------------------------------------------------------
 
-def test_godel_code_identity_on_naturals():
-    for n in (0, 1, 7, 123456):
-        assert godel_code(from_nat(n)) == n
-
-
-def test_godel_code_first_composite():
-    assert godel_code(OMEGA) >= 1 << 40
-
-
 def test_structural_key_round_trip():
     rng = random.Random(11)
     for _ in range(500):
@@ -342,5 +332,5 @@ def test_code_collision_scan():
     seen = {}
     for _ in range(10**4):
         a = rand_ordinal(rng, 3)
-        code = godel_code(a)
+        code = structural_key(a)
         assert seen.setdefault(code, a) == a, f"collision at {a} vs {seen[code]}"

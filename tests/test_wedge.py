@@ -16,7 +16,6 @@ from treewedge.wedge import (
     ExplosionGuard,
     PatchedCover,
     SafeSubtree,
-    SubtreeCover,
     TableCover,
     TruncatedSubtree,
     Wedge,
@@ -39,7 +38,7 @@ def digits():
 
 @pytest.fixture(scope="module")
 def tinu(digits):
-    return SubtreeCover(BinaryInsideDigits(digits))
+    return BinaryInsideDigits(digits)
 
 
 @pytest.fixture
@@ -131,7 +130,7 @@ def test_covers_within_tinu_false_at_limits(digits, tinu):
 
 
 def test_truncated_subtree(digits, tinu):
-    trunc = SubtreeCover(TruncatedSubtree(tinu.handle, OMEGA))
+    trunc = TruncatedSubtree(tinu, OMEGA)
     # above the cut everything is covered from below
     for alpha in [parse_cnf("w*2"), parse_cnf("w^2"), add_ord(OMEGA, from_nat(1))]:
         assert covers_within(trunc, alpha)
@@ -142,7 +141,7 @@ def test_truncated_subtree(digits, tinu):
 
 
 def test_truncated_finite_height(digits, tinu):
-    trunc = SubtreeCover(TruncatedSubtree(tinu.handle, from_nat(3)))
+    trunc = TruncatedSubtree(tinu, from_nat(3))
     assert not covers_within(trunc, from_nat(2))
     assert covers_within(trunc, from_nat(3))
     assert covers_within(trunc, OMEGA)
@@ -184,8 +183,8 @@ def test_safe_subtree_table(table_fixture):
     fam, table = table_fixture
     S = SafeSubtree(table)
     assert {x for x in fam.tree.parent if S.contains(x)} == {"r", "0"}
-    assert S.filter_successors("r") == ["0"]
-    assert S.filter_successors("1") == []
+    assert S.values("r") == ["0"]
+    assert S.values("1") == []
 
 
 def test_safe_subtree_downward_closed(digits, tinu):
@@ -217,7 +216,7 @@ def test_safe_child_iff_promised(digits, tinu):
 
 def test_safe_subtree_round_trip(digits, tinu):
     # safety for the derived rule equals safety for the base rule
-    derived = SubtreeCover(SafeSubtree(tinu))
+    derived = SafeSubtree(tinu)
     rng = random.Random(42)
     for _ in range(50):
         alpha = rng.choice(LIMITS)
@@ -231,7 +230,7 @@ def test_safe_subtree_round_trip(digits, tinu):
 
 def test_explicit_subtree_cover(table_fixture):
     fam, _ = table_fixture
-    cover = SubtreeCover(ExplicitSubtree(fam, {"r", "0"}))
+    cover = ExplicitSubtree(fam, {"r", "0"})
     assert cover.values("r") == ["0"]
     assert cover.values("0") == []
     assert [x for x in fam.tree.parent if is_safe(cover, x)] == ["r", "0"]
@@ -314,6 +313,9 @@ def _assert_engine_matches_wedges(fam, rule, fmap):
     tree = fam.tree
     for x in tree.parent:
         assert is_safe(rule, x) == (not _wedge_covered(fam, fmap, x)), x
+        # a violation is a step below x: PatchedCover relies on it
+        bad = rule.first_violation(x)
+        assert bad is None or bad < fam.height(x), x
     for d in range(1, tree.tree_height()):
         covered = all(_wedge_covered(fam, fmap, x) for x in tree.level_nodes(d))
         assert covers_within(rule, from_nat(d)) == covered, d
@@ -357,7 +359,7 @@ def test_engine_matches_wedges(tree, rules):
         h = rng.randrange(1, tree.tree_height() + 1)
         inside = {x: frozenset(c for c in tree.children[x] if c in S) for x in tree.parent}
         cut = {x: frozenset(c for c in inside[x] if tree.depth[c] < h) for x in tree.parent}
-        handle = ExplicitSubtree(fam, S)
-        _assert_engine_matches_wedges(fam, SubtreeCover(handle), inside)
-        _assert_engine_matches_wedges(fam, SubtreeCover(TruncatedSubtree(handle, from_nat(h))), cut)
-        _assert_engine_matches_wedges(fam, SubtreeCover(SafeSubtree(TableCover(fam, fmap))), inside)
+        subtree = ExplicitSubtree(fam, S)
+        _assert_engine_matches_wedges(fam, subtree, inside)
+        _assert_engine_matches_wedges(fam, TruncatedSubtree(subtree, from_nat(h)), cut)
+        _assert_engine_matches_wedges(fam, SafeSubtree(TableCover(fam, fmap)), inside)
