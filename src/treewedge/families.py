@@ -510,11 +510,19 @@ class DigitFamily(TreeFamily):
             return DigitNode(x.base, x.patch, x.trail[: block_decompose(beta).finite_part])
         gamma, m = block_decompose(beta)
         if gamma.is_zero():
-            return DigitNode(None, (), tuple(self.query(x, from_nat(i)) for i in range(m)))
+            return DigitNode(None, (), self._read_below_base(x, map(from_nat, range(m))))
         base = self.bits.restrict(x.base, gamma)
         overrides = {p: d for p, d in x.patch if p < gamma}
-        trail = tuple(self.query(x, p) for p in _segment(gamma, m))
+        trail = self._read_below_base(x, _segment(gamma, m))
         return self.assemble(base, overrides, trail)
+
+    def _read_below_base(self, x: DigitNode, positions) -> tuple:
+        """x's digits at positions below its base height, as ``query`` reads
+        them one by one, with the patch and the flips looked up in one dict
+        and one set built once."""
+        patch, flips = dict(x.patch), frozenset(x.base.flips)
+        hb, stem = x.base.height, self.bits.stem_query
+        return tuple(patch[p] if p in patch else stem(hb, p) ^ (p in flips) for p in positions)
 
     def contains(self, x) -> bool:
         if not isinstance(x, DigitNode):

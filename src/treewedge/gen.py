@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .families import BitFamily, BitNode, DigitFamily, DigitNode, InjFamily
-from .ordinal import Ordinal, block_decompose, from_nat
+from .ordinal import Ordinal, block_decompose, from_canonical, from_nat
 
 
 def rand_ordinal(rng: random.Random, depth: int = 2, coeff_cap: int = 5) -> Ordinal:
@@ -26,7 +26,9 @@ def rand_ordinal(rng: random.Random, depth: int = 2, coeff_cap: int = 5) -> Ordi
 
 
 def rand_below(rng: random.Random, bound: Ordinal, coeff_cap: int = 5) -> Ordinal:
-    """Uniform-ish ordinal strictly below ``bound``."""
+    """Uniform-ish ordinal strictly below ``bound``.  The result is canonical
+    by construction: a prefix of bound's terms, then distinct exponents
+    below the next one, in descending order."""
     if bound.is_zero():
         raise ValueError("no ordinal below zero")
     terms = bound.terms
@@ -37,7 +39,7 @@ def rand_below(rng: random.Random, bound: Ordinal, coeff_cap: int = 5) -> Ordina
     if c2:
         prefix.append((e, c2))
     if e.is_zero():
-        return Ordinal(prefix)
+        return from_canonical(tuple(prefix))
     exps = []
     for _ in range(rng.randrange(0, 3)):
         x = rand_below(rng, e, coeff_cap)
@@ -45,7 +47,7 @@ def rand_below(rng: random.Random, bound: Ordinal, coeff_cap: int = 5) -> Ordina
             exps.append(x)
     exps.sort(reverse=True)
     prefix.extend((x, rng.randrange(1, coeff_cap + 1)) for x in exps)
-    return Ordinal(prefix)
+    return from_canonical(tuple(prefix))
 
 
 def rand_positions(rng: random.Random, bound: Ordinal, k: int) -> list[Ordinal]:

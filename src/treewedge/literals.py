@@ -27,13 +27,7 @@ from __future__ import annotations
 from .families import BitFamily, BitNode, DigitFamily, DigitNode, InjFamily, InjNode
 from .ordinal import MAX_NESTING, Ordinal, parse_cnf, to_cnf
 from .trees import ExplicitFamily
-from .wedge import (
-    BinaryInsideDigits,
-    CoverRule,
-    PatchedCover,
-    TableCover,
-    TruncatedSubtree,
-)
+from .wedge import BinaryInsideDigits, CoverRule, TableCover, TruncatedSubtree
 
 
 class UsageError(ValueError):
@@ -166,25 +160,6 @@ def parse_target(digits: DigitFamily, text: str) -> tuple[str, DigitNode | Ordin
 
 
 # --- covers ------------------------------------------------------------------
-
-def format_cover(f: CoverRule) -> str:
-    if isinstance(f, BinaryInsideDigits):
-        return "subtree(T-in-U)"
-    if isinstance(f, TruncatedSubtree) and isinstance(f.inner, BinaryInsideDigits):
-        return f"subtree(T-in-U<{to_cnf(f.h)})"
-    if isinstance(f, PatchedCover):
-        rows = ",".join(
-            f"{format_node(f.family, x)}=>{{{','.join(format_node(f.family, z) for z in s)}}}"
-            for x, s in f.table.items()
-        )
-        return f"patched({format_cover(f.core)}; {rows})"
-    if isinstance(f, TableCover):
-        rows = ",".join(
-            f"{x}=>{{{','.join(sorted(s))}}}" for x, s in sorted(f.table.items())
-        )
-        return f"table(-; {rows})"
-    return f.describe()
-
 
 def parse_cover(text: str, digits: DigitFamily, load_tree=None) -> CoverRule:
     """A cover from its literal.  Nested patches are read outside in without

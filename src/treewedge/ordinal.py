@@ -5,6 +5,18 @@ ordinal exponents and coefficients >= 1, stored canonically so that equality
 is structural and every downstream construction is deterministic.  The
 universe is capped below epsilon_0 by construction: only finite CNF terms
 exist and no exponentiation is provided.
+
+Each ordinal carries a comparison key, ``_key = ((e._key, c), ...)`` over
+its terms: a nested tuple of plain ints, so ordering, equality and hashing
+run natively on it.  Lexicographic tuple order is the term-by-term CNF
+order by induction on nesting, and ``hash(_key) == hash(terms)`` by the
+same induction from ``hash(())``.
+
+``Ordinal(terms)`` checks its terms and is the constructor for parsed,
+decoded and outside input.  ``from_canonical`` skips the checks; it is used
+only where the result is canonical by construction: ``from_nat``,
+``add_ord``, ``block_decompose``, ``pred``, ``fund_seq``, ``descent_floor``
+and ``gen.rand_below``.
 """
 
 from __future__ import annotations
@@ -28,9 +40,10 @@ class DecodeBudgetExceeded(Exception):
 
 @total_ordering
 class Ordinal:
-    """Immutable CNF ordinal.  ``terms`` is a tuple of (exponent, coefficient)."""
+    """Immutable CNF ordinal.  ``terms`` is a tuple of (exponent, coefficient)
+    and ``_key`` the same tuple with each exponent replaced by its key."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_key", "_hash")
 
     def __init__(self, terms=()):
         terms = tuple((e, int(c)) for e, c in terms)
@@ -43,7 +56,8 @@ class Ordinal:
             if not e2 < e1:
                 raise ValueError("exponents must be strictly descending")
         self.terms = terms
-        self._hash = hash(terms)
+        self._key = key = tuple([(e._key, c) for e, c in terms])
+        self._hash = hash(key)
 
     def __hash__(self):
         return self._hash
@@ -51,12 +65,12 @@ class Ordinal:
     def __eq__(self, other):
         if not isinstance(other, Ordinal):
             return NotImplemented
-        return self.terms == other.terms
+        return self._key == other._key
 
     def __lt__(self, other):
         if not isinstance(other, Ordinal):
             return NotImplemented
-        return _cmp_terms(self.terms, other.terms) < 0
+        return self._key < other._key
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -86,15 +100,18 @@ class Ordinal:
         return f"Ordinal[{to_cnf(self)}]"
 
 
-def _cmp_terms(a, b) -> int:
-    for (e1, c1), (e2, c2) in zip(a, b):
-        if e1 != e2:
-            return -1 if e1 < e2 else 1
-        if c1 != c2:
-            return -1 if c1 < c2 else 1
-    if len(a) == len(b):
-        return 0
-    return -1 if len(a) < len(b) else 1
+_new = object.__new__
+
+
+def from_canonical(terms: tuple) -> Ordinal:
+    """The ordinal of a term tuple that is canonical by construction:
+    Ordinal instances as strictly descending exponents, int coefficients
+    >= 1.  Nothing is checked; input from outside goes through Ordinal."""
+    a = _new(Ordinal)
+    a.terms = terms
+    a._key = key = tuple([(e._key, c) for e, c in terms])
+    a._hash = hash(key)
+    return a
 
 
 ZERO = Ordinal()
@@ -105,30 +122,28 @@ OMEGA = Ordinal([(ONE, 1)])
 def from_nat(n: int) -> Ordinal:
     if n < 0:
         raise ValueError("naturals only")
-    return ZERO if n == 0 else Ordinal([(ZERO, n)])
-
-
-def omega_pow(exp: Ordinal, coeff: int = 1) -> Ordinal:
-    return Ordinal([(exp, coeff)])
+    return ZERO if n == 0 else from_canonical(((ZERO, int(n)),))
 
 
 def cmp_ord(a: Ordinal, b: Ordinal) -> int:
-    """-1, 0 or 1; term lists compare lexicographically, realizing ordinal order."""
-    return _cmp_terms(a.terms, b.terms)
+    """-1, 0 or 1; keys compare lexicographically, realizing ordinal order."""
+    return (a._key > b._key) - (a._key < b._key)
 
 
 def add_ord(a: Ordinal, b: Ordinal) -> Ordinal:
     """CNF addition: terms of ``a`` below b's leading exponent are absorbed."""
-    if b.is_zero():
+    if not b.terms:
         return a
-    if a.is_zero():
+    if not a.terms:
         return b
-    lead = b.terms[0][0]
-    keep = [t for t in a.terms if t[0] > lead]
-    if len(keep) < len(a.terms) and a.terms[len(keep)][0] == lead:
-        merged = (lead, a.terms[len(keep)][1] + b.terms[0][1])
-        return Ordinal([*keep, merged, *b.terms[1:]])
-    return Ordinal([*keep, *b.terms])
+    akey, lead = a._key, b._key[0][0]
+    i = 0
+    while i < len(akey) and akey[i][0] > lead:
+        i += 1
+    if i < len(akey) and akey[i][0] == lead:
+        merged = (b.terms[0][0], a.terms[i][1] + b.terms[0][1])
+        return from_canonical((*a.terms[:i], merged, *b.terms[1:]))
+    return from_canonical(a.terms[:i] + b.terms)
 
 
 def classify(a: Ordinal) -> str:
@@ -148,7 +163,7 @@ class BlockDecomposition(NamedTuple):
 def block_decompose(a: Ordinal) -> BlockDecomposition:
     """Split ``a`` as (limit-or-zero part, finite remainder)."""
     if a.terms and a.terms[-1][0].is_zero():
-        return BlockDecomposition(Ordinal(a.terms[:-1]), a.terms[-1][1])
+        return BlockDecomposition(from_canonical(a.terms[:-1]), a.terms[-1][1])
     return BlockDecomposition(a, 0)
 
 
@@ -158,7 +173,7 @@ def pred(a: Ordinal) -> Ordinal:
         raise ValueError(f"{a} is not a successor")
     e, c = a.terms[-1]
     rest = a.terms[:-1]
-    return Ordinal(rest) if c == 1 else Ordinal([*rest, (e, c - 1)])
+    return from_canonical(rest if c == 1 else (*rest, (e, c - 1)))
 
 
 def fund_seq(lam: Ordinal, n: int) -> Ordinal:
@@ -172,10 +187,10 @@ def fund_seq(lam: Ordinal, n: int) -> Ordinal:
     if n < 0:
         raise ValueError("ladder index must be >= 0")
     e, c = lam.terms[-1]
-    delta = Ordinal(lam.terms[:-1]) if c == 1 else Ordinal([*lam.terms[:-1], (e, c - 1)])
+    delta = lam.terms[:-1] if c == 1 else (*lam.terms[:-1], (e, c - 1))
     if classify(e) == "successor":
-        return Ordinal([*delta.terms, (pred(e), n + 1)])
-    return Ordinal([*delta.terms, (fund_seq(e, n), 1)])
+        return from_canonical((*delta, (pred(e), n + 1)))
+    return from_canonical((*delta, (fund_seq(e, n), 1)))
 
 
 def descent_floor(beta: Ordinal, alpha: Ordinal) -> Ordinal:
@@ -209,7 +224,7 @@ def descent_floor(beta: Ordinal, alpha: Ordinal) -> Ordinal:
     a2, c2 = tail[0]
     # head + w^j >= alpha exactly when j > a2, or j == a2 and tail is w^a2 alone
     low = a2 if c2 == 1 and len(tail) == 1 else add_ord(a2, ONE)
-    return add_ord(Ordinal(head), omega_pow(descent_floor(e, low)))
+    return add_ord(from_canonical(head), from_canonical(((descent_floor(e, low), 1),)))
 
 
 def cantor_pair(m: int, n: int) -> int:

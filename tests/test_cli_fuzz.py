@@ -132,3 +132,10 @@ def test_every_query_exits_cleanly(query):
 def test_huge_successor_anchor_answers_in_time(query, capsys):
     with deadline(2):
         assert main(["--query", query]) == 0
+
+
+def test_long_reach_answers_in_time(capsys):
+    # restricting the filter's nodes to height 9,999 reads 9,999 digits
+    # below a limit base, which must not cost a scan of the flips per digit
+    with deadline(2):
+        assert main(["--query", "simulate reach(9999) reach(w*2)"]) == 0

@@ -11,7 +11,7 @@ from treewedge.families import (
     InjectivityError,
 )
 from treewedge.gen import rand_below, rand_bit_node, rand_digit_node, rand_inj_node
-from treewedge.ordinal import OMEGA, ZERO, add_ord, from_nat, parse_cnf
+from treewedge.ordinal import OMEGA, ZERO, add_ord, block_decompose, from_nat, parse_cnf
 from treewedge.trees import is_below, list_level, list_successors, node_query, restrict, tree_le
 
 W2 = parse_cnf("w^2")
@@ -183,6 +183,30 @@ def test_digit_restrict_finite(digits):
     u = digits.node([("d", 3), ("d", 7)])
     assert restrict(digits, u, from_nat(1)) == digits.node([("d", 3)])
     assert restrict(digits, u, digits.height(u)) == u
+
+
+def test_digit_restrict_reads_digits_like_query(digits):
+    # below the base, restrict reads the kept digits in one pass; each must
+    # be the digit that query gives at its position, patched and flipped
+    # positions included
+    rng = random.Random(39)
+    marked = checked = 0
+    for _ in range(300):
+        x = rand_digit_node(rng, digits, rng.choice(ANCHORS[1:]))
+        hb = x.base.height
+        marks = [p for p, _ in x.patch] + list(x.base.flips)
+        if marks and rng.random() < 0.7:
+            beta = add_ord(rng.choice(marks), from_nat(rng.randrange(1, 6)))
+        else:
+            beta = from_nat(rng.randrange(1, 40)) if rng.random() < 0.5 else rand_below(rng, hb)
+        if not beta < hb:
+            continue
+        gamma, m = block_decompose(beta)
+        positions = [add_ord(gamma, from_nat(i)) for i in range(m)]
+        assert digits.restrict(x, beta).trail == tuple(digits.query(x, p) for p in positions)
+        marked += sum(p in marks for p in positions)
+        checked += len(positions)
+    assert checked > 1000 and marked > 100
 
 
 def test_embed_bits_agrees(digits, bits):

@@ -10,7 +10,8 @@ import json
 
 import pytest
 
-from treewedge.ordinal import Ordinal
+from treewedge import ordinal
+from treewedge.ordinal import Ordinal, from_canonical
 from treewedge.suites import SUITES, RunConfig, run_suite
 
 CONFIG = RunConfig(trials=60, nat_anchors=16, oracle_max=3000, oracle_sample=500)
@@ -41,14 +42,25 @@ def test_suite_report_digest(name):
 
 
 def test_wedge_oracle_builds_no_ordinals(monkeypatch):
-    # the benchmark's oracle workload is defined to bypass the ordinal layer
+    # the benchmark's oracle workload is defined to bypass the ordinal layer;
+    # both construction paths are counted: the checked Ordinal(...) and the
+    # trusted from_canonical, whose every call allocates through ordinal._new
     calls = []
-    init = Ordinal.__init__
+    init, new = Ordinal.__init__, ordinal._new
 
     def counting(self, *args, **kwargs):
         calls.append(1)
         init(self, *args, **kwargs)
 
+    def counting_new(cls):
+        calls.append(1)
+        return new(cls)
+
     monkeypatch.setattr(Ordinal, "__init__", counting)
+    monkeypatch.setattr(ordinal, "_new", counting_new)
+    Ordinal([(ordinal.ZERO, 2)])
+    from_canonical(((ordinal.ZERO, 2),))
+    assert len(calls) == 2  # the counters see both paths
+    calls.clear()
     run_suite("wedge-oracle", CONFIG)
     assert not calls

@@ -5,7 +5,7 @@ import pytest
 from treewedge.coherent import CoherentSystem
 from treewedge.families import BitFamily, DigitFamily, InjFamily
 from treewedge.gen import rand_below, rand_bit_node, rand_digit_node, rand_inj_node
-from treewedge.literals import format_cover, format_node, parse_cover, parse_node
+from treewedge.literals import format_node, parse_cover, parse_node
 from treewedge.ordinal import OMEGA, from_nat, parse_cnf
 from treewedge.trees import ExplicitTree
 from treewedge.wedge import BinaryInsideDigits, PatchedCover, TruncatedSubtree
@@ -57,35 +57,42 @@ def test_u_component_example(ws):
 
 
 def test_cover_round_trip(ws):
+    # each cover literal parses to the rule it names: class, height, table
     injs, bits, digits = ws
-    tinu = BinaryInsideDigits(digits)
-    assert format_cover(tinu) == "subtree(T-in-U)"
-    again = parse_cover("subtree(T-in-U)", digits)
-    assert format_cover(again) == "subtree(T-in-U)"
+    tinu = parse_cover(" subtree(T-in-U) ", digits)
+    assert type(tinu) is BinaryInsideDigits
+    assert tinu.family is digits
 
     trunc = parse_cover("subtree(T-in-U<w*2)", digits)
-    assert isinstance(trunc, TruncatedSubtree)
+    assert type(trunc) is TruncatedSubtree
+    assert type(trunc.inner) is BinaryInsideDigits
     assert trunc.h == parse_cnf("w*2")
-    assert format_cover(trunc) == "subtree(T-in-U<w*2)"
 
     u = digits.node([("d", 0)])
     child = digits.node([("d", 0), ("d", 1)])
-    patched = PatchedCover(tinu, {u: (child,)})
-    text = format_cover(patched)
-    again = parse_cover(text, digits)
-    assert format_cover(again) == text
-    assert again.table == patched.table
+    patched = parse_cover("patched(subtree(T-in-U); u:[d0]=>{u:[d0,d1]})", digits)
+    assert type(patched) is PatchedCover
+    assert type(patched.core) is BinaryInsideDigits
+    assert patched.table == {u: (child,)}
 
-    # a second layer flattens into one table, its rows winning
+    cut = parse_cover("patched(subtree(T-in-U<w); u:[]=>{})", digits)
+    assert type(cut) is PatchedCover
+    assert type(cut.core) is TruncatedSubtree
+    assert cut.core.h == OMEGA
+    assert cut.table == {digits.root(): ()}
+
+    # a second layer flattens into one table over the core, its rows winning
     other = digits.node([("d", 0), ("d", 0)])
-    root_row = (digits.node([("d", 0)]),)
-    two = patched.patched({u: (other,), digits.root(): root_row})
-    assert two.table == {u: (other,), digits.root(): root_row}
-    text = format_cover(two)
-    assert text.count("patched(") == 1
-    assert format_cover(parse_cover(text, digits)) == text
-    nested = f"patched({format_cover(patched)}; u:[]=>{{u:[d0]}}, u:[d0]=>{{u:[d0,d0]}})"
-    assert parse_cover(nested, digits).table == two.table
+    merged = {u: (other,), digits.root(): (u,)}
+    assert patched.patched({u: (other,), digits.root(): (u,)}).table == merged
+    for text in (
+        "patched(patched(subtree(T-in-U); u:[d0]=>{u:[d0,d1]}); u:[]=>{u:[d0]}, u:[d0]=>{u:[d0,d0]})",
+        "patched(subtree(T-in-U); u:[d0]=>{u:[d0,d0]}, u:[]=>{u:[d0]})",
+    ):
+        two = parse_cover(text, digits)
+        assert type(two) is PatchedCover
+        assert type(two.core) is BinaryInsideDigits
+        assert two.table == merged
 
 
 def test_table_cover_literal(tmp_path, ws):

@@ -4,6 +4,7 @@ from bisect import bisect_left
 import pytest
 from hypothesis import given, strategies as st
 
+from treewedge import gen
 from treewedge.ordinal import (
     CNFSyntaxError,
     MAX_NESTING,
@@ -20,7 +21,6 @@ from treewedge.ordinal import (
     descent_floor,
     from_nat,
     fund_seq,
-    omega_pow,
     pair_f,
     parse_cnf,
     pred,
@@ -29,9 +29,9 @@ from treewedge.ordinal import (
     unpair_f,
 )
 
-W2 = omega_pow(from_nat(2))
-W3 = omega_pow(from_nat(3))
-WW = omega_pow(OMEGA)
+W2 = parse_cnf("w^2")
+W3 = parse_cnf("w^3")
+WW = parse_cnf("w^(w)")
 
 
 def rand_ordinal(rng, depth=2):
@@ -119,6 +119,106 @@ def test_cmp_trichotomy_transitive(a, b, c):
     assert (a < b) + (b < a) + (a == b) == 1
     if a < b and b < c:
         assert a < c
+
+
+def ref_cmp(a, b) -> int:
+    """The term-by-term CNF comparison, recursing into the exponents itself,
+    so that it shares no code with the comparison keys."""
+    for (e1, c1), (e2, c2) in zip(a.terms, b.terms):
+        sign = ref_cmp(e1, e2)
+        if sign:
+            return sign
+        if c1 != c2:
+            return -1 if c1 < c2 else 1
+    return (len(a.terms) > len(b.terms)) - (len(a.terms) < len(b.terms))
+
+
+class Hashed:
+    """Stands for an exponent whose hash is already known."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def ref_hash(a) -> int:
+    """hash(terms) with each exponent hashed the same way: what the keys'
+    hash must equal, so that set and dict orders stay as they were."""
+    return hash(tuple((Hashed(ref_hash(e)), c) for e, c in a.terms))
+
+
+def key_pairs(seed, count):
+    """Seeded pairs from gen's generators: independent draws, one ordinal
+    and one below it, and equal pairs built apart."""
+    rng = random.Random(seed)
+    for i in range(count):
+        a = gen.rand_ordinal(rng, 3, 6)
+        kind = i % 3
+        if kind == 0:
+            b = gen.rand_ordinal(rng, 3, 6)
+        elif kind == 1 and not a.is_zero():
+            b = gen.rand_below(rng, a)
+        else:
+            b = parse_cnf(to_cnf(a))
+        yield (a, b) if rng.random() < 0.5 else (b, a)
+
+
+def test_keys_match_recursive_comparison():
+    signs = {-1: 0, 0: 0, 1: 0}
+    for a, b in key_pairs(41, 6000):
+        sign = ref_cmp(a, b)
+        signs[sign] += 1
+        assert cmp_ord(a, b) == sign, (a, b)
+        assert (a < b, a == b, a > b, a <= b, a != b) == (sign < 0, sign == 0, sign > 0, sign <= 0, sign != 0)
+        for x in (a, b):
+            assert hash(x) == hash(x.terms) == ref_hash(x)
+    assert min(signs.values()) > 1000
+
+
+def trusted_results(a, b, rng):
+    """Results of every function that builds through from_canonical."""
+    yield from_nat(rng.randrange(0, 10**6))
+    yield add_ord(a, b)
+    yield block_decompose(a).limit_part
+    kind = classify(a)
+    if kind == "successor":
+        yield pred(a)
+    if kind == "limit":
+        yield fund_seq(a, rng.randrange(0, 40))
+    if not a.is_zero():
+        below = gen.rand_below(rng, a)
+        yield below
+        yield descent_floor(a, below)
+
+
+def test_trusted_results_are_canonical():
+    rng = random.Random(42)
+    kinds = set()
+    for a, b in key_pairs(41, 6000):
+        for r in trusted_results(a, b, rng):
+            checked = Ordinal(r.terms)  # the full validation
+            assert r == checked and r._key == checked._key and hash(r) == hash(checked)
+            assert all(type(c) is int for _, c in r.terms)
+            kinds.add(classify(r))
+    assert kinds == {"zero", "successor", "limit"}
+
+
+@pytest.mark.parametrize(
+    "terms, error",
+    [
+        ([(ZERO, 1), (ONE, 1)], ValueError),  # ascending exponents
+        ([(ONE, 2), (ONE, 1)], ValueError),  # repeated exponent
+        ([(OMEGA, 0)], ValueError),  # zero coefficient
+        ([(ONE, 1), (ZERO, -3)], ValueError),
+        ([(1, 1)], TypeError),  # exponent not an Ordinal
+        ([((), 2)], TypeError),
+    ],
+)
+def test_public_constructor_checks_terms(terms, error):
+    with pytest.raises(error):
+        Ordinal(terms)
 
 
 # --- addition -----------------------------------------------------------------
