@@ -6,8 +6,9 @@ carry no timestamps, and all randomness comes from the seed, so identical
 
 Exit codes: 0 all properties pass (or the query was answered), 1 a property
 failed (or the query answered an error, including an unreadable tree file),
-2 usage error: a bad flag, command or target, an unreadable config file or
-a config value that does not parse, or a --json path that cannot be written.
+2 usage error: a bad flag, command or target, an unreadable config file, a
+config value that does not parse, a negative int setting, or a --json path
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .forcing import simulate_filter, serialize_condition
+from .forcing import BudgetExceeded, simulate_filter, serialize_condition
 from .literals import UsageError, format_node, parse_cover, parse_node, parse_target, split_top
 from .ordinal import parse_cnf, to_cnf
 from .sorgenfrey import format_interval, format_point, isolating_box, neg, parse_point
@@ -64,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def merge_config(args) -> tuple[RunConfig, dict]:
     """RunConfig from the flags, then the config file, then the field
-    defaults.  A file key is the field name with '-' for '_'."""
+    defaults.  A file key is the field name with '-' for '_'.  No int
+    setting may be negative."""
     file_cfg = load_config_file(args.config) if args.config else {}
     values = {}
     for field in fields(RunConfig):
@@ -77,6 +79,9 @@ def merge_config(args) -> tuple[RunConfig, dict]:
                 values[field.name] = _cast(field.default, file_cfg[key])
             except ValueError as err:
                 raise UsageError(f"{key}={file_cfg[key]}: {err}") from err
+        value = values.get(field.name)
+        if isinstance(value, int) and value < 0:
+            raise UsageError(f"{key}={value}: must not be negative")
     config = RunConfig(**values)
     actions = {
         "suite": args.suite or file_cfg.get("suite"),
@@ -110,7 +115,7 @@ def run_query(expr: str, config: RunConfig) -> dict:
         result = _dispatch(ws, cmd, args)
     except UsageError:
         raise
-    except (ValueError, KeyError, CoverUndecided, OSError) as err:  # ValueError covers CNFSyntaxError
+    except (ValueError, KeyError, CoverUndecided, BudgetExceeded, OSError) as err:  # ValueError covers CNFSyntaxError
         result = {"error": f"{type(err).__name__}: {err}"}
     return {
         "version": __version__,

@@ -43,6 +43,10 @@ from .ordinal import (
 )
 
 
+class UndecidedError(RuntimeError):
+    """A certification ran out of budget; the honest answer is 'unknown'."""
+
+
 def _birth_value(xi: Ordinal) -> int:
     if xi.is_nat():
         return 4 * xi.to_nat() + 1
@@ -141,21 +145,13 @@ class CoherentSystem:
         self._delta[key] = result
         return result
 
-    def range_test_e(self, alpha: Ordinal, v: int, budget: int = 10_000) -> str:
-        """'in', 'out' or 'undecided': does v lie in the range of e_alpha?
+    def position_of_value(self, alpha: Ordinal, v: int, budget: int = 10_000):
+        """The unique xi < alpha with e_alpha(xi) == v, or None if absent.
 
         Even numbers are never produced.  Odd values are keyed to a unique
-        candidate position, so the test decodes and re-evaluates; an honest
-        'undecided' is returned if decoding exceeds the budget.
+        candidate position, so the test decodes and re-evaluates; it raises
+        UndecidedError when decoding exceeds the budget.
         """
-        pos = self.position_of_value(alpha, v, budget)
-        if pos is _UNDECIDED:
-            return "undecided"
-        return "in" if pos is not None else "out"
-
-    def position_of_value(self, alpha: Ordinal, v: int, budget: int = 10_000):
-        """The unique xi < alpha with e_alpha(xi) == v, None if absent, or
-        the _UNDECIDED sentinel on budget exhaustion."""
         if v < 0 or v % 2 == 0:
             return None
         if v % 4 == 1:
@@ -164,8 +160,8 @@ class CoherentSystem:
         code = (v - 3) // 8 if v % 8 == 3 else (v - 7) // 8
         try:
             xi = decode_structural(code, fuel=budget)
-        except DecodeBudgetExceeded:
-            return _UNDECIDED
+        except DecodeBudgetExceeded as err:
+            raise UndecidedError(f"range membership of {v} not decided within {budget} steps") from err
         if xi is None or xi.is_nat() or not xi < alpha:
             return None
         return xi if self.eval_e(alpha, xi) == v else None
@@ -178,10 +174,3 @@ class CoherentSystem:
         points = (self.ladder(lam, n) for n in range(stages))
         return {p: _seam_value(p) for p in points if not p.is_nat()}
 
-
-class _Undecided:
-    def __repr__(self):
-        return "<undecided>"
-
-
-_UNDECIDED = _Undecided()

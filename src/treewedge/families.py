@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations, count, product
 from typing import Iterator
 
-from .coherent import CoherentSystem, _UNDECIDED
+from .coherent import CoherentSystem
 from .ordinal import (
     Ordinal,
     ZERO,
@@ -36,10 +36,6 @@ from .trees import TreeFamily
 
 class InjectivityError(ValueError):
     """Node construction would denote a non-injective sequence."""
-
-
-class UndecidedError(RuntimeError):
-    """A certification ran out of budget; the honest answer is 'unknown'."""
 
 
 # --- position / subset streams ------------------------------------------------
@@ -176,9 +172,6 @@ class InjFamily(TreeFamily):
         self.coh = coh
         self.budget = budget
 
-    def owns(self, x) -> bool:
-        return isinstance(x, InjNode)
-
     def root(self) -> InjNode:
         return InjNode(ZERO, ())
 
@@ -198,8 +191,6 @@ class InjFamily(TreeFamily):
             if v % 2 == 0:
                 continue  # the base system never takes even values
             p = self.coh.position_of_value(alpha, v, self.budget)
-            if p is _UNDECIDED:
-                raise UndecidedError(f"cannot certify freshness of {v}")
             if p is not None and p not in cleaned:
                 raise InjectivityError(f"value {v} collides with base position {p}")
         return InjNode(alpha, tuple(sorted(cleaned.items())))
@@ -243,8 +234,6 @@ class InjFamily(TreeFamily):
         if v in dict(x.over).values():
             return True
         p = self.coh.position_of_value(x.height, v, self.budget)
-        if p is _UNDECIDED:
-            raise UndecidedError(f"range membership of {v} not certified")
         return p is not None and p not in dict(x.over)
 
     def successors(self, x: InjNode) -> Iterator[InjNode]:
@@ -280,8 +269,6 @@ class InjFamily(TreeFamily):
         fresh = (v for v in count(0, 2) if v not in used)
         for v in sorted(used):
             p = self.coh.position_of_value(alpha, v, self.budget)
-            if p is _UNDECIDED:
-                raise UndecidedError("extension needs an undecided range test")
             if p is not None and not p < x.height and p not in over:
                 over[p] = next(fresh)
         return InjNode(alpha, tuple(sorted(over.items())))
@@ -301,9 +288,6 @@ class BitNode:
 class BitFamily(TreeFamily):
     def __init__(self, coh: CoherentSystem):
         self.coh = coh
-
-    def owns(self, x) -> bool:
-        return isinstance(x, BitNode)
 
     def root(self) -> BitNode:
         return BitNode(ZERO, (), ())
@@ -443,9 +427,6 @@ class DigitNode:
 class DigitFamily(TreeFamily):
     def __init__(self, bits: BitFamily):
         self.bits = bits
-
-    def owns(self, x) -> bool:
-        return isinstance(x, DigitNode)
 
     def root(self) -> DigitNode:
         return DigitNode(None, (), ())

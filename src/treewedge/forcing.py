@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .literals import format_node
 from .ordinal import Ordinal, ZERO, add_ord, from_nat
-from .trees import TreeFamily, first_successor, is_immediate_successor, tree_le
+from .trees import TreeFamily, is_immediate_successor, tree_le
 
 
 class ExtensionError(ValueError):
@@ -38,14 +38,17 @@ def is_valid_condition(family: TreeFamily, p: Condition) -> bool:
             return False
         if not all(is_immediate_successor(family, x, z) for z in succ):
             return False
-    keys = list(p)
-    for x in keys:
-        for y in keys:
-            if tree_le(family, x, y) == "below":
-                step = family.restrict(y, add_ord(family.height(x), from_nat(1)))
-                if step not in p[x]:
-                    return False
-    return True
+    return all(_unrouted(family, p, y) is None for y in p)
+
+
+def _unrouted(family: TreeFamily, p: Condition, x):
+    """The first domain node u below x whose promise misses x's step at
+    height(u)+1 (the routing law), or None."""
+    for u in p:
+        if tree_le(family, u, x) == "below":
+            if family.restrict(x, add_ord(family.height(u), from_nat(1))) not in p[u]:
+                return u
+    return None
 
 
 def cond_leq(family: TreeFamily, p: Condition, q: Condition) -> bool:
@@ -82,14 +85,11 @@ def extend_to_include(family: TreeFamily, p: Condition, x) -> Condition:
     r = dict(p)
     r[x] = promise
     # only pairs through x are new; the law can only fail below x
-    for u in p:
-        if tree_le(family, u, x) == "below":
-            step = family.restrict(x, add_ord(family.height(u), from_nat(1)))
-            if step not in p[u]:
-                raise ExtensionError(
-                    f"{format_node(family, x)} is not routed by the promise at "
-                    f"{format_node(family, u)}"
-                )
+    u = _unrouted(family, p, x)
+    if u is not None:
+        raise ExtensionError(
+            f"{format_node(family, x)} is not routed by the promise at {format_node(family, u)}"
+        )
     return r
 
 
@@ -110,17 +110,14 @@ def extend_above(family: TreeFamily, p: Condition, alpha: Ordinal) -> Condition:
     z = family.canonical_extension(y, alpha)
     r = dict(p)
     r[z] = _own_promise(family, z)
-    for u in p:
-        if tree_le(family, u, z) == "below":
-            step = family.restrict(z, add_ord(family.height(u), from_nat(1)))
-            if step not in p[u]:
-                raise ExtensionError("extension above lost the routing law")
+    if _unrouted(family, p, z) is not None:
+        raise ExtensionError("extension above lost the routing law")
     return r
 
 
 def _own_promise(family, z):
     try:
-        return frozenset([first_successor(family, z)])
+        return frozenset([next(iter(family.successors(z)))])
     except StopIteration:
         raise ExtensionError(f"{format_node(family, z)} has no successors to promise")
 

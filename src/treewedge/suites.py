@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass, asdict
 from itertools import islice
 from . import __version__
-from .coherent import CoherentSystem
-from .families import BitFamily, DigitFamily, InjFamily, UndecidedError
+from .coherent import CoherentSystem, UndecidedError
+from .families import BitFamily, DigitFamily, InjFamily
 from .forcing import (
     ExtensionError,
     cond_leq,
@@ -40,7 +40,7 @@ from .sorgenfrey import (
     trim,
     uncovered_left_endpoints,
 )
-from .trees import ExplicitFamily, ExplicitTree, node_query
+from .trees import ExplicitFamily, ExplicitTree
 from .wedge import (
     BinaryInsideDigits,
     SafeSubtree,
@@ -164,13 +164,13 @@ def suite_delta_x(config: RunConfig) -> list[dict]:
                 contained = False
             stem_a, stem_b = bits.char_stem(alpha), bits.char_stem(beta)
             for eta in delta:
-                if node_query(bits, stem_a, eta) == node_query(bits, stem_b, eta):
+                if bits.query(stem_a, eta) == bits.query(stem_b, eta):
                     rechecked = False
             for _ in range(50):
                 if alpha.is_zero():
                     break
                 eta = rand_below(rng, alpha)
-                if eta not in delta and node_query(bits, stem_a, eta) != node_query(bits, stem_b, eta):
+                if eta not in delta and bits.query(stem_a, eta) != bits.query(stem_b, eta):
                     outside_ok = False
     props.append(_prop("delta-inside-candidate-set", contained, f"{count} members"))
     props.append(_prop("delta-members-disagree", rechecked))

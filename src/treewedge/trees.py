@@ -1,21 +1,19 @@
 """Generic tree interface over symbolic families and explicit finite trees.
 
 Symbolic nodes are immutable values interpreted by a family object; explicit
-trees are small in-memory structures used as brute-force oracles.  All
-streams are single-consumer generators and every potentially infinite
-enumeration goes through a budget that reports truncation explicitly.
+trees are small in-memory structures used as brute-force oracles.  The
+``successors`` and ``level`` streams are single-consumer generators that may
+be infinite; each caller bounds what it draws.  The budgets live there:
+``wedge.find_safe_point`` scans at most ``budget`` nodes of a level,
+``forcing.simulate_filter`` runs at most ``budget`` extension steps, and
+``InjFamily`` decodes each range test within ``budget_range`` steps.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .ordinal import Ordinal, add_ord, cmp_ord, from_nat
-
-
-class FamilyMismatch(TypeError):
-    pass
 
 
 class TreeFamily:
@@ -45,33 +43,9 @@ class TreeFamily:
     def canonical_extension(self, x, alpha: Ordinal):
         raise NotImplementedError
 
-    def owns(self, x) -> bool:
-        raise NotImplementedError
-
-    def _check(self, *nodes):
-        for x in nodes:
-            if not self.owns(x):
-                raise FamilyMismatch(f"{x!r} is not a node of {type(self).__name__}")
-
-
-def node_query(family: TreeFamily, x, xi: Ordinal):
-    """Value of the sequence denoted by x at coordinate xi < height(x)."""
-    family._check(x)
-    if not xi < family.height(x):
-        raise ValueError(f"coordinate {xi} not below height {family.height(x)}")
-    return family.query(x, xi)
-
-
-def restrict(family: TreeFamily, x, beta: Ordinal):
-    family._check(x)
-    if family.height(x) < beta:
-        raise ValueError(f"cannot restrict height {family.height(x)} node to {beta}")
-    return family.restrict(x, beta)
-
 
 def tree_le(family: TreeFamily, x, y) -> str:
     """'below', 'equal', 'above' or 'incomparable' in the tree order."""
-    family._check(x, y)
     c = cmp_ord(family.height(x), family.height(y))
     if c == 0:
         return "equal" if x == y else "incomparable"
@@ -80,49 +54,11 @@ def tree_le(family: TreeFamily, x, y) -> str:
     return "above" if family.restrict(x, family.height(y)) == y else "incomparable"
 
 
-def is_below(family: TreeFamily, x, y) -> bool:
-    return tree_le(family, x, y) == "below"
-
-
 def is_immediate_successor(family: TreeFamily, parent, child) -> bool:
     return (
         family.height(child) == add_ord(family.height(parent), from_nat(1))
         and family.restrict(child, family.height(parent)) == parent
     )
-
-
-def first_successor(family: TreeFamily, x):
-    return next(iter(family.successors(x)))
-
-
-def canonical_extension(family: TreeFamily, x, alpha: Ordinal):
-    """The family's deterministic node above x at height alpha."""
-    family._check(x)
-    if alpha < family.height(x):
-        raise ValueError(f"target height {alpha} below node height {family.height(x)}")
-    return family.canonical_extension(x, alpha)
-
-
-class EnumResult(NamedTuple):
-    nodes: list
-    truncated: bool
-
-
-def list_successors(family: TreeFamily, x, budget: int) -> EnumResult:
-    """First ``budget`` immediate successors in canonical order, with an
-    explicit flag when the stream was cut short."""
-    family._check(x)
-    got = list(islice(family.successors(x), budget + 1))
-    if len(got) > budget:
-        return EnumResult(got[:budget], True)
-    return EnumResult(got, False)
-
-
-def list_level(family: TreeFamily, alpha: Ordinal, budget: int) -> EnumResult:
-    got = list(islice(family.level(alpha), budget + 1))
-    if len(got) > budget:
-        return EnumResult(got[:budget], True)
-    return EnumResult(got, False)
 
 
 # --- explicit finite trees ----------------------------------------------------
@@ -151,10 +87,6 @@ class ExplicitTree:
             self.children[parent].append(node)
             self.depth[node] = self.depth[parent] + 1
         return self
-
-    @property
-    def nodes(self):
-        return list(self.parent)
 
     def roots(self):
         return [x for x, p in self.parent.items() if p is None]
@@ -223,9 +155,6 @@ class ExplicitFamily(TreeFamily):
         self.tree = tree
         self._root = roots[0]
 
-    def owns(self, x) -> bool:
-        return isinstance(x, str) and x in self.tree.parent
-
     def root(self):
         return self._root
 
@@ -239,7 +168,7 @@ class ExplicitFamily(TreeFamily):
         return self.tree.ancestor_at(x, beta.to_nat())
 
     def contains(self, x) -> bool:
-        return self.owns(x)
+        return isinstance(x, str) and x in self.tree.parent
 
     def successors(self, x) -> Iterator:
         return iter(self.tree.children[x])

@@ -25,7 +25,7 @@ from itertools import combinations, islice, product
 from math import comb
 
 from .families import DigitFamily, DigitNode
-from .ordinal import Ordinal, ZERO, add_ord, block_decompose, classify, from_nat
+from .ordinal import Ordinal, ZERO, add_ord, classify, from_nat, pred
 from .trees import ExplicitFamily, ExplicitTree, TreeFamily, tree_le
 
 
@@ -163,7 +163,7 @@ class TruncatedSubtree(SubtreeCover):
     def _onset(self) -> Ordinal:
         """Least b whose (b+1)-prefix is too tall for the truncation."""
         if classify(self.h) == "successor":
-            return _minus_one(self.h)
+            return pred(self.h)
         return self.h
 
     def first_violation(self, x) -> Ordinal | None:
@@ -189,13 +189,6 @@ class TruncatedSubtree(SubtreeCover):
 
     def describe(self) -> str:
         return f"trunc({self.inner.describe()}, {self.h})"
-
-
-def _minus_one(a: Ordinal) -> Ordinal:
-    lam, m = block_decompose(a)
-    if m == 0:
-        raise ValueError(f"{a} has no predecessor")
-    return add_ord(lam, from_nat(m - 1))
 
 
 class ExplicitSubtree(SubtreeCover):

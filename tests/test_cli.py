@@ -132,6 +132,36 @@ def test_io_and_config_errors_exit_cleanly(tmp_path, capsys, make_argv, code):
         assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (["--query", "simulate" + " reach(1)" * 65], 64),
+        (["--query", "extend" + " reach(1)" * 65], 64),
+        (["--budget-enum", "0", "--query", "simulate reach(1)"], 0),
+    ],
+    ids=["simulate-past-budget", "extend-past-budget", "zero-budget"],
+)
+def test_step_budget_is_an_error_answer(capsys, argv, budget):
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr().out)["result"]["error"]
+    assert error == f"BudgetExceeded: more than {budget} extension steps"
+
+
+@pytest.mark.parametrize(
+    "make_argv, setting",
+    [
+        (lambda tmp: ["--trials", "-3", "--suite", "forcing-ccc"], "trials=-3"),
+        (lambda tmp: ["--budget-enum", "-1", "--query", "find-safe subtree(T-in-U) w"], "budget-enum=-1"),
+        (lambda tmp: ["--seed", "-1", "--query", "eval-e w 3"], "seed=-1"),
+        (lambda tmp: ["--config", _write_config(tmp, "suite=wedge-oracle\noracle-sample=-1\noracle-max=1\n")], "oracle-sample=-1"),
+    ],
+    ids=["flag", "flag-budget", "flag-seed", "config-key"],
+)
+def test_negative_settings_are_usage_errors(tmp_path, capsys, make_argv, setting):
+    assert main(make_argv(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {setting}: must not be negative\n"
+
+
 def test_exit_codes(tmp_path):
     ok = run_cli(["--suite", "delta-x", "--json", str(tmp_path / "r.json")])
     assert ok.returncode == 0

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from treewedge.coherent import CoherentSystem
+from treewedge.coherent import CoherentSystem, UndecidedError
 from treewedge.ordinal import OMEGA, ZERO, from_nat, parse_cnf
 
 from test_cli_fuzz import deadline
@@ -103,10 +103,13 @@ def test_triangle_bound(coh):
 
 
 def test_range_test_examples(coh):
-    assert coh.range_test_e(OMEGA, 2) == "out"
-    assert coh.range_test_e(from_nat(3), 5) == "in"
-    assert coh.range_test_e(from_nat(3), 9999, budget=3) in ("out", "undecided")
-    assert coh.range_test_e(from_nat(3), 9999) == "out"
+    assert coh.position_of_value(OMEGA, 2) is None
+    assert coh.position_of_value(from_nat(3), 5) == from_nat(1)
+    with pytest.raises(UndecidedError):
+        coh.position_of_value(from_nat(3), 531, 3)
+    assert coh.position_of_value(from_nat(3), 531) is None
+    assert coh.position_of_value(from_nat(3), 9999, 3) is None
+    assert coh.position_of_value(from_nat(3), 9999) is None
 
 
 def test_range_test_round_trip(coh):
@@ -115,7 +118,6 @@ def test_range_test_round_trip(coh):
         for _ in range(100):
             xi = rand_below(rng, alpha)
             v = coh.eval_e(alpha, xi)
-            assert coh.range_test_e(alpha, v) == "in"
             assert coh.position_of_value(alpha, v) == xi
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -12,7 +13,7 @@ from treewedge.families import (
 )
 from treewedge.gen import rand_below, rand_bit_node, rand_digit_node, rand_inj_node
 from treewedge.ordinal import OMEGA, ZERO, add_ord, block_decompose, from_nat, parse_cnf
-from treewedge.trees import is_below, list_level, list_successors, node_query, restrict, tree_le
+from treewedge.trees import tree_le
 
 W2 = parse_cnf("w^2")
 ANCHORS = [parse_cnf(s) for s in ("w", "w*2", "w^2", "w^2+w", "w^3")]
@@ -44,12 +45,12 @@ def test_inj_stem_node(injs, coh):
     x = injs.node(OMEGA, {})
     assert x.over == ()
     for n in range(5):
-        assert node_query(injs, x, from_nat(n)) == coh.eval_e(OMEGA, from_nat(n))
+        assert injs.query(x, from_nat(n)) == coh.eval_e(OMEGA, from_nat(n))
 
 
 def test_inj_even_override_accepted(injs):
     x = injs.node(OMEGA, {from_nat(3): 2})
-    assert node_query(injs, x, from_nat(3)) == 2
+    assert injs.query(x, from_nat(3)) == 2
 
 
 def test_inj_base_collision_rejected(injs):
@@ -64,12 +65,13 @@ def test_inj_duplicate_override_rejected(injs):
 
 def test_inj_successors_split(injs, coh):
     x = injs.node(from_nat(2), {})
-    kids, truncated = list_successors(injs, x, 5)
-    assert truncated
+    kids = list(islice(injs.successors(x), 6))
+    assert len(kids) > 5  # the stream outruns a budget of 5
+    kids = kids[:5]
     assert len(kids) == 5
     assert len(set(kids)) == 5
     for child in kids:
-        assert is_below(injs, x, child)
+        assert tree_le(injs, x, child) == "below"
     # stem child comes first: empty override set
     assert kids[0].over == ()
 
@@ -80,7 +82,7 @@ def test_inj_restrict_rebases(injs, coh):
     for alpha in ANCHORS:
         x = rand_inj_node(rng, injs, alpha)
         beta = rand_below(rng, alpha)
-        y = restrict(injs, x, beta)
+        y = injs.restrict(x, beta)
         assert injs.height(y) == beta
         for _ in range(20):
             if beta.is_zero():
@@ -143,12 +145,12 @@ def test_bit_two_successors(bits):
     for _ in range(100):
         alpha = rand_below(rng, parse_cnf("w^3"))
         x = rand_bit_node(rng, bits, alpha)
-        kids, truncated = list_successors(bits, x, 10)
-        assert not truncated
+        kids = list(islice(bits.successors(x), 11))
+        assert not len(kids) > 10
         assert len(kids) == 2
         for child in kids:
             assert bits.contains(child)
-            assert is_below(bits, x, child)
+            assert tree_le(bits, x, child) == "below"
 
 
 def test_bit_downward_closed(bits):
@@ -157,7 +159,7 @@ def test_bit_downward_closed(bits):
         alpha = rng.choice(ANCHORS)
         x = rand_bit_node(rng, bits, alpha)
         beta = rand_below(rng, alpha)
-        y = restrict(bits, x, beta)
+        y = bits.restrict(x, beta)
         assert bits.contains(y)
         for _ in range(10):
             if beta.is_zero():
@@ -167,8 +169,8 @@ def test_bit_downward_closed(bits):
 
 
 def test_bit_level_below_omega_is_full(bits):
-    nodes, truncated = list_level(bits, from_nat(2), 10)
-    assert not truncated
+    nodes = list(islice(bits.level(from_nat(2)), 11))
+    assert not len(nodes) > 10
     assert sorted(n.tail for n in nodes) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -176,13 +178,13 @@ def test_bit_level_below_omega_is_full(bits):
 
 def test_digit_query_example(digits):
     u = digits.node([("d", 5)])
-    assert node_query(digits, u, ZERO) == 5
+    assert digits.query(u, ZERO) == 5
 
 
 def test_digit_restrict_finite(digits):
     u = digits.node([("d", 3), ("d", 7)])
-    assert restrict(digits, u, from_nat(1)) == digits.node([("d", 3)])
-    assert restrict(digits, u, digits.height(u)) == u
+    assert digits.restrict(u, from_nat(1)) == digits.node([("d", 3)])
+    assert digits.restrict(u, digits.height(u)) == u
 
 
 def test_digit_restrict_reads_digits_like_query(digits):
@@ -241,7 +243,7 @@ def test_glue_restrict_middle(digits, bits):
     u = digits.node([("d", 5)])
     t = bits.char_stem(OMEGA)
     glued = digits.glue(u, t)
-    cut = restrict(digits, glued, from_nat(4))
+    cut = digits.restrict(glued, from_nat(4))
     assert cut.base is None
     assert cut.trail[0] == 5
     assert cut.trail[1:] == tuple(bits.query(t, from_nat(i)) for i in (1, 2, 3))
@@ -266,7 +268,7 @@ def test_glue_closure_random(digits, bits):
             assert digits.query(glued, xi) == digits.query(u, xi)
         # every restriction stays in the family
         cut = rand_below(rng, alpha)
-        lower = restrict(digits, glued, cut)
+        lower = digits.restrict(glued, cut)
         assert digits.contains(lower)
         # and agrees pointwise with the glue
         for _ in range(10):
@@ -278,16 +280,17 @@ def test_glue_closure_random(digits, bits):
 
 def test_digit_successors_stream(digits):
     u = digits.node([("d", 1)])
-    kids, truncated = list_successors(digits, u, 7)
-    assert truncated
+    kids = list(islice(digits.successors(u), 8))
+    assert len(kids) > 7
+    kids = kids[:7]
     assert [k.trail[-1] for k in kids] == list(range(7))
 
 
 def test_level_zero_is_root(digits, bits, injs):
     for fam in (digits, bits, injs):
-        nodes, truncated = list_level(fam, ZERO, 5)
+        nodes = list(islice(fam.level(ZERO), 6))
         assert nodes == [fam.root()]
-        assert not truncated
+        assert not len(nodes) > 5
 
 
 def test_digit_canonical_extension(digits):
@@ -304,8 +307,9 @@ def test_digit_canonical_extension(digits):
 
 
 def test_digit_level_limit_contains_embeddings(digits, bits):
-    nodes, truncated = list_level(digits, OMEGA, 40)
-    assert truncated
+    nodes = list(islice(digits.level(OMEGA), 41))
+    assert len(nodes) > 40
+    nodes = nodes[:40]
     assert all(digits.height(u) == OMEGA for u in nodes)
     assert len(set(nodes)) == len(nodes)
     assert any(u.patch == () and u.base == bits.char_stem(OMEGA) for u in nodes)
@@ -331,7 +335,7 @@ def test_restrict_idempotent_compatible(digits, bits, injs):
             x = make(rng, fam, alpha)
             beta = rand_below(rng, alpha)
             gamma = rand_below(rng, add_ord(beta, from_nat(1)))
-            assert restrict(fam, restrict(fam, x, beta), gamma) == restrict(fam, x, gamma)
+            assert fam.restrict(fam.restrict(x, beta), gamma) == fam.restrict(x, gamma)
 
 
 def test_downward_sets_are_chains(digits):
@@ -340,7 +344,7 @@ def test_downward_sets_are_chains(digits):
         alpha = rng.choice(ANCHORS)
         x = rand_digit_node(rng, digits, alpha)
         cuts = sorted({rand_below(rng, alpha) for _ in range(4)})
-        prefixes = [restrict(digits, x, b) for b in cuts]
+        prefixes = [digits.restrict(x, b) for b in cuts]
         for i, a in enumerate(prefixes):
             for b in prefixes[i + 1 :]:
                 assert tree_le(digits, a, b) in ("below", "equal")
@@ -349,7 +353,7 @@ def test_downward_sets_are_chains(digits):
 def test_symbolic_matches_explicit_oracle(bits):
     # below the first limit the binary family is the full binary tree, so
     # symbolic levels, successors and order must match the explicit oracle
-    from treewedge.trees import ExplicitFamily, ExplicitTree, list_level
+    from treewedge.trees import ExplicitFamily, ExplicitTree
 
     tree = ExplicitTree.complete(2, 4)
     fam = ExplicitFamily(tree)
@@ -358,8 +362,8 @@ def test_symbolic_matches_explicit_oracle(bits):
         return "r" if not node.tail else "".join(str(b) for b in node.tail)
 
     for depth in range(4):
-        sym, truncated = list_level(bits, from_nat(depth), 100)
-        assert not truncated
+        sym = list(islice(bits.level(from_nat(depth)), 101))
+        assert not len(sym) > 100
         assert sorted(as_id(x) for x in sym) == sorted(tree.level_nodes(depth))
         for x in sym:
             sym_kids = [as_id(k) for k in bits.successors(x)]

@@ -1,15 +1,13 @@
+from itertools import islice
+
 import pytest
 
 from treewedge.ordinal import from_nat
 from treewedge.trees import (
-    EnumResult,
     ExplicitFamily,
     ExplicitTree,
     branch_to_antichain,
     is_immediate_successor,
-    list_level,
-    list_successors,
-    node_query,
     tree_le,
 )
 
@@ -20,7 +18,7 @@ def binary3():
 
 
 def test_complete_tree_shape(binary3):
-    assert len(binary3.nodes) == 15
+    assert len(binary3.parent) == 15
     assert binary3.tree_height() == 4
     assert sorted(binary3.level_nodes(2)) == ["00", "01", "10", "11"]
 
@@ -43,9 +41,10 @@ def test_explicit_family_order(binary3):
 
 def test_explicit_family_streams(binary3):
     fam = ExplicitFamily(binary3)
-    assert list_successors(fam, "r", 10) == EnumResult(["0", "1"], False)
-    assert list_successors(fam, "r", 1) == EnumResult(["0"], True)
-    assert list_level(fam, from_nat(0), 5) == EnumResult(["r"], False)
+    # a budget b is exceeded when an islice of b + 1 items is longer than b
+    assert list(islice(fam.successors("r"), 11)) == ["0", "1"]
+    assert list(islice(fam.successors("r"), 2)) == ["0", "1"]  # 2 > 1: budget 1 truncates
+    assert list(islice(fam.level(from_nat(0)), 6)) == ["r"]
 
 
 def test_immediate_successor(binary3):
@@ -108,4 +107,4 @@ def test_branch_to_antichain_random_chains():
 def test_query_not_supported_on_explicit(binary3):
     fam = ExplicitFamily(binary3)
     with pytest.raises(TypeError):
-        node_query(fam, "0", from_nat(0))
+        fam.query("0", from_nat(0))
