@@ -3,7 +3,9 @@
 Each suite function takes a RunConfig and returns a report dict with one
 entry per property: {"name", "passed", "note"}.  Reports contain no
 timestamps and all randomness flows from the config seed, so a (config,
-seed) pair fully determines the bytes of the serialized report.
+seed) pair fully determines the bytes of the serialized report.  A property
+whose checks are counted by a setting (``trials``, ``budget_enum``) fails
+when that count is zero: it checked nothing.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def suite_coherence(config: RunConfig) -> list[dict]:
             pairs += 1
             if coh.eval_e(alpha, xi) == coh.eval_e(alpha, eta):
                 bad += 1
-    props.append(_prop("injectivity-per-anchor", bad == 0, f"{pairs} pairs"))
+    props.append(_prop("injectivity-per-anchor", pairs > 0 and bad == 0, f"{pairs} pairs"))
 
     odd_ok = True
     for alpha in anchors:
@@ -235,7 +237,7 @@ def suite_tree_closure(config: RunConfig) -> list[dict]:
         u = rand_digit_node(rng, digits, alpha)
         stream = digits.successors(u)
         seen = [next(stream) for _ in range(config.budget_enum)]
-        if len(set(seen)) != config.budget_enum:
+        if not seen or len(set(seen)) != config.budget_enum:
             ok_split = False
     props.append(_prop("splitting-degrees", ok_split))
 
@@ -460,7 +462,7 @@ def suite_forcing_ccc(config: RunConfig) -> list[dict]:
             union_ok = False
         elif not (cond_leq(fam, r, p) and cond_leq(fam, r, q)):
             union_ok = False
-    props.append(_prop("union-of-delta-system-pairs", union_ok, f"{built} fixtures"))
+    props.append(_prop("union-of-delta-system-pairs", built > 0 and union_ok, f"{built} fixtures"))
 
     ds_ok = True
     for _ in range(200):
@@ -538,7 +540,7 @@ def suite_forcing_density(config: RunConfig) -> list[dict]:
         done += 1
         if not is_valid_condition(family, r) or not cond_leq(family, r, p):
             ext_ok = False
-    props.append(_prop("extensions-valid", ext_ok, f"{done} fixtures"))
+    props.append(_prop("extensions-valid", done > 0 and ext_ok, f"{done} fixtures"))
 
     sim_ok = True
     for _ in range(100):

@@ -21,7 +21,7 @@ unbounded scan raises CoverUndecided instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 from math import comb
 
 from .families import DigitFamily, DigitNode
@@ -67,8 +67,9 @@ class CoverRule:
         x is not in f(b-prefix).  None means x is safe."""
         raise NotImplementedError
 
-    def witness_candidates(self, alpha: Ordinal, budget: int) -> list:
-        """Nodes of height alpha > 0 that find_safe_point tests, in order."""
+    def witness_candidates(self, alpha: Ordinal, budget: int):
+        """Nodes of height alpha > 0 that find_safe_point tests, in order,
+        as an iterable."""
         raise NotImplementedError
 
     def covers_within(self, alpha: Ordinal) -> bool:
@@ -306,28 +307,30 @@ class PatchedCover(CoverRule):
                 b = add_ord(b, from_nat(1))
         return best
 
-    def witness_candidates(self, alpha: Ordinal, budget: int) -> list:
-        out = list(self.core.witness_candidates(alpha, budget))
-        out.extend(self._threaded_candidates(alpha, budget))
-        out.extend(islice(self.family.level(alpha), budget))
-        return out
+    def witness_candidates(self, alpha: Ordinal, budget: int):
+        # lazy, so that find_safe_point stops at the first safe candidate
+        # before any level node is built
+        yield from self.core.witness_candidates(alpha, budget)
+        yield from self._threaded_candidates(alpha, budget)
+        yield from islice(self.family.level(alpha), budget)
 
-    def _threaded_candidates(self, alpha: Ordinal, budget: int) -> list:
+    def _threaded_candidates(self, alpha: Ordinal, budget: int):
         """Candidates routed through the allowed successors of patched nodes."""
         fam = self.family
-        out = []
+        found = 0
         for y, succ in self.table.items():
             if not fam.height(y) < alpha:
                 continue
             for z in succ:
                 if not alpha < fam.height(z):
                     try:
-                        out.append(fam.canonical_extension(z, alpha))
+                        w = fam.canonical_extension(z, alpha)
                     except ValueError:
                         continue
-                if len(out) >= budget:
-                    return out
-        return out
+                    found += 1
+                    yield w
+                if found >= budget:
+                    return
 
     def covers_within(self, alpha: Ordinal) -> bool:
         if find_safe_point(self, alpha) is not None:
@@ -403,20 +406,6 @@ class SafeSubtree(SubtreeCover):
 
 # --- finite exhaustive oracle ------------------------------------------------------------
 
-def all_covers(tree: ExplicitTree, size_bound: int):
-    """Every rule with |f(x)| <= size_bound, as dicts; the enumeration order
-    is fixed by node insertion order and subset rank."""
-    nodes = [x for x in tree.parent if tree.children[x]]
-    options = []
-    for x in nodes:
-        kids = tree.children[x]
-        options.append([
-            frozenset(c) for size in range(size_bound + 1) for c in combinations(kids, size)
-        ])
-    for combo in product(*options):
-        yield dict(zip(nodes, combo))
-
-
 def cover_space_size(tree: ExplicitTree, size_bound: int) -> int:
     total = 1
     for x in tree.parent:
@@ -427,6 +416,65 @@ def cover_space_size(tree: ExplicitTree, size_bound: int) -> int:
         count = sum(comb(n, s) for s in range(0, size_bound + 1))
         total *= count
     return total
+
+
+class RuleSpace:
+    """The rules f with |f(x)| <= size_bound on a finite tree, addressed by
+    rank.  The options of a node are its subsets of children, by size and
+    then in combinations order; a rank is read in mixed radix over the
+    nodes with children, in insertion order, the last node's option
+    varying fastest, so range(size) lists the rules in product order."""
+
+    def __init__(self, tree: ExplicitTree, size_bound: int):
+        self.nodes = [x for x in tree.parent if tree.children[x]]
+        self.options = [
+            [frozenset(c) for size in range(size_bound + 1) for c in combinations(tree.children[x], size)]
+            for x in self.nodes
+        ]
+        self.size = cover_space_size(tree, size_bound)
+        self._radices = [(i, len(opts)) for i, opts in reversed(list(enumerate(self.options)))]
+
+    def digits(self, rank: int) -> list:
+        """The option index of every node under the rule of this rank."""
+        out = [0] * len(self.nodes)
+        for i, radix in self._radices:
+            rank, out[i] = divmod(rank, radix)
+        return out
+
+    def rule(self, digits: list) -> dict:
+        return {x: opts[k] for x, opts, k in zip(self.nodes, self.options, digits)}
+
+    def wedge_masks(self, cone: dict) -> list:
+        """W[i][k] = cone[y] minus the cones over option k of y = nodes[i]:
+        the wedge of y under that option, as a bitmask over ``cone``'s bits."""
+        table = []
+        for y, opts in zip(self.nodes, self.options):
+            row = []
+            for option in opts:
+                excluded = 0
+                for z in option:
+                    excluded |= cone[z]
+                row.append(cone[y] & ~excluded)
+            table.append(row)
+        return table
+
+
+def all_covers(tree: ExplicitTree, size_bound: int):
+    """Every rule with |f(x)| <= size_bound, as dicts, in rank order."""
+    space = RuleSpace(tree, size_bound)
+    for rank in range(space.size):
+        yield space.rule(space.digits(rank))
+
+
+def _cone_masks(tree: ExplicitTree) -> dict:
+    """cone[x]: x and every node above it, as an int bitmask whose bit i is
+    the i-th node in insertion order."""
+    cone = {}
+    for i, x in reversed(list(enumerate(tree.parent))):  # insertion order puts every parent before its children
+        cone[x] = 1 << i
+        for c in tree.children[x]:
+            cone[x] |= cone[c]
+    return cone
 
 
 def _safe_sets(tree: ExplicitTree, fmap: dict) -> dict:
@@ -459,8 +507,11 @@ def lindelof_oracle(
     * whole-tree phrasing: U covers every node of depth >= a exactly when
       level a has no safe node.
 
-    Raises ExplosionGuard when the rule space exceeds ``max_covers``, unless
-    a ``sample`` size (with rng) asks for a seeded random sweep instead.
+    Rules are addressed by rank in a RuleSpace, whose wedge masks are built
+    once per tree.  Raises ExplosionGuard when the rule space exceeds
+    ``max_covers``, unless a ``sample`` size (with rng) asks for a seeded
+    sweep instead: one rng.randrange(space) per rule, so sampled rules are
+    uniform over the space.
     """
     space = cover_space_size(tree, size_bound)
     sampled = False
@@ -468,39 +519,43 @@ def lindelof_oracle(
         if sample is None:
             raise ExplosionGuard(f"{space} rules exceed the bound {max_covers}")
         sampled = True
-        covers = (_random_cover(tree, size_bound, rng) for _ in range(sample))
+        ranks = (rng.randrange(space) for _ in range(sample))
     else:
-        covers = all_covers(tree, size_bound)
+        ranks = range(space)
 
+    rules = RuleSpace(tree, size_bound)
     nodes = list(tree.parent)
     bit = {x: 1 << i for i, x in enumerate(nodes)}
-    cone = {}
-    for x in reversed(nodes):  # insertion order puts every parent before its children
-        cone[x] = bit[x]
-        for c in tree.children[x]:
-            cone[x] |= cone[c]
+    cone = _cone_masks(tree)
+    wedges = rules.wedge_masks(cone)
+    slot = {y: i for i, y in enumerate(rules.nodes)}
     levels = [tree.level_nodes(d) for d in range(min(cutoff + 1, tree.tree_height()))]
     level_mask = [sum(bit[x] for x in level) for level in levels]
     deep_mask = [sum(bit[x] for x in nodes if tree.depth[x] >= a) for a in range(len(levels))]
+    # per level: (digit position, wedge row) of each node with children, and
+    # the union of the leaves' wedges, which are their whole cones
+    level_rows = [[(slot[y], wedges[slot[y]]) for y in level if y in slot] for level in levels]
+    leaf_wedges = [sum(cone[y] for y in level if y not in slot) for level in levels]
+    node_bits = list(bit.items())
 
     checked = 0
     counterexamples = []
-    for fmap in covers:
+    for rank in ranks:
         checked += 1
+        digits = rules.digits(rank)
+        fmap = rules.rule(digits)
         safe = _safe_sets(tree, fmap)
-        safe_mask = sum(bit[x] for x in nodes if safe[x])
+        safe_mask = sum(b for x, b in node_bits if safe[x])
         union = 0
-        for a, level in enumerate(levels):
+        for a, rows in enumerate(level_rows):
             safe_here = safe_mask & level_mask[a]
             if safe_here != level_mask[a] & ~union:
                 counterexamples.append({"cover": _show(fmap), "kind": "level", "level": a})
             if (deep_mask[a] & ~union == 0) != (safe_here == 0):
                 counterexamples.append({"cover": _show(fmap), "kind": "whole-tree", "level": a})
-            for y in level:
-                excluded = 0
-                for z in fmap.get(y, ()):
-                    excluded |= cone[z]
-                union |= cone[y] & ~excluded
+            union |= leaf_wedges[a]
+            for i, row in rows:
+                union |= row[digits[i]]
         if counterexamples:
             break
     return {
@@ -509,17 +564,6 @@ def lindelof_oracle(
         "sampled": sampled,
         "counterexamples": counterexamples,
     }
-
-
-def _random_cover(tree: ExplicitTree, size_bound: int, rng) -> dict:
-    fmap = {}
-    for x in tree.parent:
-        kids = tree.children[x]
-        if not kids:
-            continue
-        size = rng.randrange(0, size_bound + 1)
-        fmap[x] = frozenset(rng.sample(kids, min(size, len(kids))))
-    return fmap
 
 
 def _show(fmap: dict) -> str:

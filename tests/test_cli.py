@@ -171,6 +171,12 @@ def test_exit_codes(tmp_path):
     assert both.returncode == 2
 
 
+def test_zero_trials_fail_the_run():
+    out = run_cli(["--suite", "coherence", "--trials", "0"])
+    assert out.returncode == 1
+    assert "FAIL coherence::injectivity-per-anchor  [0 pairs]" in out.stdout
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("suite=delta-x\nseed=5\ntrials=100\n")

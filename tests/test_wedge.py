@@ -1,10 +1,12 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
 from treewedge.coherent import CoherentSystem
 from treewedge.families import BitFamily, DigitFamily
 from treewedge.gen import rand_below, rand_digit_node
+from treewedge.literals import parse_cover
 from treewedge.ordinal import OMEGA, ZERO, add_ord, from_nat, parse_cnf
 from treewedge.suites import _random_tree
 from treewedge.trees import ExplicitFamily, ExplicitTree
@@ -15,6 +17,7 @@ from treewedge.wedge import (
     ExplicitSubtree,
     ExplosionGuard,
     PatchedCover,
+    RuleSpace,
     SafeSubtree,
     TableCover,
     TruncatedSubtree,
@@ -159,6 +162,16 @@ def test_patched_symbolic_reroute(digits, tinu):
     assert not covers_within(f, OMEGA)
 
 
+def test_patched_search_stops_at_the_core_witness(digits, tinu, monkeypatch):
+    f = parse_cover("patched(subtree(T-in-U); u:[d1]=>{u:[d1,d0]})", digits)
+
+    def no_level(alpha):
+        raise AssertionError("the level was enumerated")
+
+    monkeypatch.setattr(digits, "level", no_level)
+    assert find_safe_point(f, OMEGA) == tinu.safe_witness(OMEGA)
+
+
 def test_patched_blocking_raises(digits, tinu):
     root = digits.root()
     d7 = digits.node([("d", 7)])
@@ -265,14 +278,26 @@ def test_oracle_matches_symbolic_fixture(table_fixture):
         assert safe[x] == is_safe(table, x)
 
 
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
 def test_oracle_explosion_guard():
     tree = ExplicitTree.complete(3, 4)
     assert cover_space_size(tree, 2) == 7**13
     with pytest.raises(ExplosionGuard):
         lindelof_oracle(tree, 4, max_covers=10**6)
-    report = lindelof_oracle(tree, 4, max_covers=10**6, sample=200, rng=random.Random(1))
+    rng = _CountingRandom(1)
+    report = lindelof_oracle(tree, 4, max_covers=10**6, sample=200, rng=rng)
     assert report["sampled"]
+    assert report["covers_checked"] == 200
     assert report["counterexamples"] == []
+    assert rng.draws == 200  # one rank per sampled rule
+
 
 
 def test_oracle_catches_a_broken_dp(monkeypatch):
@@ -295,6 +320,39 @@ def test_oracle_exhaustive_on_ragged_tree():
     assert not report["sampled"]
     assert report["covers_checked"] == report["space"] == 6776
     assert report["counterexamples"] == []
+
+
+RULE_TREES = [ExplicitTree.complete(2, 3), ExplicitTree.complete(3, 3), _random_tree(random.Random(1), 15)]
+
+
+@pytest.mark.parametrize("tree", RULE_TREES, ids=["binary", "ternary", "ragged"])
+def test_rank_order_is_product_order(tree):
+    # the enumeration before rules had ranks: subsets by size, then a product
+    # over the nodes with children, the last one varying fastest
+    internal = [x for x in tree.parent if tree.children[x]]
+    options = [
+        [frozenset(c) for size in range(3) for c in combinations(tree.children[x], size)]
+        for x in internal
+    ]
+    expected = [dict(zip(internal, combo)) for combo in product(*options)]
+    assert RuleSpace(tree, 2).size == len(expected) == cover_space_size(tree, 2)
+    assert list(all_covers(tree, 2)) == expected
+
+
+@pytest.mark.parametrize("tree", RULE_TREES, ids=["binary", "ternary", "ragged"])
+def test_wedge_masks_are_wedges(tree):
+    fam = ExplicitFamily(tree)
+    nodes = list(tree.parent)
+
+    def members(w):
+        return sum(1 << i for i, x in enumerate(nodes) if wedge_contains(fam, w, x))
+
+    cone = wedge._cone_masks(tree)
+    assert cone == {y: members(Wedge(y, ())) for y in nodes}
+    space = RuleSpace(tree, 2)
+    table = space.wedge_masks(cone)
+    for y, options, row in zip(space.nodes, space.options, table):
+        assert row == [members(Wedge(y, tuple(option))) for option in options], y
 
 
 # --- the engine against real wedges ---------------------------------------------------
