@@ -299,7 +299,6 @@ def test_oracle_explosion_guard():
     assert rng.draws == 200  # one rank per sampled rule
 
 
-
 def test_oracle_catches_a_broken_dp(monkeypatch):
     def forgetful(tree, fmap):
         # the root's children count as safe whatever the root promises
