@@ -1,13 +1,13 @@
 """Text literals for nodes and covers.
 
-Node literals:
-  te:<ordinal>:{<ordinal>=<nat>,...}          injective-family node
-  t:<ordinal>:{<flip ordinals>}:[<tail bits>] binary-family node
+Node literals, by family (the one check format_node and parse_node make):
+  bare ids                                    explicit-tree nodes
   u:[d<nat>, tail(<t-literal>)@<ordinal>, patch(<ordinal>=<nat>), ...]
                                               digit-family node; digits and
                                               tails build left to right,
                                               patches re-dot the current base
-  bare ids                                    explicit-tree nodes
+  t:<ordinal>:{<flip ordinals>}:[<tail bits>] a binary node, only as the
+                                              tail inside a u: literal
 
 Cover literals:
   subtree(T-in-U)            the binary tree inside the digit tree
@@ -24,9 +24,9 @@ Forcing targets:
 
 from __future__ import annotations
 
-from .families import BitFamily, BitNode, DigitFamily, DigitNode, InjFamily, InjNode
+from .families import BitFamily, BitNode, DigitFamily, DigitNode
 from .ordinal import MAX_NESTING, Ordinal, parse_cnf, to_cnf
-from .trees import ExplicitFamily
+from .trees import ExplicitTree
 from .wedge import BinaryInsideDigits, CoverRule, TableCover, TruncatedSubtree
 
 
@@ -57,55 +57,38 @@ def split_top(text: str, sep: str | None) -> list[str]:
 # --- nodes -------------------------------------------------------------------
 
 def format_node(family, x) -> str:
-    if isinstance(x, InjNode):
-        inner = ",".join(f"{to_cnf(p)}={v}" for p, v in x.over)
-        return f"te:{to_cnf(x.height)}:{{{inner}}}"
-    if isinstance(x, BitNode):
-        flips = ",".join(to_cnf(p) for p in x.flips)
-        tail = ",".join(str(b) for b in x.tail)
-        return f"t:{to_cnf(x.height)}:{{{flips}}}:[{tail}]"
-    if isinstance(x, DigitNode):
-        parts = []
-        if x.base is not None:
-            parts.append(f"tail({format_node(None, x.base)})@{to_cnf(x.base.height)}")
-            parts.extend(f"patch({to_cnf(p)}={d})" for p, d in x.patch)
-        parts.extend(f"d{d}" for d in x.trail)
-        return f"u:[{','.join(parts)}]"
-    if isinstance(x, str):
+    """An explicit tree's node is its id; any other is a digit node."""
+    if isinstance(family, ExplicitTree):
         return x
-    raise TypeError(f"cannot format {x!r}")
+    return _format_u(x)
+
+
+def _format_t(x: BitNode) -> str:
+    flips = ",".join(to_cnf(p) for p in x.flips)
+    tail = ",".join(str(b) for b in x.tail)
+    return f"t:{to_cnf(x.height)}:{{{flips}}}:[{tail}]"
+
+
+def _format_u(x: DigitNode) -> str:
+    parts = []
+    if x.base is not None:
+        parts.append(f"tail({_format_t(x.base)})@{to_cnf(x.base.height)}")
+        parts.extend(f"patch({to_cnf(p)}={d})" for p, d in x.patch)
+    parts.extend(f"d{d}" for d in x.trail)
+    return f"u:[{','.join(parts)}]"
 
 
 def parse_node(family, text: str):
+    """A node of an explicit tree by its id, or a digit node by its u:
+    literal."""
     text = text.strip()
-    if text.startswith("te:"):
-        if not isinstance(family, InjFamily):
-            raise ValueError("te: literal needs the injective family")
-        return _parse_te(family, text)
-    if text.startswith("t:"):
-        if not isinstance(family, BitFamily):
-            raise ValueError("t: literal needs the binary family")
-        return _parse_t(family, text)
-    if text.startswith("u:"):
-        if not isinstance(family, DigitFamily):
-            raise ValueError("u: literal needs the digit family")
-        return _parse_u(family, text)
-    if isinstance(family, ExplicitFamily):
-        if text not in family.tree.parent:
+    if isinstance(family, ExplicitTree):
+        if text not in family.parent:
             raise ValueError(f"unknown explicit node {text!r}")
         return text
+    if text.startswith("u:"):
+        return _parse_u(family, text)
     raise ValueError(f"cannot parse node literal {text!r}")
-
-
-def _parse_te(family: InjFamily, text: str) -> InjNode:
-    _, height, rest = text.split(":", 2)
-    if not (rest.startswith("{") and rest.endswith("}")):
-        raise ValueError(f"bad te literal {text!r}")
-    over = {}
-    for item in split_top(rest[1:-1], ","):
-        pos, _, val = item.partition("=")
-        over[parse_cnf(pos)] = int(val)
-    return family.node(parse_cnf(height), over)
 
 
 def _parse_t(bits: BitFamily, text: str) -> BitNode:
@@ -204,6 +187,7 @@ def _parse_base_cover(text: str, digits: DigitFamily, load_tree) -> CoverRule:
         path, _, rows = text[6:-1].partition(";")
         if load_tree is None:
             raise ValueError("table covers need a tree loader")
-        family = ExplicitFamily(load_tree(path.strip()))
-        return TableCover(family, _rows(family, rows, "table"))
+        tree = load_tree(path.strip())
+        tree.root()  # a table needs a single-rooted tree; check it before any row
+        return TableCover(tree, _rows(tree, rows, "table"))
     raise ValueError(f"cannot parse cover literal {text!r}")

@@ -207,14 +207,5 @@ def format_point(p: TaggedPoint) -> str:
     return f"{p.side}:" + ".".join(str(d) for d in p.seq)
 
 
-def parse_interval(text: str) -> HalfOpenInterval:
-    """Interval literal '[P1,P2)'."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith(")")):
-        raise ValueError(f"bad interval literal {text!r}")
-    lo, _, hi = text[1:-1].partition(",")
-    return HalfOpenInterval(parse_point(lo), parse_point(hi))
-
-
 def format_interval(iv: HalfOpenInterval) -> str:
     return f"[{format_point(iv.lo)},{format_point(iv.hi)})"

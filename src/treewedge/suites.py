@@ -4,8 +4,8 @@ Each suite function takes a RunConfig and returns a report dict with one
 entry per property: {"name", "passed", "note"}.  Reports contain no
 timestamps and all randomness flows from the config seed, so a (config,
 seed) pair fully determines the bytes of the serialized report.  A property
-whose checks are counted by a setting (``trials``, ``budget_enum``) fails
-when that count is zero: it checked nothing.
+whose checks are counted by a setting (``trials``, ``budget_enum``,
+``oracle_sample``) fails when that count is zero: it checked nothing.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .sorgenfrey import (
     trim,
     uncovered_left_endpoints,
 )
-from .trees import ExplicitFamily, ExplicitTree
+from .trees import ExplicitTree
 from .wedge import (
     BinaryInsideDigits,
     SafeSubtree,
@@ -316,7 +316,6 @@ def suite_wedge_oracle(config: RunConfig) -> list[dict]:
         tree = ExplicitTree.complete(arity, height)
         report = lindelof_oracle(
             tree,
-            height,
             max_covers=config.oracle_max,
             sample=config.oracle_sample,
             rng=rng,
@@ -328,7 +327,8 @@ def suite_wedge_oracle(config: RunConfig) -> list[dict]:
             )
         else:
             note = f"exhaustive over {report['covers_checked']} rules"
-        props.append(_prop(f"oracle-{label}-h{height}", not report["counterexamples"], note))
+        passed = report["covers_checked"] > 0 and not report["counterexamples"]
+        props.append(_prop(f"oracle-{label}-h{height}", passed, note))
     return props
 
 
@@ -411,7 +411,7 @@ def suite_sorgenfrey(config: RunConfig) -> list[dict]:
 
 def _random_explicit_condition(rng, family):
     p = {}
-    nodes = [x for x in family.tree.parent if family.tree.children[x]]
+    nodes = [x for x in family.parent if family.children[x]]
     for _ in range(rng.randrange(0, 4)):
         try:
             p = extend_to_include(family, p, rng.choice(nodes))
@@ -435,7 +435,7 @@ def suite_forcing_ccc(config: RunConfig) -> list[dict]:
     ws = Workspace(config)
     digits = ws.digits
     rng = random.Random(config.seed)
-    fam = ExplicitFamily(ExplicitTree.complete(2, 5))
+    fam = ExplicitTree.complete(2, 5)
     props = []
 
     union_ok = True
@@ -501,7 +501,7 @@ def suite_forcing_density(config: RunConfig) -> list[dict]:
     ws = Workspace(config)
     digits = ws.digits
     rng = random.Random(config.seed)
-    fam = ExplicitFamily(ExplicitTree.complete(2, 5))
+    fam = ExplicitTree.complete(2, 5)
     limits = [a for a in config.anchor_ordinals() if classify(a) == "limit"]
     props = []
 
@@ -575,13 +575,12 @@ def suite_forcing_density(config: RunConfig) -> list[dict]:
         tree = _random_tree(rng, size)
         trees.append(tree)
     for tree in trees:
-        family = ExplicitFamily(tree)
         order = list(tree.parent)
         rng.shuffle(order)
         q = {}
         for x in order:
-            q = spec_extend(family, q, x)
-        if len(q) != len(order) or not is_valid_spec(family, q):
+            q = spec_extend(tree, q, x)
+        if len(q) != len(order) or not is_valid_spec(tree, q):
             spec_ok = False
     props.append(_prop("specializer-totalizes", spec_ok, f"{len(trees)} trees"))
     return props

@@ -1,7 +1,8 @@
 """Generic tree interface over symbolic families and explicit finite trees.
 
-Symbolic nodes are immutable values interpreted by a family object; explicit
-trees are small in-memory structures used as brute-force oracles.  The
+Symbolic nodes are immutable values interpreted by a family object.  An
+explicit tree is itself a family: a small in-memory tree whose nodes are
+their string ids, used as a brute-force oracle.  The
 ``successors`` and ``level`` streams are single-consumer generators that may
 be infinite; each caller bounds what it draws.  The budgets live there:
 ``wedge.find_safe_point`` scans at most ``budget`` nodes of a level,
@@ -17,7 +18,7 @@ from .ordinal import Ordinal, add_ord, cmp_ord, from_nat
 
 
 class TreeFamily:
-    """Interface shared by the symbolic families and the explicit adapter."""
+    """Interface shared by the symbolic families and explicit trees."""
 
     def root(self):
         raise NotImplementedError
@@ -63,8 +64,10 @@ def is_immediate_successor(family: TreeFamily, parent, child) -> bool:
 
 # --- explicit finite trees ----------------------------------------------------
 
-class ExplicitTree:
+class ExplicitTree(TreeFamily):
     """Finite tree with string node ids, ordered child lists and int depths.
+    It is a tree family whose nodes are their ids; ``root`` needs a single
+    root, so that levels are genuine tree levels.
 
     Text format: one node per line, ``id parent_id``; roots use ``-``.
     """
@@ -88,9 +91,6 @@ class ExplicitTree:
             self.depth[node] = self.depth[parent] + 1
         return self
 
-    def roots(self):
-        return [x for x, p in self.parent.items() if p is None]
-
     def tree_height(self) -> int:
         return 1 + max(self.depth.values()) if self.depth else 0
 
@@ -102,6 +102,41 @@ class ExplicitTree:
             raise ValueError(f"{x!r} has depth {self.depth[x]} < {d}")
         while self.depth[x] > d:
             x = self.parent[x]
+        return x
+
+    def root(self) -> str:
+        roots = [x for x, p in self.parent.items() if p is None]
+        if len(roots) != 1:
+            raise ValueError(f"a tree family needs one root, this tree has {len(roots)}")
+        return roots[0]
+
+    def height(self, x: str) -> Ordinal:
+        return from_nat(self.depth[x])
+
+    def query(self, x, xi):
+        raise TypeError("explicit nodes do not denote sequences")
+
+    def restrict(self, x: str, beta: Ordinal) -> str:
+        return self.ancestor_at(x, beta.to_nat())
+
+    def contains(self, x) -> bool:
+        return isinstance(x, str) and x in self.parent
+
+    def successors(self, x: str) -> Iterator[str]:
+        return iter(self.children[x])
+
+    def level(self, alpha: Ordinal) -> Iterator[str]:
+        return iter(self.level_nodes(alpha.to_nat()))
+
+    def canonical_extension(self, x: str, alpha: Ordinal) -> str:
+        d = alpha.to_nat()
+        if d < self.depth[x]:
+            raise ValueError("target height below node")
+        while self.depth[x] < d:
+            kids = self.children[x]
+            if not kids:
+                raise ValueError(f"no extension of {x!r} reaches depth {d}")
+            x = kids[0]
         return x
 
     def le(self, x: str, y: str) -> bool:
@@ -140,52 +175,6 @@ class ExplicitTree:
                     nxt.append(child)
             frontier = nxt
         return tree
-
-
-class ExplicitFamily(TreeFamily):
-    """Adapter exposing an ExplicitTree through the family interface.
-
-    Requires a single root so that levels are genuine tree levels.
-    """
-
-    def __init__(self, tree: ExplicitTree):
-        roots = tree.roots()
-        if len(roots) != 1:
-            raise ValueError("family adapter needs a single-rooted tree")
-        self.tree = tree
-        self._root = roots[0]
-
-    def root(self):
-        return self._root
-
-    def height(self, x) -> Ordinal:
-        return from_nat(self.tree.depth[x])
-
-    def query(self, x, xi):
-        raise TypeError("explicit nodes do not denote sequences")
-
-    def restrict(self, x, beta: Ordinal):
-        return self.tree.ancestor_at(x, beta.to_nat())
-
-    def contains(self, x) -> bool:
-        return isinstance(x, str) and x in self.tree.parent
-
-    def successors(self, x) -> Iterator:
-        return iter(self.tree.children[x])
-
-    def level(self, alpha: Ordinal) -> Iterator:
-        return iter(self.tree.level_nodes(alpha.to_nat()))
-
-    def canonical_extension(self, x, alpha: Ordinal):
-        d = alpha.to_nat()
-        if d < self.tree.depth[x]:
-            raise ValueError("target height below node")
-        while self.tree.depth[x] < d:
-            kids = self.tree.children[x]
-            if not kids:
-                raise ValueError(f"no extension of {x!r} reaches depth {d}")
-            x = kids[0]
-        return x
 
 
 def branch_to_antichain(tree: ExplicitTree, chain: list[str]) -> set[str]:

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
-from math import comb
+from math import prod
 
 from .families import DigitFamily, DigitNode
 from .ordinal import Ordinal, ZERO, add_ord, classify, from_nat, pred
-from .trees import ExplicitFamily, ExplicitTree, TreeFamily, tree_le
+from .trees import ExplicitTree, TreeFamily, tree_le
 
 
 class CoverUndecided(RuntimeError):
@@ -195,12 +195,11 @@ class TruncatedSubtree(SubtreeCover):
 class ExplicitSubtree(SubtreeCover):
     """Finite set of explicit-tree nodes, checked to be downward closed."""
 
-    def __init__(self, family: ExplicitFamily, members):
+    def __init__(self, family: ExplicitTree, members):
         self.family = family
         self.members = frozenset(members)
-        tree = family.tree
         for x in self.members:
-            p = tree.parent[x]
+            p = family.parent[x]
             if p is not None and p not in self.members:
                 raise ValueError(f"not downward closed: {x!r} without {p!r}")
 
@@ -208,17 +207,17 @@ class ExplicitSubtree(SubtreeCover):
         return x in self.members
 
     def first_violation(self, x) -> Ordinal | None:
-        tree = self.family.tree
+        tree = self.family
         for b in range(tree.depth[x]):
             if tree.ancestor_at(x, b + 1) not in self.members:
                 return from_nat(b)
         return None
 
     def values(self, x) -> list:
-        return [c for c in self.family.tree.children[x] if c in self.members]
+        return [c for c in self.family.children[x] if c in self.members]
 
     def safe_witness(self, alpha: Ordinal):
-        for x in self.family.tree.level_nodes(alpha.to_nat()):
+        for x in self.family.level_nodes(alpha.to_nat()):
             if self.first_violation(x) is None:
                 return x
         return None
@@ -232,12 +231,11 @@ class TableCover(CoverRule):
     the table get the empty set.  Levels are finite, so this is the one rule
     that decides a level by scanning it."""
 
-    def __init__(self, family: ExplicitFamily, table: dict):
+    def __init__(self, family: ExplicitTree, table: dict):
         self.family = family
-        tree = family.tree
         for x, succ in table.items():
             for z in succ:
-                if tree.parent[z] != x:
+                if family.parent[z] != x:
                     raise ValueError(f"{z!r} is not an immediate successor of {x!r}")
         self.table = {x: frozenset(s) for x, s in table.items()}
 
@@ -245,17 +243,17 @@ class TableCover(CoverRule):
         return sorted(self.table.get(x, frozenset()))
 
     def first_violation(self, x) -> Ordinal | None:
-        tree = self.family.tree
+        tree = self.family
         for b in range(tree.depth[x]):
             if tree.ancestor_at(x, b + 1) not in self.table.get(tree.ancestor_at(x, b), ()):
                 return from_nat(b)
         return None
 
     def witness_candidates(self, alpha: Ordinal, budget: int) -> list:
-        return self.family.tree.level_nodes(alpha.to_nat())
+        return self.family.level_nodes(alpha.to_nat())
 
     def covers_within(self, alpha: Ordinal) -> bool:
-        return all(not is_safe(self, x) for x in self.family.tree.level_nodes(alpha.to_nat()))
+        return all(not is_safe(self, x) for x in self.family.level_nodes(alpha.to_nat()))
 
     def patched(self, rows: dict) -> CoverRule:
         return TableCover(self.family, {**self.table, **rows})
@@ -406,18 +404,6 @@ class SafeSubtree(SubtreeCover):
 
 # --- finite exhaustive oracle ------------------------------------------------------------
 
-def cover_space_size(tree: ExplicitTree, size_bound: int) -> int:
-    total = 1
-    for x in tree.parent:
-        kids = tree.children[x]
-        if not kids:
-            continue
-        n = len(kids)
-        count = sum(comb(n, s) for s in range(0, size_bound + 1))
-        total *= count
-    return total
-
-
 class RuleSpace:
     """The rules f with |f(x)| <= size_bound on a finite tree, addressed by
     rank.  The options of a node are its subsets of children, by size and
@@ -431,7 +417,7 @@ class RuleSpace:
             [frozenset(c) for size in range(size_bound + 1) for c in combinations(tree.children[x], size)]
             for x in self.nodes
         ]
-        self.size = cover_space_size(tree, size_bound)
+        self.size = prod(len(opts) for opts in self.options)
         self._radices = [(i, len(opts)) for i, opts in reversed(list(enumerate(self.options)))]
 
     def digits(self, rank: int) -> list:
@@ -491,7 +477,6 @@ def _safe_sets(tree: ExplicitTree, fmap: dict) -> dict:
 
 def lindelof_oracle(
     tree: ExplicitTree,
-    cutoff: int,
     size_bound: int = 2,
     max_covers: int = 10**6,
     sample: int | None = None,
@@ -499,7 +484,7 @@ def lindelof_oracle(
 ) -> dict:
     """Check, for every bounded rule f on a finite tree, the safe-point DP
     against the wedge sets W(y) = cone(y) minus the cones over f(y), built as
-    int bitmasks.  At each level a <= cutoff, with U the union of W(y) over
+    int bitmasks.  At each level a, with U the union of W(y) over
     every y of depth < a:
 
     * level phrasing: the safe nodes of level a are exactly its nodes
@@ -513,7 +498,8 @@ def lindelof_oracle(
     sweep instead: one rng.randrange(space) per rule, so sampled rules are
     uniform over the space.
     """
-    space = cover_space_size(tree, size_bound)
+    rules = RuleSpace(tree, size_bound)
+    space = rules.size
     sampled = False
     if space > max_covers:
         if sample is None:
@@ -523,13 +509,12 @@ def lindelof_oracle(
     else:
         ranks = range(space)
 
-    rules = RuleSpace(tree, size_bound)
     nodes = list(tree.parent)
     bit = {x: 1 << i for i, x in enumerate(nodes)}
     cone = _cone_masks(tree)
     wedges = rules.wedge_masks(cone)
     slot = {y: i for i, y in enumerate(rules.nodes)}
-    levels = [tree.level_nodes(d) for d in range(min(cutoff + 1, tree.tree_height()))]
+    levels = [tree.level_nodes(d) for d in range(tree.tree_height())]
     level_mask = [sum(bit[x] for x in level) for level in levels]
     deep_mask = [sum(bit[x] for x in nodes if tree.depth[x] >= a) for a in range(len(levels))]
     # per level: (digit position, wedge row) of each node with children, and

@@ -177,6 +177,21 @@ def test_zero_trials_fail_the_run():
     assert "FAIL coherence::injectivity-per-anchor  [0 pairs]" in out.stdout
 
 
+def test_zero_oracle_samples_fail_the_run(tmp_path):
+    cfg = _write_config(tmp_path, "suite=wedge-oracle\noracle-max=3000\noracle-sample=0\n")
+    out = run_cli(["--config", cfg])
+    assert out.returncode == 1
+    assert "FAIL wedge-oracle::oracle-ternary-h4  [space 96889010407 exceeds the guard 3000; 0 seeded samples]" in out.stdout
+
+
+def test_table_over_two_roots_is_an_error_answer(tmp_path, capsys):
+    path = tmp_path / "forest.txt"
+    path.write_text("r -\n0 r\ns -\n")
+    assert main(["--query", f"is-safe table({path}; r=>{{0}}) r"]) == 1
+    error = json.loads(capsys.readouterr().out)["result"]["error"]
+    assert error == "ValueError: a tree family needs one root, this tree has 2"
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("suite=delta-x\nseed=5\ntrials=100\n")

@@ -353,10 +353,9 @@ def test_downward_sets_are_chains(digits):
 def test_symbolic_matches_explicit_oracle(bits):
     # below the first limit the binary family is the full binary tree, so
     # symbolic levels, successors and order must match the explicit oracle
-    from treewedge.trees import ExplicitFamily, ExplicitTree
+    from treewedge.trees import ExplicitTree
 
     tree = ExplicitTree.complete(2, 4)
-    fam = ExplicitFamily(tree)
 
     def as_id(node):
         return "r" if not node.tail else "".join(str(b) for b in node.tail)

@@ -21,14 +21,14 @@ from treewedge.forcing import (
 )
 from treewedge.gen import rand_below, rand_digit_node
 from treewedge.ordinal import OMEGA, ZERO, from_nat, parse_cnf
-from treewedge.trees import ExplicitFamily, ExplicitTree, tree_le
+from treewedge.trees import ExplicitTree, tree_le
 
 LIMITS = [parse_cnf(s) for s in ("w", "w*2", "w^2")]
 
 
 @pytest.fixture(scope="module")
 def fam():
-    return ExplicitFamily(ExplicitTree.complete(2, 4))
+    return ExplicitTree.complete(2, 4)
 
 
 @pytest.fixture(scope="module")
@@ -156,8 +156,8 @@ def test_extend_above_leaf_level_errors(fam):
 def _random_condition(rng, family, tries=4):
     p = {}
     for _ in range(rng.randrange(0, tries)):
-        node = rng.choice(list(family.tree.parent))
-        if family.tree.children[node]:
+        node = rng.choice(list(family.parent))
+        if family.children[node]:
             try:
                 p = extend_to_include(family, p, node)
             except ExtensionError:
@@ -233,7 +233,7 @@ def test_simplest_between_directly():
 def test_spec_totalizes_order_preserving(fam):
     rng = random.Random(62)
     q = {}
-    nodes = list(fam.tree.parent)
+    nodes = list(fam.parent)
     rng.shuffle(nodes)
     for x in nodes:
         q = spec_extend(fam, q, x)
@@ -254,7 +254,7 @@ def test_simulate_reach(fam):
     assert report["checks"]["valid"]
     assert report["checks"]["window_downward_closed"]
     assert report["checks"]["fragment_successors_promised"]
-    assert any(fam.tree.depth[x] >= 2 for x in p)
+    assert any(fam.depth[x] >= 2 for x in p)
 
 
 def test_simulate_include_chain(fam):

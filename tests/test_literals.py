@@ -4,7 +4,7 @@ import pytest
 
 from treewedge.coherent import CoherentSystem
 from treewedge.families import BitFamily, DigitFamily, InjFamily
-from treewedge.gen import rand_below, rand_bit_node, rand_digit_node, rand_inj_node
+from treewedge.gen import rand_below, rand_bit_node, rand_digit_node
 from treewedge.literals import format_node, parse_cover, parse_node
 from treewedge.ordinal import OMEGA, from_nat, parse_cnf
 from treewedge.trees import ExplicitTree
@@ -20,21 +20,19 @@ def ws():
     return InjFamily(coh), bits, DigitFamily(bits)
 
 
-def test_te_round_trip(ws):
-    injs, bits, digits = ws
-    rng = random.Random(70)
-    for _ in range(50):
-        x = rand_inj_node(rng, injs, rng.choice(ANCHORS))
-        assert parse_node(injs, format_node(injs, x)) == x
-
-
 def test_t_round_trip(ws):
+    # a t: literal is read only as the tail of a u: literal
     injs, bits, digits = ws
     rng = random.Random(71)
+    tails = 0
     for _ in range(50):
         alpha = rand_below(rng, parse_cnf("w^3"))
-        x = rand_bit_node(rng, bits, alpha)
-        assert parse_node(bits, format_node(bits, x)) == x
+        u = digits.embed_bits(rand_bit_node(rng, bits, alpha))
+        text = format_node(digits, u)
+        assert ("tail(t:" in text) == (u.base is not None)
+        assert parse_node(digits, text) == u
+        tails += u.base is not None
+    assert tails > 0
 
 
 def test_u_round_trip(ws):
@@ -49,11 +47,26 @@ def test_u_round_trip(ws):
 def test_u_component_example(ws):
     injs, bits, digits = ws
     stem = bits.char_stem(OMEGA)
-    lit = f"u:[d{bits.query(stem, from_nat(0))},tail({format_node(bits, stem)})@w,d0]"
+    lit = f"u:[d{bits.query(stem, from_nat(0))},tail(t:w:{{}}:[])@w,d0]"
     node = parse_node(digits, lit)
     assert node.base == stem
     assert node.patch == ()  # the leading digit agreed with the stem
     assert node.trail == (0,)
+
+
+@pytest.mark.parametrize("text", ["te:w:{}", "t:w:{}:[]", "r"])
+def test_digit_nodes_are_u_literals(ws, text):
+    injs, bits, digits = ws
+    with pytest.raises(ValueError, match="cannot parse node literal"):
+        parse_node(digits, text)
+
+
+def test_explicit_nodes_are_ids():
+    tree = ExplicitTree.complete(2, 3)
+    assert parse_node(tree, " 01 ") == "01"
+    assert format_node(tree, "01") == "01"
+    with pytest.raises(ValueError, match="unknown explicit node 'u:\\[d0\\]'"):
+        parse_node(tree, "u:[d0]")
 
 
 def test_cover_round_trip(ws):
@@ -112,3 +125,11 @@ def test_table_rows_name_known_nodes(tmp_path, ws, rows):
     path.write_text(ExplicitTree.complete(2, 3).to_text())
     with pytest.raises(ValueError, match="unknown explicit node 'zz'"):
         parse_cover(f"table({path}; {rows})", digits, lambda p: ExplicitTree.from_text(open(p).read()))
+
+
+def test_table_over_two_roots_fails_before_its_rows(tmp_path, ws):
+    injs, bits, digits = ws
+    path = tmp_path / "forest.txt"
+    path.write_text("r -\ns -\n")
+    with pytest.raises(ValueError, match="needs one root"):
+        parse_cover(f"table({path}; zz=>{{}})", digits, lambda p: ExplicitTree.from_text(open(p).read()))

@@ -24,3 +24,8 @@ def test_zero_trials_fail_the_counted_properties():
 
 def test_zero_enumeration_budget_fails_splitting_degrees():
     assert _failed("tree-closure", replace(SMALL, budget_enum=0)) == ["tree-closure::splitting-degrees"]
+
+
+def test_zero_oracle_samples_fail_the_sampled_jobs():
+    failed = _failed("wedge-oracle", replace(SMALL, oracle_sample=0))
+    assert failed == ["wedge-oracle::oracle-binary-h4", "wedge-oracle::oracle-ternary-h4"]

@@ -4,7 +4,6 @@ import pytest
 
 from treewedge.ordinal import from_nat
 from treewedge.trees import (
-    ExplicitFamily,
     ExplicitTree,
     branch_to_antichain,
     is_immediate_successor,
@@ -31,33 +30,36 @@ def test_text_round_trip(binary3):
 
 
 def test_explicit_family_order(binary3):
-    fam = ExplicitFamily(binary3)
-    assert tree_le(fam, "0", "01") == "below"
-    assert tree_le(fam, "01", "0") == "above"
-    assert tree_le(fam, "0", "0") == "equal"
-    assert tree_le(fam, "0", "10") == "incomparable"
-    assert fam.restrict("010", from_nat(1)) == "0"
+    assert tree_le(binary3, "0", "01") == "below"
+    assert tree_le(binary3, "01", "0") == "above"
+    assert tree_le(binary3, "0", "0") == "equal"
+    assert tree_le(binary3, "0", "10") == "incomparable"
+    assert binary3.restrict("010", from_nat(1)) == "0"
 
 
 def test_explicit_family_streams(binary3):
-    fam = ExplicitFamily(binary3)
     # a budget b is exceeded when an islice of b + 1 items is longer than b
-    assert list(islice(fam.successors("r"), 11)) == ["0", "1"]
-    assert list(islice(fam.successors("r"), 2)) == ["0", "1"]  # 2 > 1: budget 1 truncates
-    assert list(islice(fam.level(from_nat(0)), 6)) == ["r"]
+    assert list(islice(binary3.successors("r"), 11)) == ["0", "1"]
+    assert list(islice(binary3.successors("r"), 2)) == ["0", "1"]  # 2 > 1: budget 1 truncates
+    assert list(islice(binary3.level(from_nat(0)), 6)) == ["r"]
 
 
 def test_immediate_successor(binary3):
-    fam = ExplicitFamily(binary3)
-    assert is_immediate_successor(fam, "0", "01")
-    assert not is_immediate_successor(fam, "0", "011")
-    assert not is_immediate_successor(fam, "0", "10")
+    assert is_immediate_successor(binary3, "0", "01")
+    assert not is_immediate_successor(binary3, "0", "011")
+    assert not is_immediate_successor(binary3, "0", "10")
 
 
 def test_canonical_extension_first_children(binary3):
-    fam = ExplicitFamily(binary3)
-    assert fam.canonical_extension("r", from_nat(2)) == "00"
-    assert fam.canonical_extension("1", from_nat(3)) == "100"
+    assert binary3.canonical_extension("r", from_nat(2)) == "00"
+    assert binary3.canonical_extension("1", from_nat(3)) == "100"
+
+
+def test_root_needs_a_single_root(binary3):
+    assert binary3.root() == "r"
+    two = ExplicitTree().add("a", None).add("b", None)
+    with pytest.raises(ValueError, match="this tree has 2"):
+        two.root()
 
 
 def test_branch_to_antichain_example(binary3):
@@ -105,6 +107,5 @@ def test_branch_to_antichain_random_chains():
 
 
 def test_query_not_supported_on_explicit(binary3):
-    fam = ExplicitFamily(binary3)
     with pytest.raises(TypeError):
-        fam.query("0", from_nat(0))
+        binary3.query("0", from_nat(0))

@@ -9,7 +9,7 @@ from treewedge.gen import rand_below, rand_digit_node
 from treewedge.literals import parse_cover
 from treewedge.ordinal import OMEGA, ZERO, add_ord, from_nat, parse_cnf
 from treewedge.suites import _random_tree
-from treewedge.trees import ExplicitFamily, ExplicitTree
+from treewedge.trees import ExplicitTree
 from treewedge import wedge
 from treewedge.wedge import (
     BinaryInsideDigits,
@@ -23,7 +23,6 @@ from treewedge.wedge import (
     TruncatedSubtree,
     Wedge,
     all_covers,
-    cover_space_size,
     covers_within,
     find_safe_point,
     is_safe,
@@ -47,8 +46,7 @@ def tinu(digits):
 @pytest.fixture
 def table_fixture():
     tree = ExplicitTree.complete(2, 3)
-    fam = ExplicitFamily(tree)
-    return fam, TableCover(fam, {"r": {"0"}})
+    return tree, TableCover(tree, {"r": {"0"}})
 
 
 # --- wedges ------------------------------------------------------------------
@@ -89,9 +87,9 @@ def test_patched_cover_override(digits, tinu):
 # --- safety ---------------------------------------------------------------------
 
 def test_root_safe_for_every_cover(digits, tinu, table_fixture):
-    fam, table = table_fixture
+    tree, table = table_fixture
     assert is_safe(tinu, digits.root())
-    assert is_safe(table, fam.root())
+    assert is_safe(table, tree.root())
 
 
 def test_nonbinary_digit_unsafe(digits, tinu):
@@ -112,14 +110,14 @@ def test_find_safe_point_canonical(digits, tinu):
 
 
 def test_find_safe_point_zero(digits, tinu, table_fixture):
-    fam, table = table_fixture
+    tree, table = table_fixture
     assert find_safe_point(tinu, ZERO) == digits.root()
     assert find_safe_point(table, ZERO) == "r"
 
 
 def test_table_fixture_safe_set(table_fixture):
-    fam, table = table_fixture
-    safe = [x for x in fam.tree.parent if is_safe(table, x)]
+    tree, table = table_fixture
+    safe = [x for x in tree.parent if is_safe(table, x)]
     assert sorted(safe) == ["0", "r"]
     assert find_safe_point(table, from_nat(2)) is None
     assert covers_within(table, from_nat(2))
@@ -193,9 +191,9 @@ def test_safe_subtree_membership(digits, tinu):
 
 
 def test_safe_subtree_table(table_fixture):
-    fam, table = table_fixture
+    tree, table = table_fixture
     S = SafeSubtree(table)
-    assert {x for x in fam.tree.parent if S.contains(x)} == {"r", "0"}
+    assert {x for x in tree.parent if S.contains(x)} == {"r", "0"}
     assert S.values("r") == ["0"]
     assert S.values("1") == []
 
@@ -242,39 +240,39 @@ def test_safe_subtree_round_trip(digits, tinu):
 # --- finite oracle ---------------------------------------------------------------------
 
 def test_explicit_subtree_cover(table_fixture):
-    fam, _ = table_fixture
-    cover = ExplicitSubtree(fam, {"r", "0"})
+    tree, _ = table_fixture
+    cover = ExplicitSubtree(tree, {"r", "0"})
     assert cover.values("r") == ["0"]
     assert cover.values("0") == []
-    assert [x for x in fam.tree.parent if is_safe(cover, x)] == ["r", "0"]
+    assert [x for x in tree.parent if is_safe(cover, x)] == ["r", "0"]
     assert covers_within(cover, from_nat(2))
     assert not covers_within(cover, from_nat(1))
     with pytest.raises(ValueError):
-        ExplicitSubtree(fam, {"0"})  # not downward closed
+        ExplicitSubtree(tree, {"0"})  # not downward closed
 
 
 def test_oracle_singleton():
     tree = ExplicitTree().add("r", None)
-    report = lindelof_oracle(tree, 1)
+    report = lindelof_oracle(tree)
     assert report["counterexamples"] == []
     assert report["covers_checked"] == 1
 
 
 def test_oracle_binary_h3_exhaustive():
     tree = ExplicitTree.complete(2, 3)
-    report = lindelof_oracle(tree, 3)
+    report = lindelof_oracle(tree)
     assert report["counterexamples"] == []
     assert report["covers_checked"] == report["space"] == 4**3
 
 
 def test_oracle_matches_symbolic_fixture(table_fixture):
-    fam, table = table_fixture
+    tree, table = table_fixture
     # cross-check the symbolic safe set against the oracle's DP on one cover
     from treewedge.wedge import _safe_sets
 
     fmap = {"r": frozenset({"0"})}
-    safe = _safe_sets(fam.tree, fmap)
-    for x in fam.tree.parent:
+    safe = _safe_sets(tree, fmap)
+    for x in tree.parent:
         assert safe[x] == is_safe(table, x)
 
 
@@ -288,11 +286,11 @@ class _CountingRandom(random.Random):
 
 def test_oracle_explosion_guard():
     tree = ExplicitTree.complete(3, 4)
-    assert cover_space_size(tree, 2) == 7**13
+    assert RuleSpace(tree, 2).size == 7**13
     with pytest.raises(ExplosionGuard):
-        lindelof_oracle(tree, 4, max_covers=10**6)
+        lindelof_oracle(tree, max_covers=10**6)
     rng = _CountingRandom(1)
-    report = lindelof_oracle(tree, 4, max_covers=10**6, sample=200, rng=rng)
+    report = lindelof_oracle(tree, max_covers=10**6, sample=200, rng=rng)
     assert report["sampled"]
     assert report["covers_checked"] == 200
     assert report["counterexamples"] == []
@@ -308,14 +306,14 @@ def test_oracle_catches_a_broken_dp(monkeypatch):
         return safe
 
     monkeypatch.setattr(wedge, "_safe_sets", forgetful)
-    report = lindelof_oracle(ExplicitTree.complete(2, 3), 3)
+    report = lindelof_oracle(ExplicitTree.complete(2, 3))
     assert report["counterexamples"]
     assert report["counterexamples"][0]["level"] == 1
 
 
 def test_oracle_exhaustive_on_ragged_tree():
     tree = _random_tree(random.Random(1), 15)
-    report = lindelof_oracle(tree, tree.tree_height())
+    report = lindelof_oracle(tree)
     assert not report["sampled"]
     assert report["covers_checked"] == report["space"] == 6776
     assert report["counterexamples"] == []
@@ -334,17 +332,16 @@ def test_rank_order_is_product_order(tree):
         for x in internal
     ]
     expected = [dict(zip(internal, combo)) for combo in product(*options)]
-    assert RuleSpace(tree, 2).size == len(expected) == cover_space_size(tree, 2)
+    assert RuleSpace(tree, 2).size == len(expected)
     assert list(all_covers(tree, 2)) == expected
 
 
 @pytest.mark.parametrize("tree", RULE_TREES, ids=["binary", "ternary", "ragged"])
 def test_wedge_masks_are_wedges(tree):
-    fam = ExplicitFamily(tree)
     nodes = list(tree.parent)
 
     def members(w):
-        return sum(1 << i for i, x in enumerate(nodes) if wedge_contains(fam, w, x))
+        return sum(1 << i for i, x in enumerate(nodes) if wedge_contains(tree, w, x))
 
     cone = wedge._cone_masks(tree)
     assert cone == {y: members(Wedge(y, ())) for y in nodes}
@@ -356,25 +353,24 @@ def test_wedge_masks_are_wedges(tree):
 
 # --- the engine against real wedges ---------------------------------------------------
 
-def _wedge_covered(fam, fmap, x):
+def _wedge_covered(tree, fmap, x):
     """Whether x lies in the wedge of fmap at some node of lower depth."""
-    depth = fam.tree.depth
+    depth = tree.depth
     return any(
-        wedge_contains(fam, Wedge(y, tuple(fmap.get(y, ()))), x)
-        for y in fam.tree.parent
+        wedge_contains(tree, Wedge(y, tuple(fmap.get(y, ()))), x)
+        for y in tree.parent
         if depth[y] < depth[x]
     )
 
 
-def _assert_engine_matches_wedges(fam, rule, fmap):
-    tree = fam.tree
+def _assert_engine_matches_wedges(tree, rule, fmap):
     for x in tree.parent:
-        assert is_safe(rule, x) == (not _wedge_covered(fam, fmap, x)), x
+        assert is_safe(rule, x) == (not _wedge_covered(tree, fmap, x)), x
         # a violation is a step below x: PatchedCover relies on it
         bad = rule.first_violation(x)
-        assert bad is None or bad < fam.height(x), x
+        assert bad is None or bad < tree.height(x), x
     for d in range(1, tree.tree_height()):
-        covered = all(_wedge_covered(fam, fmap, x) for x in tree.level_nodes(d))
+        covered = all(_wedge_covered(tree, fmap, x) for x in tree.level_nodes(d))
         assert covers_within(rule, from_nat(d)) == covered, d
 
 
@@ -401,22 +397,21 @@ def _rule_cases():
 
 @pytest.mark.parametrize("tree, rules", _rule_cases(), ids=["binary-all", "ternary", "ragged"])
 def test_engine_matches_wedges(tree, rules):
-    fam = ExplicitFamily(tree)
     for fmap in rules:
-        _assert_engine_matches_wedges(fam, TableCover(fam, fmap), fmap)
+        _assert_engine_matches_wedges(tree, TableCover(tree, fmap), fmap)
     rng = random.Random(5)
     for fmap, patch in zip(rules[:5], _seeded_rules(tree, 5, rng)):
         rows = dict(rng.sample(sorted(patch.items()), 2))
-        patched = TableCover(fam, fmap).patched(rows)
-        _assert_engine_matches_wedges(fam, patched, {**fmap, **rows})
+        patched = TableCover(tree, fmap).patched(rows)
+        _assert_engine_matches_wedges(tree, patched, {**fmap, **rows})
     # subtree rules over explicit trees: the safe set S of each rule, cut at a
     # seeded height h, promises the children that stay inside it
     for fmap in rules:
-        S = {x for x in tree.parent if not _wedge_covered(fam, fmap, x)}
+        S = {x for x in tree.parent if not _wedge_covered(tree, fmap, x)}
         h = rng.randrange(1, tree.tree_height() + 1)
         inside = {x: frozenset(c for c in tree.children[x] if c in S) for x in tree.parent}
         cut = {x: frozenset(c for c in inside[x] if tree.depth[c] < h) for x in tree.parent}
-        subtree = ExplicitSubtree(fam, S)
-        _assert_engine_matches_wedges(fam, subtree, inside)
-        _assert_engine_matches_wedges(fam, TruncatedSubtree(subtree, from_nat(h)), cut)
-        _assert_engine_matches_wedges(fam, SafeSubtree(TableCover(fam, fmap)), inside)
+        subtree = ExplicitSubtree(tree, S)
+        _assert_engine_matches_wedges(tree, subtree, inside)
+        _assert_engine_matches_wedges(tree, TruncatedSubtree(subtree, from_nat(h)), cut)
+        _assert_engine_matches_wedges(tree, SafeSubtree(TableCover(tree, fmap)), inside)
