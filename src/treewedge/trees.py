@@ -95,6 +95,10 @@ class ExplicitTree(TreeFamily):
         return 1 + max(self.depth.values()) if self.depth else 0
 
     def level_nodes(self, d: int) -> list[str]:
+        """The nodes of depth d; a level past the tree's height is an error,
+        not an empty level."""
+        if not d < self.tree_height():
+            raise ValueError(f"the tree has no level {d}: its height is {self.tree_height()}")
         return [x for x in self.parent if self.depth[x] == d]
 
     def ancestor_at(self, x: str, d: int) -> str:

@@ -14,8 +14,12 @@ all in one CoverRule hierarchy: the subtree rules (SubtreeCover and its
 subtrees: the binary tree inside the digit tree, its truncations, finite
 explicit subtrees and the safe set of another rule), finite patches of a
 subtree rule (PatchedCover), and finite tables over explicit trees
-(TableCover).  Each decides safety exactly; anything that would need an
-unbounded scan raises CoverUndecided instead of guessing.
+(TableCover).  Each decides safety exactly, and each decides its levels
+exactly: a subtree by its canonical witness, a table by scanning the finite
+level, a patch by a finite search over its rows.  The one rule that cannot
+say whether it reaches a level is the safe set of another rule used as a
+patch core, which no literal builds; it raises CoverUndecided.  A level an
+explicit tree does not have is an error, as a limit level is.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from math import prod
 
 from .families import DigitFamily, DigitNode
 from .ordinal import Ordinal, ZERO, add_ord, classify, from_nat, pred
-from .trees import ExplicitTree, TreeFamily, tree_le
+from .trees import ExplicitTree, TreeFamily, is_immediate_successor, tree_le
 
 
 class CoverUndecided(RuntimeError):
@@ -99,6 +103,36 @@ class SubtreeCover(CoverRule):
         there is none."""
         raise NotImplementedError
 
+    def reaches(self, x, alpha: Ordinal) -> bool:
+        """Whether some safe node of height alpha lies above the safe node x,
+        of height <= alpha."""
+        raise NotImplementedError
+
+    def reaches_avoiding(self, x, gates: list, alpha: Ordinal) -> bool:
+        """Whether some safe node of height alpha lies above the safe node x
+        with no gate strictly below it.  The gates are a finite antichain of
+        safe nodes strictly above x, below height alpha.  The walk climbs
+        through f from x: a child with no gate at or above it settles the
+        question by ``reaches``, and only children with a gate above them are
+        climbed, so a 2-splitting subtree visits O(len(gates)) nodes."""
+        # checked first: when x reaches nothing, no child settles the walk,
+        # which could then climb toward a gate at a limit height forever
+        if not self.reaches(x, alpha):
+            return False
+        fam = self.family
+        stack = [x]
+        while stack:
+            blocked = []
+            for c in self.values(stack.pop()):
+                if c in gates:
+                    continue
+                if any(tree_le(fam, c, q) == "below" for q in gates):
+                    blocked.append(c)
+                elif self.reaches(c, alpha):
+                    return True
+            stack.extend(blocked)
+        return False
+
     def witness_candidates(self, alpha: Ordinal, budget: int) -> list:
         w = self.safe_witness(alpha)
         return [w] if w is not None else []
@@ -146,6 +180,9 @@ class BinaryInsideDigits(SubtreeCover):
         stem = self.digits.bits.canonical_extension(self.digits.bits.root(), alpha)
         return self.digits.embed_bits(stem)
 
+    def reaches(self, x, alpha: Ordinal) -> bool:
+        return True  # every binary node extends to every height
+
     def describe(self) -> str:
         return "subtree(T-in-U)"
 
@@ -181,12 +218,16 @@ class TruncatedSubtree(SubtreeCover):
             return []
         return self.inner.values(x)
 
-    def safe_witness(self, alpha: Ordinal):
+    def _has_level(self, alpha: Ordinal) -> bool:
         # at a limit truncation height the level itself still has safe points:
         # every tested prefix sits strictly below h
-        if alpha < self.h or (alpha == self.h and classify(self.h) == "limit"):
-            return self.inner.safe_witness(alpha)
-        return None
+        return alpha < self.h or (alpha == self.h and classify(self.h) == "limit")
+
+    def safe_witness(self, alpha: Ordinal):
+        return self.inner.safe_witness(alpha) if self._has_level(alpha) else None
+
+    def reaches(self, x, alpha: Ordinal) -> bool:
+        return self._has_level(alpha) and self.inner.reaches(x, alpha)
 
     def describe(self) -> str:
         return f"trunc({self.inner.describe()}, {self.h})"
@@ -221,6 +262,10 @@ class ExplicitSubtree(SubtreeCover):
             if self.first_violation(x) is None:
                 return x
         return None
+
+    def reaches(self, x, alpha: Ordinal) -> bool:
+        tree = self.family
+        return any(self.first_violation(y) is None and tree.le(x, y) for y in tree.level_nodes(alpha.to_nat()))
 
     def describe(self) -> str:
         return f"subtree(explicit({len(self.members)} nodes))"
@@ -267,7 +312,8 @@ class PatchedCover(CoverRule):
     merges the rows into one table, outer rows winning, so the rule is
     always one layer over its core.  Safety stays exactly decidable: the
     core's violations form an upward-closed set, and only finitely many
-    steps are patched."""
+    steps are patched.  Levels are decidable too: a safe node leaves the
+    core only through patched nodes, so covers_within searches the rows."""
 
     def __init__(self, core: SubtreeCover, table: dict):
         if not isinstance(core, SubtreeCover):
@@ -331,10 +377,32 @@ class PatchedCover(CoverRule):
                     return
 
     def covers_within(self, alpha: Ordinal) -> bool:
-        if find_safe_point(self, alpha) is not None:
-            return False
-        raise CoverUndecided("no safe point found within budget; patched "
-                             "symbolic covers are only refuted by a witness")
+        """Exact search for a safe node of height alpha, from the root up.
+        A safe node z below alpha goes on as follows: if z is patched, through
+        the rows of z that are its immediate successors (no other member
+        routes a step); if z is unpatched and outside the core, nowhere;
+        otherwise through the core, to a safe node of height alpha with no
+        patched node in between (the core's reaches_avoiding) or to the
+        least patched core nodes above z (the gates).  Branches climb into
+        disjoint cones and every gate is a row, so the search is finite."""
+        fam, core = self.family, self.core
+        patched = [y for y in self.table if fam.height(y) < alpha]
+        stack = [fam.root()]
+        while stack:
+            z = stack.pop()
+            if fam.height(z) == alpha:
+                return False
+            if z in self.table:
+                stack.extend(c for c in self.table[z] if is_immediate_successor(fam, z, c))
+                continue
+            if core.first_violation(z) is not None:
+                continue
+            above = [y for y in patched if tree_le(fam, z, y) == "below" and core.first_violation(y) is None]
+            gates = [q for q in above if not any(tree_le(fam, p, q) == "below" for p in above)]
+            if core.reaches_avoiding(z, gates, alpha):
+                return False
+            stack.extend(gates)
+        return True
 
     def patched(self, rows: dict) -> CoverRule:
         return PatchedCover(self.core, {**self.table, **rows})
@@ -364,8 +432,10 @@ def find_safe_point(f: CoverRule, alpha: Ordinal, budget: int = 64):
 
 def covers_within(f: CoverRule, alpha: Ordinal) -> bool:
     """True iff the wedges of f below level alpha cover that whole level,
-    which happens exactly when no safe point of height alpha exists.  Raises
-    CoverUndecided when the rule cannot decide the level."""
+    which happens exactly when no safe point of height alpha exists.  Every
+    rule a literal builds decides this exactly; CoverUndecided is left for a
+    subtree whose witness is not safe and for a patch over the safe set of
+    another rule."""
     if alpha.is_zero():
         return False  # the root is always safe
     return f.covers_within(alpha)
@@ -397,6 +467,9 @@ class SafeSubtree(SubtreeCover):
 
     def covers_within(self, alpha: Ordinal) -> bool:
         return covers_within(self.f, alpha)
+
+    def reaches(self, x, alpha: Ordinal) -> bool:
+        raise CoverUndecided("the safe set of a rule cannot say which levels it reaches above a node")
 
     def describe(self) -> str:
         return f"subtree(safe({self.f.describe()}))"

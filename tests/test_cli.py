@@ -192,6 +192,17 @@ def test_table_over_two_roots_is_an_error_answer(tmp_path, capsys):
     assert error == "ValueError: a tree family needs one root, this tree has 2"
 
 
+@pytest.mark.parametrize("command", ["covers-within", "find-safe"])
+def test_level_past_the_tree_is_an_error_answer(tmp_path, capsys, command):
+    path = tmp_path / "tree.txt"
+    path.write_text("r -\n0 r\n1 r\n00 0\n")
+    for level in (9, 3):
+        assert main(["--query", f"{command} table({path}; r=>{{0}}) {level}"]) == 1
+        error = json.loads(capsys.readouterr().out)["result"]["error"]
+        assert error == f"ValueError: the tree has no level {level}: its height is 3"
+    assert main(["--query", f"{command} table({path}; r=>{{0}}, 0=>{{00}}) 2"]) == 0
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("suite=delta-x\nseed=5\ntrials=100\n")

@@ -16,7 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from treewedge.cli import main
+from treewedge.cli import main, run_query
+from treewedge.literals import parse_cover
+from treewedge.ordinal import parse_cnf
+from treewedge.suites import RunConfig, Workspace
 
 
 class Deadline(Exception):
@@ -126,6 +129,35 @@ def test_every_query_exits_cleanly(query):
     with deadline(10), contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         code = main(["--query", query])
     assert code in (0, 1, 2)
+
+
+# small digits, so that rows chain into one another
+patch_nodes = st.one_of(
+    st.lists(st.integers(0, 3), max_size=4).map(lambda ds: "u:[" + ",".join(f"d{d}" for d in ds) + "]"),
+    nodes,
+)
+subtree_patches = st.tuples(
+    st.one_of(st.just("subtree(T-in-U)"), ordinals.map(lambda h: f"subtree(T-in-U<{h})")),
+    st.lists(st.tuples(patch_nodes, st.lists(patch_nodes, max_size=3)), min_size=1, max_size=3),
+).map(lambda p: f"patched({p[0]}; " + ", ".join(f"{k}=>{{{','.join(v)}}}" for k, v in p[1]) + ")")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cover=subtree_patches, level=ordinals)
+def test_patched_subtree_levels_are_decided(cover, level):
+    config = RunConfig()
+    try:
+        parse_cover(cover, Workspace(config).digits)
+        parse_cnf(level)
+    except ValueError:
+        return  # only covers and levels that parse must be decided
+    with deadline(2):
+        covered = run_query(f"covers-within {cover} {level}", config)["result"]
+    assert set(covered) == {"covered"}, covered
+    with deadline(10):
+        found = run_query(f"find-safe {cover} {level}", config)["result"]
+    if found.get("node") is not None:
+        assert covered == {"covered": False}
 
 
 @pytest.mark.parametrize("query", ["eval-e 99999999999999999999999 5", "delta-e w+9999 w^2"])

@@ -1,9 +1,8 @@
 """Replay of the benchmark's query pool through the CLI.
 
 ``perfbench/pool.json`` holds 1,500 one-off queries with a golden digest of
-each answer.  Every answer must match its golden; only the known patched
-cover family (``perfbench/queries.known_undecided``) may answer undecided.
-The pool is read, never written.
+each answer.  Every answer must match its golden.  The pool is read, never
+written.
 """
 
 import importlib.util
@@ -31,7 +30,7 @@ def test_pool_answers_match_goldens(monkeypatch):
         _, code, out, _, error = queries.run_query(cli.main, query)
         verdict = queries.check(query, code, out, error, golden)
         verdicts[verdict] += 1
-        if verdict not in ("ok", "undecided"):
+        if verdict != "ok":
             failures.append((query, verdict))
     assert failures == []
-    assert verdicts == {"ok": 1478, "undecided": 22}
+    assert verdicts == {"ok": 1500}

@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from treewedge.coherent import CoherentSystem
-from treewedge.families import BitFamily, DigitFamily
+from treewedge.families import BitFamily, DigitFamily, DigitNode
 from treewedge.gen import rand_below, rand_digit_node
 from treewedge.literals import parse_cover
 from treewedge.ordinal import OMEGA, ZERO, add_ord, from_nat, parse_cnf
@@ -170,13 +170,20 @@ def test_patched_search_stops_at_the_core_witness(digits, tinu, monkeypatch):
     assert find_safe_point(f, OMEGA) == tinu.safe_witness(OMEGA)
 
 
-def test_patched_blocking_raises(digits, tinu):
+def test_patched_blocking_is_covered(digits, tinu):
     root = digits.root()
     d7 = digits.node([("d", 7)])
     f = PatchedCover(tinu, {root: (d7,)})
-    # every safe point must start with digit 7, leaving the binary subtree:
-    # no witness can be found, and the engine refuses to guess
+    # every safe point must start with digit 7, leaving the binary subtree
+    # at height 1 with no patch to carry it on: nothing above height 1 is safe
     assert find_safe_point(f, OMEGA) is None
+    assert covers_within(f, OMEGA) is True
+    assert covers_within(f, from_nat(1)) is False
+
+
+def test_patch_over_a_safe_set_is_undecided(digits, tinu):
+    # the safe set of a rule cannot say which levels it reaches
+    f = SafeSubtree(tinu).patched({digits.node([("d", 1)]): (digits.node([("d", 1), ("d", 5)]),)})
     with pytest.raises(CoverUndecided):
         covers_within(f, OMEGA)
 
@@ -415,3 +422,107 @@ def test_engine_matches_wedges(tree, rules):
         _assert_engine_matches_wedges(tree, subtree, inside)
         _assert_engine_matches_wedges(tree, TruncatedSubtree(subtree, from_nat(h)), cut)
         _assert_engine_matches_wedges(tree, SafeSubtree(TableCover(tree, fmap)), inside)
+
+
+# --- patched covers decide their levels -------------------------------------------------
+# The oracles below read safety off wedges or off is_safe, node by node, and
+# never call the row search behind PatchedCover.covers_within.
+
+def _random_patched_explicit(rng):
+    """A seeded ragged tree, a downward-closed core on it and a few patch
+    rows; a row now and then holds a node that is no child of its key."""
+    tree = _random_tree(rng, rng.randrange(2, 16))
+    members = set()
+    if rng.random() < 0.9:
+        members.add("r")
+        for x, p in tree.parent.items():  # insertion order puts every parent first
+            if p in members and rng.random() < 0.6:
+                members.add(x)
+    nodes = list(tree.parent)
+    rows = {}
+    for y in rng.sample(nodes, rng.randrange(1, min(6, len(nodes)) + 1)):
+        succ = [c for c in tree.children[y] if rng.random() < 0.5]
+        if rng.random() < 0.3:
+            succ.append(rng.choice(nodes))
+        rows[y] = tuple(succ)
+    return tree, members, rows
+
+
+def test_patched_explicit_cores_match_wedges():
+    rng = random.Random(11)
+    levels = 0
+    for _ in range(300):
+        tree, members, rows = _random_patched_explicit(rng)
+        rule = ExplicitSubtree(tree, members).patched(rows)
+        # a row member that is no child routes no step, so it excludes no cone
+        fmap = {
+            y: frozenset(c for c in rows[y] if tree.parent[c] == y) if y in rows
+            else frozenset(c for c in tree.children[y] if c in members)
+            for y in tree.parent
+        }
+        _assert_engine_matches_wedges(tree, rule, fmap)
+        levels += tree.tree_height() - 1
+    assert levels >= 900
+
+
+def _random_digit_rows(rng, top):
+    """Patch rows over finite digit nodes with digits <= top.  Keys are often
+    members of earlier rows, so that rows chain out of the binary subtree,
+    or bit extensions of earlier keys, so that patched nodes nest."""
+    def node(n):
+        return DigitNode(None, (), tuple(rng.randrange(top + 1) for _ in range(n)))
+
+    rows = {}
+    for _ in range(rng.randrange(1, 6)):
+        members = [z for succ in rows.values() for z in succ if len(z.trail) < 4]
+        keys = [y for y in rows if len(y.trail) < 3]
+        pick = rng.random()
+        if members and pick < 0.4:
+            y = rng.choice(members)
+        elif keys and pick < 0.7:
+            y = rng.choice(keys)
+            y = DigitNode(None, (), y.trail + tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4 - len(y.trail)))))
+        else:
+            y = node(rng.randrange(4))
+        succ = [DigitNode(None, (), y.trail + (d,)) for d in range(top + 1) if rng.random() < 0.4]
+        if rng.random() < 0.2:
+            succ.append(node(rng.randrange(1, 5)))  # no child of y: it routes no step
+        rows[y] = tuple(succ)
+    return rows
+
+
+def test_patched_digit_levels_match_brute_force(tinu):
+    rng = random.Random(12)
+    cores = [tinu] + [TruncatedSubtree(tinu, h) for h in (*map(from_nat, range(1, 6)), OMEGA)]
+    answers = {True: 0, False: 0}
+    for _ in range(300):
+        rows = _random_digit_rows(rng, rng.randrange(2, 4))
+        f = rng.choice(cores).patched(rows)
+        # every digit of a safe node is a bit (a step into the core) or a
+        # digit of a row (a step through a patch)
+        top = max([1, *(d for y, succ in rows.items() for z in (y, *succ) for d in z.trail)])
+        for n in range(1, 5):
+            level = product(range(top + 1), repeat=n)
+            has_safe = any(is_safe(f, DigitNode(None, (), t)) for t in level)
+            assert covers_within(f, from_nat(n)) == (not has_safe), (rows, n)
+            answers[not has_safe] += 1
+    assert min(answers.values()) >= 100
+
+
+def test_patched_limit_levels_agree_with_find_safe(tinu):
+    rng = random.Random(13)
+    stem = tinu.safe_witness(OMEGA)
+    cores = [tinu, *(TruncatedSubtree(tinu, parse_cnf(h)) for h in ("w", "w*2", "3"))]
+    levels = [parse_cnf(a) for a in ("w", "w+1", "w*2", "w^2")]
+    found = 0
+    for _ in range(100):
+        rows = _random_digit_rows(rng, 3)
+        if rng.random() < 0.5:
+            # a row at the canonical node of height w, so that a gate sits at a limit
+            rows[stem] = tuple(DigitNode(stem.base, stem.patch, (d,)) for d in range(4) if rng.random() < 0.5)
+        f = rng.choice(cores).patched(rows)
+        for alpha in levels:
+            if find_safe_point(f, alpha) is not None:
+                found += 1
+                assert covers_within(f, alpha) is False, (rows, alpha)
+    assert found >= 100
