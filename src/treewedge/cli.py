@@ -9,11 +9,18 @@ failed (or the query answered an error, including an unreadable tree file),
 2 usage error: a bad flag, command or target, an unreadable config file, a
 config value that does not parse, a negative int setting, or a --json path
 that cannot be written.
+
+``main`` may be called many times in one process, as the benchmark and the
+tests do.  It builds its argument parser once, on the first call, and reuses
+it: the parser holds no state between calls, since each call parses into a
+fresh namespace.  Only such in-process callers save anything by this; a
+one-shot ``treewedge`` process builds the parser once either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -47,6 +54,7 @@ def load_config_file(path: str) -> dict:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treewedge",
@@ -188,8 +196,7 @@ def emit(report: dict, json_path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config, actions = merge_config(args)
     except (OSError, ValueError) as err:  # unreadable or undecodable file, bad line or value

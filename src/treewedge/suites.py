@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from itertools import islice
 from . import __version__
 from .coherent import CoherentSystem, UndecidedError
@@ -71,7 +71,8 @@ class RunConfig:
         return [parse_cnf(a) for a in self.anchors]
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        # flat: every field is an int or a tuple of strings, so no deep copy
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class Workspace:

@@ -356,6 +356,11 @@ class PatchedCover(CoverRule):
         # before any level node is built
         yield from self.core.witness_candidates(alpha, budget)
         yield from self._threaded_candidates(alpha, budget)
+        try:
+            if self.covers_within(alpha):
+                return  # no safe node at this level for the scan to find
+        except CoverUndecided:
+            pass  # a patch over a safe set: only the scan can search it
         yield from islice(self.family.level(alpha), budget)
 
     def _threaded_candidates(self, alpha: Ordinal, budget: int):

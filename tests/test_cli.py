@@ -1,10 +1,11 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from treewedge.cli import main, run_query
+from treewedge.cli import build_parser, main, run_query
 from treewedge.literals import split_top
 from treewedge.suites import RunConfig
 
@@ -246,3 +247,38 @@ def test_report_embeds_version_and_config(tmp_path):
     report = json.loads(path.read_text())
     assert report["version"]
     assert "seed" in report["config"]
+
+
+# --- the parser is built once per process and keeps no state between calls ---
+
+def test_main_builds_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    build_parser.cache_clear()
+    for _ in range(50):
+        assert main(["--query", "eval-e w 3"]) == 0
+    assert len(built) == 1
+
+
+def test_flags_do_not_carry_over(capsys):
+    assert main(["--trials", "5", "--query", "eval-e w 3"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["trials"] == 5
+    assert main(["--query", "eval-e w 3"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["trials"] == 1000
+
+
+def test_usage_error_leaves_the_parser_clean(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["--query", "eval-e w 3"]) == 0
+    out, err = capsys.readouterr()
+    fresh = run_cli(["--query", "eval-e w 3"])
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, out, err)

@@ -170,6 +170,40 @@ def test_patched_search_stops_at_the_core_witness(digits, tinu, monkeypatch):
     assert find_safe_point(f, OMEGA) == tinu.safe_witness(OMEGA)
 
 
+@pytest.mark.parametrize("level", ["3", "w", "w*2"])
+def test_patched_search_skips_a_covered_level(digits, monkeypatch, level):
+    # the root's only row leaves the binary subtree, so no level above 1 has
+    # a safe node; the exact level search says so before any level scan
+    f = parse_cover("patched(subtree(T-in-U); u:[]=>{u:[d5]})", digits)
+    alpha = parse_cnf(level)
+
+    def no_level(alpha):
+        raise AssertionError("the level was enumerated")
+
+    monkeypatch.setattr(digits, "level", no_level)
+    assert covers_within(f, alpha) is True
+    assert find_safe_point(f, alpha) is None
+
+
+def test_undecided_patched_search_still_scans_the_level(digits, tinu, monkeypatch):
+    # both rows leave the binary subtree, so neither the core witness nor a
+    # threaded candidate is safe, and the level search over a safe set is
+    # undecided: the level scan is the only search left
+    f = SafeSubtree(tinu).patched({digits.node([("d", b)]): (digits.node([("d", b), ("d", 5)]),) for b in (0, 1)})
+    with pytest.raises(CoverUndecided):
+        covers_within(f, OMEGA)
+    scanned = []
+    level = digits.level
+
+    def spy(alpha):
+        scanned.append(alpha)
+        return level(alpha)
+
+    monkeypatch.setattr(digits, "level", spy)
+    assert find_safe_point(f, OMEGA) is None
+    assert scanned == [OMEGA]
+
+
 def test_patched_blocking_is_covered(digits, tinu):
     root = digits.root()
     d7 = digits.node([("d", 7)])
