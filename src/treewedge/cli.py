@@ -157,7 +157,7 @@ def _dispatch(ws: Workspace, cmd: str, args: list[str]) -> dict:
         return {"safe": is_safe(cover, node)}
     if cmd == "find-safe":
         cover = parse_cover(args[0], ws.digits, load_tree)
-        found = find_safe_point(cover, parse_cnf(args[1]), budget=ws.config.budget_enum)
+        found = find_safe_point(cover, parse_cnf(args[1]))
         return {"node": None if found is None else format_node(cover.family, found)}
     if cmd == "covers-within":
         cover = parse_cover(args[0], ws.digits, load_tree)

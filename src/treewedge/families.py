@@ -16,7 +16,7 @@ keeps a canonical normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count, product
+from itertools import count
 from typing import Iterator
 
 from .coherent import CoherentSystem
@@ -38,7 +38,7 @@ class InjectivityError(ValueError):
     """Node construction would denote a non-injective sequence."""
 
 
-# --- position / subset streams ------------------------------------------------
+# --- position stream ------------------------------------------------
 
 def positions_below(bound: Ordinal) -> Iterator[Ordinal]:
     """Canonical stream of all ordinals below ``bound`` (structural-key order)."""
@@ -49,112 +49,6 @@ def positions_below(bound: Ordinal) -> Iterator[Ordinal]:
     for a in ordinals_from_keys():
         if a < bound:
             yield a
-
-
-def finite_subsets(stream_factory) -> Iterator[tuple]:
-    """All finite subsets of a position stream: stage n emits the subsets of
-    the first n positions that contain the n-th, ordered by size then values.
-    """
-    yield ()
-    prefix = []
-    stream = stream_factory()
-    while True:
-        try:
-            p = next(stream)
-        except StopIteration:
-            return
-        subsets = [(p,)]
-        for s in _subsets_of(prefix):
-            if s:
-                subsets.append(tuple(sorted(s + (p,))))
-        subsets.sort(key=lambda s: (len(s), s))
-        yield from subsets
-        prefix.append(p)
-
-
-def _subsets_of(items):
-    n = len(items)
-    for mask in range(1 << n):
-        yield tuple(items[i] for i in range(n) if mask >> i & 1)
-
-
-def digit_tuples(length: int) -> Iterator[tuple[int, ...]]:
-    """All natural-digit tuples of the given length, by total sum then lex."""
-    if length == 0:
-        yield ()
-        return
-    for total in count(0):
-        yield from _compositions(total, length)
-
-
-def finite_maps(position_stream_factory) -> Iterator[dict]:
-    """Fair stream of all finite maps from stream positions to naturals:
-    subset i is paired with its j-th value tuple at stage i+j, so every map
-    appears exactly once."""
-    stream = finite_subsets(position_stream_factory)
-    subsets: list[tuple] = []
-    value_iters: list = []
-    value_cache: list[list] = []
-    exhausted = False
-    for stage in count(0):
-        if not exhausted:
-            try:
-                s = next(stream)
-                subsets.append(s)
-                value_iters.append(digit_tuples(len(s)))
-                value_cache.append([])
-            except StopIteration:
-                exhausted = True
-        emitted = False
-        for i, s in enumerate(subsets):
-            j = stage - i
-            if j < 0:
-                continue
-            cache = value_cache[i]
-            while len(cache) <= j:
-                try:
-                    cache.append(next(value_iters[i]))
-                except StopIteration:
-                    break
-            if j < len(cache):
-                emitted = True
-                yield dict(zip(s, cache[j]))
-        if exhausted and not emitted and stage > len(subsets):
-            return
-
-
-def _compositions(total, length):
-    """Tuples of ``length`` naturals summing to ``total``, in lex order: bar
-    positions among total + length - 1 slots, as combinations yield them."""
-    for bars in combinations(range(total + length - 1), length - 1):
-        edges = (-1, *bars, total + length - 1)
-        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
-
-
-def diagonal_product(*factories) -> Iterator[tuple]:
-    """Fair enumeration of a product of infinite streams by index sum."""
-    iters = [f() for f in factories]
-    cache = [[] for _ in iters]
-    for total in count(0):
-        made = False
-        for combo in _compositions(total, len(iters)):
-            item = []
-            ok = True
-            for slot, idx in enumerate(combo):
-                while len(cache[slot]) <= idx:
-                    try:
-                        cache[slot].append(next(iters[slot]))
-                    except StopIteration:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                item.append(cache[slot][idx])
-            if ok:
-                made = True
-                yield tuple(item)
-        if not made and all(len(cached) <= total for cached in cache):
-            return
 
 
 # --- injective-sequence family ---------------------------------------------------
@@ -247,17 +141,6 @@ class InjFamily(TreeFamily):
                 over = dict(self._rebase(x, up))
                 over[alpha] = v
                 yield InjNode(up, tuple(sorted(over.items())))
-
-    def level(self, alpha: Ordinal) -> Iterator[InjNode]:
-        seen = set()
-        for over in finite_maps(lambda: positions_below(alpha)):
-            try:
-                node = self.node(alpha, over)
-            except InjectivityError:
-                continue
-            if node not in seen:
-                seen.add(node)
-                yield node
 
     def canonical_extension(self, x: InjNode, alpha: Ordinal) -> InjNode:
         """Least-fuss node above x at height alpha: follow the base system,
@@ -376,17 +259,6 @@ class BitFamily(TreeFamily):
         up = add_ord(x.height, from_nat(1))
         for b in (0, 1):
             yield BitNode(up, x.flips, x.tail + (b,))
-
-    def level(self, alpha: Ordinal) -> Iterator[BitNode]:
-        gamma, m = block_decompose(alpha)
-        tails = list(product((0, 1), repeat=m))
-        if gamma.is_zero():
-            for tail in tails:
-                yield BitNode(alpha, (), tail)
-            return
-        for flips in finite_subsets(lambda: positions_below(gamma)):
-            for tail in tails:
-                yield BitNode(alpha, flips, tail)
 
     def canonical_extension(self, x: BitNode, alpha: Ordinal) -> BitNode:
         """Extend by the block stem below the target limit and zeros above it."""
@@ -552,26 +424,6 @@ class DigitFamily(TreeFamily):
     def successors(self, x: DigitNode) -> Iterator[DigitNode]:
         for d in count(0):
             yield DigitNode(x.base, x.patch, x.trail + (d,))
-
-    def level(self, alpha: Ordinal) -> Iterator[DigitNode]:
-        gamma, m = block_decompose(alpha)
-        if gamma.is_zero():
-            for trail in digit_tuples(m):
-                yield DigitNode(None, (), trail)
-            return
-
-        def patches():
-            for assignment in finite_maps(lambda: positions_below(gamma)):
-                yield tuple(sorted(assignment.items()))
-
-        seen = set()
-        for base, patch, trail in diagonal_product(
-            lambda: self.bits.level(gamma), patches, lambda: digit_tuples(m)
-        ):
-            node = self.assemble(base, dict(patch), trail)
-            if node not in seen:
-                seen.add(node)
-                yield node
 
     def canonical_extension(self, x: DigitNode, alpha: Ordinal) -> DigitNode:
         """Zero digits inside a block, the canonical bit stem across limits."""

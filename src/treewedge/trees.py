@@ -2,10 +2,11 @@
 
 Symbolic nodes are immutable values interpreted by a family object.  An
 explicit tree is itself a family: a small in-memory tree whose nodes are
-their string ids, used as a brute-force oracle.  The
-``successors`` and ``level`` streams are single-consumer generators that may
-be infinite; each caller bounds what it draws.  The budgets live there:
-``wedge.find_safe_point`` scans at most ``budget`` nodes of a level,
+their string ids, used as a brute-force oracle.  A family has no stream of
+a whole level: the wedge engine reaches levels through canonical extensions
+and decides them exactly, so ``wedge.find_safe_point`` takes no budget.  The
+``successors`` stream is a single-consumer generator that may be infinite;
+each caller bounds what it draws.  The budgets live there:
 ``forcing.simulate_filter`` runs at most ``budget`` extension steps, and
 ``InjFamily`` decodes each range test within ``budget_range`` steps.
 """
@@ -36,9 +37,6 @@ class TreeFamily:
         raise NotImplementedError
 
     def successors(self, x) -> Iterator:
-        raise NotImplementedError
-
-    def level(self, alpha: Ordinal) -> Iterator:
         raise NotImplementedError
 
     def canonical_extension(self, x, alpha: Ordinal):
@@ -128,9 +126,6 @@ class ExplicitTree(TreeFamily):
 
     def successors(self, x: str) -> Iterator[str]:
         return iter(self.children[x])
-
-    def level(self, alpha: Ordinal) -> Iterator[str]:
-        return iter(self.level_nodes(alpha.to_nat()))
 
     def canonical_extension(self, x: str, alpha: Ordinal) -> str:
         d = alpha.to_nat()

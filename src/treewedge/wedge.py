@@ -16,16 +16,18 @@ explicit subtrees and the safe set of another rule), finite patches of a
 subtree rule (PatchedCover), and finite tables over explicit trees
 (TableCover).  Each decides safety exactly, and each decides its levels
 exactly: a subtree by its canonical witness, a table by scanning the finite
-level, a patch by a finite search over its rows.  The one rule that cannot
-say whether it reaches a level is the safe set of another rule used as a
-patch core, which no literal builds; it raises CoverUndecided.  A level an
-explicit tree does not have is an error, as a limit level is.
+level, a patch by a finite search over its rows, which also gives the safe
+node find_safe_point answers.  The one rule that cannot say whether it
+reaches a level above a node other than the root is the safe set of another
+rule; used as a patch core, which no literal builds, it raises
+CoverUndecided.  A level an explicit tree does not have is an error, as a
+limit level is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from math import prod
 
 from .families import DigitFamily, DigitNode
@@ -34,7 +36,8 @@ from .trees import ExplicitTree, TreeFamily, is_immediate_successor, tree_le
 
 
 class CoverUndecided(RuntimeError):
-    """The cover question cannot be decided within the given structure/budget."""
+    """The cover question cannot be decided for the rule's structure: only a
+    patch over the safe set of another rule raises it."""
 
 
 class ExplosionGuard(RuntimeError):
@@ -71,9 +74,9 @@ class CoverRule:
         x is not in f(b-prefix).  None means x is safe."""
         raise NotImplementedError
 
-    def witness_candidates(self, alpha: Ordinal, budget: int):
+    def witness_candidates(self, alpha: Ordinal):
         """Nodes of height alpha > 0 that find_safe_point tests, in order,
-        as an iterable."""
+        as an iterable; some candidate is safe unless the level is covered."""
         raise NotImplementedError
 
     def covers_within(self, alpha: Ordinal) -> bool:
@@ -84,41 +87,40 @@ class CoverRule:
         """The rule with f(x) replaced by rows[x] for every x in rows."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 class SubtreeCover(CoverRule):
     """The rule of a downward-closed subtree S: f(x) = the immediate
     successors of x inside S, so first_violation(x) is the least height b
     whose (b+1)-prefix of x leaves S.  Each subclass is one subtree: it
     decides membership, f and the first violation, and gives a canonical
-    safe witness per level, from which the level questions follow."""
+    safe node above each safe node, from which the level questions follow."""
 
     def contains(self, x) -> bool:
         raise NotImplementedError
 
-    def safe_witness(self, alpha: Ordinal):
-        """A node of height alpha that is safe for the rule, or None when
-        there is none."""
+    def safe_above(self, x, alpha: Ordinal):
+        """A canonical node of height alpha above the safe node x, of height
+        <= alpha, that is safe for the rule, or None when there is none."""
         raise NotImplementedError
 
     def reaches(self, x, alpha: Ordinal) -> bool:
         """Whether some safe node of height alpha lies above the safe node x,
         of height <= alpha."""
-        raise NotImplementedError
+        return self.safe_above(x, alpha) is not None
 
-    def reaches_avoiding(self, x, gates: list, alpha: Ordinal) -> bool:
-        """Whether some safe node of height alpha lies above the safe node x
-        with no gate strictly below it.  The gates are a finite antichain of
+    def reaches_avoiding(self, x, gates: list, alpha: Ordinal):
+        """A child of x in f, or of a node climbed from x, above which some
+        safe node of height alpha lies with no gate strictly below it; None
+        when there is no such safe node.  The gates are a finite antichain of
         safe nodes strictly above x, below height alpha.  The walk climbs
         through f from x: a child with no gate at or above it settles the
-        question by ``reaches``, and only children with a gate above them are
-        climbed, so a 2-splitting subtree visits O(len(gates)) nodes."""
+        question by ``reaches`` and is returned, and only children with a
+        gate above them are climbed, so a 2-splitting subtree visits
+        O(len(gates)) nodes."""
         # checked first: when x reaches nothing, no child settles the walk,
         # which could then climb toward a gate at a limit height forever
         if not self.reaches(x, alpha):
-            return False
+            return None
         fam = self.family
         stack = [x]
         while stack:
@@ -129,21 +131,16 @@ class SubtreeCover(CoverRule):
                 if any(tree_le(fam, c, q) == "below" for q in gates):
                     blocked.append(c)
                 elif self.reaches(c, alpha):
-                    return True
+                    return c
             stack.extend(blocked)
-        return False
+        return None
 
-    def witness_candidates(self, alpha: Ordinal, budget: int) -> list:
-        w = self.safe_witness(alpha)
+    def witness_candidates(self, alpha: Ordinal) -> list:
+        w = self.safe_above(self.family.root(), alpha)
         return [w] if w is not None else []
 
     def covers_within(self, alpha: Ordinal) -> bool:
-        w = self.safe_witness(alpha)
-        if w is None:
-            return True
-        if self.first_violation(w) is None:
-            return False
-        raise CoverUndecided(f"stale witness for {self.describe()} at {alpha}")
+        return self.safe_above(self.family.root(), alpha) is None
 
     def patched(self, rows: dict) -> CoverRule:
         return PatchedCover(self, rows)
@@ -176,15 +173,13 @@ class BinaryInsideDigits(SubtreeCover):
             return []
         return [DigitNode(x.base, x.patch, x.trail + (b,)) for b in (0, 1)]
 
-    def safe_witness(self, alpha: Ordinal) -> DigitNode:
-        stem = self.digits.bits.canonical_extension(self.digits.bits.root(), alpha)
-        return self.digits.embed_bits(stem)
+    def safe_above(self, x: DigitNode, alpha: Ordinal) -> DigitNode:
+        # zero digits and bit stems: the canonical extension of a binary node
+        # stays binary
+        return self.digits.canonical_extension(x, alpha)
 
     def reaches(self, x, alpha: Ordinal) -> bool:
         return True  # every binary node extends to every height
-
-    def describe(self) -> str:
-        return "subtree(T-in-U)"
 
 
 class TruncatedSubtree(SubtreeCover):
@@ -223,14 +218,11 @@ class TruncatedSubtree(SubtreeCover):
         # every tested prefix sits strictly below h
         return alpha < self.h or (alpha == self.h and classify(self.h) == "limit")
 
-    def safe_witness(self, alpha: Ordinal):
-        return self.inner.safe_witness(alpha) if self._has_level(alpha) else None
+    def safe_above(self, x, alpha: Ordinal):
+        return self.inner.safe_above(x, alpha) if self._has_level(alpha) else None
 
     def reaches(self, x, alpha: Ordinal) -> bool:
         return self._has_level(alpha) and self.inner.reaches(x, alpha)
-
-    def describe(self) -> str:
-        return f"trunc({self.inner.describe()}, {self.h})"
 
 
 class ExplicitSubtree(SubtreeCover):
@@ -257,18 +249,12 @@ class ExplicitSubtree(SubtreeCover):
     def values(self, x) -> list:
         return [c for c in self.family.children[x] if c in self.members]
 
-    def safe_witness(self, alpha: Ordinal):
-        for x in self.family.level_nodes(alpha.to_nat()):
-            if self.first_violation(x) is None:
-                return x
-        return None
-
-    def reaches(self, x, alpha: Ordinal) -> bool:
+    def safe_above(self, x, alpha: Ordinal):
         tree = self.family
-        return any(self.first_violation(y) is None and tree.le(x, y) for y in tree.level_nodes(alpha.to_nat()))
-
-    def describe(self) -> str:
-        return f"subtree(explicit({len(self.members)} nodes))"
+        for y in tree.level_nodes(alpha.to_nat()):
+            if self.first_violation(y) is None and tree.le(x, y):
+                return y
+        return None
 
 
 class TableCover(CoverRule):
@@ -294,7 +280,7 @@ class TableCover(CoverRule):
                 return from_nat(b)
         return None
 
-    def witness_candidates(self, alpha: Ordinal, budget: int) -> list:
+    def witness_candidates(self, alpha: Ordinal) -> list:
         return self.family.level_nodes(alpha.to_nat())
 
     def covers_within(self, alpha: Ordinal) -> bool:
@@ -303,9 +289,6 @@ class TableCover(CoverRule):
     def patched(self, rows: dict) -> CoverRule:
         return TableCover(self.family, {**self.table, **rows})
 
-    def describe(self) -> str:
-        return f"table({len(self.table)} rows)"
-
 
 class PatchedCover(CoverRule):
     """A subtree rule overridden on finitely many nodes.  Patching again
@@ -313,7 +296,8 @@ class PatchedCover(CoverRule):
     always one layer over its core.  Safety stays exactly decidable: the
     core's violations form an upward-closed set, and only finitely many
     steps are patched.  Levels are decidable too: a safe node leaves the
-    core only through patched nodes, so covers_within searches the rows."""
+    core only through patched nodes, so one search over the rows decides
+    the level and gives find_safe_point its last candidate."""
 
     def __init__(self, core: SubtreeCover, table: dict):
         if not isinstance(core, SubtreeCover):
@@ -351,37 +335,32 @@ class PatchedCover(CoverRule):
                 b = add_ord(b, from_nat(1))
         return best
 
-    def witness_candidates(self, alpha: Ordinal, budget: int):
+    def witness_candidates(self, alpha: Ordinal):
         # lazy, so that find_safe_point stops at the first safe candidate
-        # before any level node is built
-        yield from self.core.witness_candidates(alpha, budget)
-        yield from self._threaded_candidates(alpha, budget)
-        try:
-            if self.covers_within(alpha):
-                return  # no safe node at this level for the scan to find
-        except CoverUndecided:
-            pass  # a patch over a safe set: only the scan can search it
-        yield from islice(self.family.level(alpha), budget)
+        # before the search runs
+        yield from self.core.witness_candidates(alpha)
+        yield from self._threaded_candidates(alpha)
+        # a node of height alpha that the search reaches through the rows is
+        # a safe threaded candidate, so the search gets here only when it
+        # settles below alpha, in the core
+        settled = self._search(alpha)
+        if settled is not None:
+            yield self.core.safe_above(settled, alpha)
 
-    def _threaded_candidates(self, alpha: Ordinal, budget: int):
+    def _threaded_candidates(self, alpha: Ordinal):
         """Candidates routed through the allowed successors of patched nodes."""
         fam = self.family
-        found = 0
         for y, succ in self.table.items():
             if not fam.height(y) < alpha:
                 continue
             for z in succ:
                 if not alpha < fam.height(z):
                     try:
-                        w = fam.canonical_extension(z, alpha)
+                        yield fam.canonical_extension(z, alpha)
                     except ValueError:
                         continue
-                    found += 1
-                    yield w
-                if found >= budget:
-                    return
 
-    def covers_within(self, alpha: Ordinal) -> bool:
+    def _search(self, alpha: Ordinal):
         """Exact search for a safe node of height alpha, from the root up.
         A safe node z below alpha goes on as follows: if z is patched, through
         the rows of z that are its immediate successors (no other member
@@ -389,14 +368,18 @@ class PatchedCover(CoverRule):
         otherwise through the core, to a safe node of height alpha with no
         patched node in between (the core's reaches_avoiding) or to the
         least patched core nodes above z (the gates).  Branches climb into
-        disjoint cones and every gate is a row, so the search is finite."""
+        disjoint cones and every gate is a row, so the search is finite.
+        Returns None when there is no safe node of height alpha; otherwise
+        either such a node, reached through the rows, or the core node where
+        reaches_avoiding settles, above which the core's canonical safe node
+        of height alpha is safe for the patch too."""
         fam, core = self.family, self.core
         patched = [y for y in self.table if fam.height(y) < alpha]
         stack = [fam.root()]
         while stack:
             z = stack.pop()
             if fam.height(z) == alpha:
-                return False
+                return z
             if z in self.table:
                 stack.extend(c for c in self.table[z] if is_immediate_successor(fam, z, c))
                 continue
@@ -404,16 +387,17 @@ class PatchedCover(CoverRule):
                 continue
             above = [y for y in patched if tree_le(fam, z, y) == "below" and core.first_violation(y) is None]
             gates = [q for q in above if not any(tree_le(fam, p, q) == "below" for p in above)]
-            if core.reaches_avoiding(z, gates, alpha):
-                return False
+            settled = core.reaches_avoiding(z, gates, alpha)
+            if settled is not None:
+                return settled
             stack.extend(gates)
-        return True
+        return None
+
+    def covers_within(self, alpha: Ordinal) -> bool:
+        return self._search(alpha) is None
 
     def patched(self, rows: dict) -> CoverRule:
         return PatchedCover(self.core, {**self.table, **rows})
-
-    def describe(self) -> str:
-        return f"patched({self.core.describe()}; {len(self.table)} rows)"
 
 
 # --- safety queries -------------------------------------------------------------------
@@ -423,13 +407,16 @@ def is_safe(f: CoverRule, x) -> bool:
     return f.first_violation(x) is None
 
 
-def find_safe_point(f: CoverRule, alpha: Ordinal, budget: int = 64):
-    """A safe node of height alpha, or None when none was found within the
-    budgeted search.  Structured rules return canonical witnesses without
-    search."""
+def find_safe_point(f: CoverRule, alpha: Ordinal):
+    """A safe node of height alpha, or None exactly when there is none, that
+    is, when covers_within(f, alpha) holds.  Subtree rules return their
+    canonical witness, tables the first safe node of the level, and patches
+    the first safe one of the core witness, the nodes threaded through their
+    rows and the node their level search settles on.  Raises CoverUndecided
+    where covers_within does."""
     if alpha.is_zero():
         return f.family.root()
-    for x in f.witness_candidates(alpha, budget):
+    for x in f.witness_candidates(alpha):
         if is_safe(f, x):
             return x
     return None
@@ -439,8 +426,7 @@ def covers_within(f: CoverRule, alpha: Ordinal) -> bool:
     """True iff the wedges of f below level alpha cover that whole level,
     which happens exactly when no safe point of height alpha exists.  Every
     rule a literal builds decides this exactly; CoverUndecided is left for a
-    subtree whose witness is not safe and for a patch over the safe set of
-    another rule."""
+    patch over the safe set of another rule."""
     if alpha.is_zero():
         return False  # the root is always safe
     return f.covers_within(alpha)
@@ -466,18 +452,14 @@ class SafeSubtree(SubtreeCover):
         return list(self.f.values(x))
 
     # a node is safe for the derived rule iff it is safe for f itself, so
-    # both level questions go to f
-    def safe_witness(self, alpha: Ordinal):
+    # both level questions go to f; above any other node it cannot say
+    def safe_above(self, x, alpha: Ordinal):
+        if x != self.family.root():
+            raise CoverUndecided("the safe set of a rule cannot say which levels it reaches above a node")
         return find_safe_point(self.f, alpha)
 
     def covers_within(self, alpha: Ordinal) -> bool:
         return covers_within(self.f, alpha)
-
-    def reaches(self, x, alpha: Ordinal) -> bool:
-        raise CoverUndecided("the safe set of a rule cannot say which levels it reaches above a node")
-
-    def describe(self) -> str:
-        return f"subtree(safe({self.f.describe()}))"
 
 
 # --- finite exhaustive oracle ------------------------------------------------------------
@@ -521,13 +503,6 @@ class RuleSpace:
                 row.append(cone[y] & ~excluded)
             table.append(row)
         return table
-
-
-def all_covers(tree: ExplicitTree, size_bound: int):
-    """Every rule with |f(x)| <= size_bound, as dicts, in rank order."""
-    space = RuleSpace(tree, size_bound)
-    for rank in range(space.size):
-        yield space.rule(space.digits(rank))
 
 
 def _cone_masks(tree: ExplicitTree) -> dict:

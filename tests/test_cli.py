@@ -37,6 +37,16 @@ def test_find_safe_query():
     assert report["result"]["node"] == "u:[tail(t:w:{}:[])@w]"
 
 
+def test_find_safe_answers_what_covers_within_finds_without_a_budget(capsys):
+    # the core witness and the row's thread both leave the rule; the level
+    # search settles at u:[d1], and the enumeration budget plays no part
+    cover = "patched(subtree(T-in-U); u:[d0]=>{u:[d0,d2]})"
+    assert main(["--query", f"covers-within {cover} 5"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"covered": False}
+    assert main(["--budget-enum", "0", "--query", f"find-safe {cover} 5"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"node": "u:[d1,d0,d0,d0,d0]"}
+
+
 def test_is_safe_query():
     config = RunConfig()
     assert run_query("is-safe subtree(T-in-U) u:[d7]", config)["result"] == {"safe": False}

@@ -41,7 +41,6 @@ def test_explicit_family_streams(binary3):
     # a budget b is exceeded when an islice of b + 1 items is longer than b
     assert list(islice(binary3.successors("r"), 11)) == ["0", "1"]
     assert list(islice(binary3.successors("r"), 2)) == ["0", "1"]  # 2 > 1: budget 1 truncates
-    assert list(islice(binary3.level(from_nat(0)), 6)) == ["r"]
 
 
 def test_immediate_successor(binary3):

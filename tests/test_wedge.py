@@ -9,7 +9,7 @@ from treewedge.gen import rand_below, rand_digit_node
 from treewedge.literals import parse_cover
 from treewedge.ordinal import OMEGA, ZERO, add_ord, from_nat, parse_cnf
 from treewedge.suites import _random_tree
-from treewedge.trees import ExplicitTree
+from treewedge.trees import ExplicitTree, tree_le
 from treewedge import wedge
 from treewedge.wedge import (
     BinaryInsideDigits,
@@ -22,7 +22,6 @@ from treewedge.wedge import (
     TableCover,
     TruncatedSubtree,
     Wedge,
-    all_covers,
     covers_within,
     find_safe_point,
     is_safe,
@@ -163,45 +162,41 @@ def test_patched_symbolic_reroute(digits, tinu):
 def test_patched_search_stops_at_the_core_witness(digits, tinu, monkeypatch):
     f = parse_cover("patched(subtree(T-in-U); u:[d1]=>{u:[d1,d0]})", digits)
 
-    def no_level(alpha):
-        raise AssertionError("the level was enumerated")
+    def no_search(alpha):
+        raise AssertionError("the level was searched")
 
-    monkeypatch.setattr(digits, "level", no_level)
-    assert find_safe_point(f, OMEGA) == tinu.safe_witness(OMEGA)
+    monkeypatch.setattr(f, "_search", no_search)
+    assert find_safe_point(f, OMEGA) == tinu.safe_above(digits.root(), OMEGA)
 
 
 @pytest.mark.parametrize("level", ["3", "w", "w*2"])
-def test_patched_search_skips_a_covered_level(digits, monkeypatch, level):
+def test_patched_search_skips_a_covered_level(digits, level):
     # the root's only row leaves the binary subtree, so no level above 1 has
-    # a safe node; the exact level search says so before any level scan
+    # a safe node, and the exact level search says so
     f = parse_cover("patched(subtree(T-in-U); u:[]=>{u:[d5]})", digits)
     alpha = parse_cnf(level)
-
-    def no_level(alpha):
-        raise AssertionError("the level was enumerated")
-
-    monkeypatch.setattr(digits, "level", no_level)
     assert covers_within(f, alpha) is True
     assert find_safe_point(f, alpha) is None
 
 
-def test_undecided_patched_search_still_scans_the_level(digits, tinu, monkeypatch):
-    # both rows leave the binary subtree, so neither the core witness nor a
-    # threaded candidate is safe, and the level search over a safe set is
-    # undecided: the level scan is the only search left
-    f = SafeSubtree(tinu).patched({digits.node([("d", b)]): (digits.node([("d", b), ("d", 5)]),) for b in (0, 1)})
+def test_find_safe_on_a_patch_over_a_safe_set_is_undecided(digits, tinu):
+    # the row leaves the binary subtree, so neither the core witness nor the
+    # threaded candidate is safe, and the level search must ask the safe set
+    # what it reaches above u:[d1], which it cannot say: find_safe_point
+    # raises rather than answer none
+    f = SafeSubtree(tinu).patched({digits.node([("d", 0)]): (digits.node([("d", 0), ("d", 5)]),)})
     with pytest.raises(CoverUndecided):
         covers_within(f, OMEGA)
-    scanned = []
-    level = digits.level
+    with pytest.raises(CoverUndecided):
+        find_safe_point(f, OMEGA)
 
-    def spy(alpha):
-        scanned.append(alpha)
-        return level(alpha)
 
-    monkeypatch.setattr(digits, "level", spy)
+def test_patch_over_a_safe_set_decides_a_level_its_rows_close(digits, tinu):
+    # every safe node passes u:[d0] or u:[d1], whose rows leave the binary
+    # subtree, so the search asks the safe set about the root only
+    f = SafeSubtree(tinu).patched({digits.node([("d", b)]): (digits.node([("d", b), ("d", 5)]),) for b in (0, 1)})
+    assert covers_within(f, OMEGA) is True
     assert find_safe_point(f, OMEGA) is None
-    assert scanned == [OMEGA]
 
 
 def test_patched_blocking_is_covered(digits, tinu):
@@ -220,6 +215,59 @@ def test_patch_over_a_safe_set_is_undecided(digits, tinu):
     f = SafeSubtree(tinu).patched({digits.node([("d", 1)]): (digits.node([("d", 1), ("d", 5)]),)})
     with pytest.raises(CoverUndecided):
         covers_within(f, OMEGA)
+
+
+# --- canonical safe nodes -------------------------------------------------------------
+
+DIGIT_LEVELS = [*map(from_nat, range(1, 5)), *LIMITS, *(parse_cnf(s) for s in ("w+1", "w*2+3", "w^2+2"))]
+
+
+def _subtree_rules(tinu):
+    """Each subtree rule kind, over the digit family and over explicit trees,
+    with the levels it is asked about."""
+    tree = ExplicitTree.complete(3, 4)
+    fmap = {"r": {"0", "2"}, "0": {"00", "01"}, "2": {"21"}, "00": {"000"}, "21": {"210", "212"}}
+    members = {x for x in tree.parent if is_safe(TableCover(tree, fmap), x)}
+    explicit = ExplicitSubtree(tree, members)
+    tree_levels = list(map(from_nat, range(1, tree.tree_height())))
+    return [
+        (tinu, DIGIT_LEVELS),
+        *((TruncatedSubtree(tinu, parse_cnf(h)), DIGIT_LEVELS) for h in ("3", "w", "w+2", "w^2")),
+        (SafeSubtree(tinu), DIGIT_LEVELS),
+        (explicit, tree_levels),
+        *((TruncatedSubtree(explicit, from_nat(h)), tree_levels) for h in (1, 2, 3)),
+        (SafeSubtree(TableCover(tree, fmap)), tree_levels),
+    ]
+
+
+def test_subtree_witnesses_are_safe(tinu):
+    # every node safe_above returns is safe, of the asked height and above the
+    # node it was asked about, so a subtree's level answer needs no recheck
+    returned = 0
+    for rule, levels in _subtree_rules(tinu):
+        fam = rule.family
+        root = fam.root()
+        for i, alpha in enumerate(levels):
+            w = rule.safe_above(root, alpha)
+            assert covers_within(rule, alpha) == (w is None)
+            if w is None:
+                continue
+            returned += 1
+            assert fam.height(w) == alpha and is_safe(rule, w), (rule, alpha)
+            if isinstance(rule, SafeSubtree):
+                continue  # it answers above the root only
+            # above the lower witnesses and their promised children
+            for beta in levels[:i]:
+                x = rule.safe_above(root, beta)
+                for y in [] if x is None else [x, *rule.values(x)]:
+                    if fam.height(y) <= alpha:
+                        z = rule.safe_above(y, alpha)
+                        assert (z is not None) == rule.reaches(y, alpha), (rule, y, alpha)
+                        if z is not None:
+                            returned += 1
+                            assert fam.height(z) == alpha and is_safe(rule, z), (rule, y, alpha)
+                            assert tree_le(fam, y, z) in ("below", "equal")
+    assert returned >= 100
 
 
 # --- safe subtree ------------------------------------------------------------------
@@ -373,8 +421,9 @@ def test_rank_order_is_product_order(tree):
         for x in internal
     ]
     expected = [dict(zip(internal, combo)) for combo in product(*options)]
-    assert RuleSpace(tree, 2).size == len(expected)
-    assert list(all_covers(tree, 2)) == expected
+    space = RuleSpace(tree, 2)
+    assert space.size == len(expected)
+    assert [space.rule(space.digits(r)) for r in range(space.size)] == expected
 
 
 @pytest.mark.parametrize("tree", RULE_TREES, ids=["binary", "ternary", "ragged"])
@@ -413,6 +462,17 @@ def _assert_engine_matches_wedges(tree, rule, fmap):
     for d in range(1, tree.tree_height()):
         covered = all(_wedge_covered(tree, fmap, x) for x in tree.level_nodes(d))
         assert covers_within(rule, from_nat(d)) == covered, d
+        _assert_find_safe_is_exact(rule, from_nat(d), covered)
+
+
+def _assert_find_safe_is_exact(rule, alpha, covered):
+    """find_safe_point answers None exactly on a covered level, and otherwise
+    a safe node of that height."""
+    found = find_safe_point(rule, alpha)
+    if covered:
+        assert found is None, alpha
+    else:
+        assert found is not None and rule.family.height(found) == alpha and is_safe(rule, found), alpha
 
 
 def _seeded_rules(tree, count, rng):
@@ -429,8 +489,9 @@ def _rule_cases():
     binary = ExplicitTree.complete(2, 3)
     ternary = ExplicitTree.complete(3, 3)
     ragged = _random_tree(random.Random(0), 15)
+    space = RuleSpace(binary, 2)
     return [
-        (binary, list(all_covers(binary, 2))),
+        (binary, [space.rule(space.digits(r)) for r in range(space.size)]),
         (ternary, _seeded_rules(ternary, 200, rng)),
         (ragged, _seeded_rules(ragged, 200, rng)),
     ]
@@ -539,13 +600,14 @@ def test_patched_digit_levels_match_brute_force(tinu):
             level = product(range(top + 1), repeat=n)
             has_safe = any(is_safe(f, DigitNode(None, (), t)) for t in level)
             assert covers_within(f, from_nat(n)) == (not has_safe), (rows, n)
+            _assert_find_safe_is_exact(f, from_nat(n), not has_safe)
             answers[not has_safe] += 1
     assert min(answers.values()) >= 100
 
 
 def test_patched_limit_levels_agree_with_find_safe(tinu):
     rng = random.Random(13)
-    stem = tinu.safe_witness(OMEGA)
+    stem = tinu.safe_above(tinu.family.root(), OMEGA)
     cores = [tinu, *(TruncatedSubtree(tinu, parse_cnf(h)) for h in ("w", "w*2", "3"))]
     levels = [parse_cnf(a) for a in ("w", "w+1", "w*2", "w^2")]
     found = 0
