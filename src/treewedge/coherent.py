@@ -24,7 +24,9 @@ instead of walking the descent one step at a time; what is left is a ladder
 scan, linear in the number of blocks below the target.
 
 All operations are pure; memo tables are idempotent fills, so concurrent use
-needs no coordination.
+needs no coordination.  ``eval_e`` reads its memo before it checks that the
+position lies below the anchor: every stored pair passed that check, so a
+hit skips an ordinal comparison and a miss is validated as before.
 """
 
 from __future__ import annotations
@@ -71,12 +73,12 @@ class CoherentSystem:
 
     def eval_e(self, alpha: Ordinal, xi: Ordinal) -> int:
         """Value of e_alpha at xi < alpha."""
-        if not xi < alpha:
-            raise ValueError(f"position {xi} not below anchor {alpha}")
         key = (alpha, xi)
         cached = self._eval.get(key)
         if cached is not None:
             return cached
+        if not xi < alpha:
+            raise ValueError(f"position {xi} not below anchor {alpha}")
         # e_alpha agrees below gam with e_gam for every gam on alpha's
         # first-step descent, so jump to the least such gam above xi
         above = xi + ONE

@@ -33,8 +33,10 @@ def rand_below(rng: random.Random, bound: Ordinal, coeff_cap: int = 5) -> Ordina
         raise ValueError("no ordinal below zero")
     terms = bound.terms
     i = rng.randrange(len(terms))
-    prefix = list(terms[:i])
     e, c = terms[i]
+    if not i and e.is_zero():  # a natural bound: the same two draws
+        return from_nat(rng.randrange(c))
+    prefix = list(terms[:i])
     c2 = rng.randrange(c)
     if c2:
         prefix.append((e, c2))

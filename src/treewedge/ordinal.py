@@ -17,6 +17,12 @@ decoded and outside input.  ``from_canonical`` skips the checks; it is used
 only where the result is canonical by construction: ``from_nat``,
 ``add_ord``, ``block_decompose``, ``pred``, ``fund_seq``, ``descent_floor``
 and ``gen.rand_below``.
+
+Small naturals are shared: ``from_nat(n)`` returns one instance per
+``n < SHARED_NATS`` (``ZERO`` and ``ONE`` among them), filled in on first
+use, and ``block_decompose`` of a natural returns ``ZERO`` as its limit
+part.  Sharing is safe because an ``Ordinal`` is never mutated, and it lets
+dict lookups keyed by naturals succeed on the identity check.
 """
 
 from __future__ import annotations
@@ -119,10 +125,20 @@ ONE = Ordinal([(ZERO, 1)])
 OMEGA = Ordinal([(ONE, 1)])
 
 
+SHARED_NATS = 1024
+_nats: dict[int, Ordinal] = {0: ZERO, 1: ONE}
+
+
 def from_nat(n: int) -> Ordinal:
+    a = _nats.get(n)
+    if a is not None:
+        return a
     if n < 0:
         raise ValueError("naturals only")
-    return ZERO if n == 0 else from_canonical(((ZERO, int(n)),))
+    a = ZERO if n == 0 else from_canonical(((ZERO, int(n)),))
+    if type(n) is int and n < SHARED_NATS:  # no float or bool keys
+        _nats[n] = a
+    return a
 
 
 def cmp_ord(a: Ordinal, b: Ordinal) -> int:
@@ -162,8 +178,10 @@ class BlockDecomposition(NamedTuple):
 
 def block_decompose(a: Ordinal) -> BlockDecomposition:
     """Split ``a`` as (limit-or-zero part, finite remainder)."""
-    if a.terms and a.terms[-1][0].is_zero():
-        return BlockDecomposition(from_canonical(a.terms[:-1]), a.terms[-1][1])
+    terms = a.terms
+    if terms and terms[-1][0].is_zero():
+        rest = terms[:-1]
+        return BlockDecomposition(from_canonical(rest) if rest else ZERO, terms[-1][1])
     return BlockDecomposition(a, 0)
 
 

@@ -6,6 +6,12 @@ that ``neg`` (side swap) is an order-reversing involution.  The order is
 dense without endpoints, so between any two points a third is constructible;
 that single algorithm powers the discreteness boxes on the antidiagonal and
 the endpoint-injection argument for half-open covers.
+
+A point's sequence is stored trimmed (no trailing zeros) as a tuple of
+naturals.  On such tuples the lexicographic order of the zero-padded
+sequences is Python's tuple order: where one tuple is a proper prefix of the
+other, the longer one ends in a positive digit, so it is the larger either
+way.  ``point_cmp`` therefore compares the tuples natively.
 """
 
 from __future__ import annotations
@@ -24,17 +30,6 @@ def trim(seq) -> tuple[int, ...]:
     return tuple(out)
 
 
-def lex_cmp(a, b) -> int:
-    """Lexicographic comparison of eventually-zero sequences."""
-    n = max(len(a), len(b))
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        if x != y:
-            return -1 if x < y else 1
-    return 0
-
-
 @dataclass(frozen=True, order=False)
 class TaggedPoint:
     side: str  # "L" or "R"
@@ -43,8 +38,13 @@ class TaggedPoint:
     def __post_init__(self):
         if self.side not in ("L", "R"):
             raise ValueError("side must be 'L' or 'R'")
-        if trim(self.seq) != tuple(self.seq) or not self.seq:
+        seq = self.seq
+        if type(seq) is not tuple:
+            raise ValueError("sequence must be a tuple")
+        if not seq or seq[-1] == 0:
             raise ValueError("sequence must be nonzero and trimmed")
+        if min(seq) < 0:
+            raise ValueError("digits must be naturals")
 
     def __lt__(self, other):
         return point_cmp(self, other) < 0
@@ -56,7 +56,8 @@ class TaggedPoint:
 def point_cmp(p: TaggedPoint, q: TaggedPoint) -> int:
     if p.side != q.side:
         return -1 if p.side == "L" else 1
-    c = lex_cmp(p.seq, q.seq)
+    s, t = p.seq, q.seq
+    c = (s > t) - (s < t)
     return c if p.side == "L" else -c
 
 

@@ -4,14 +4,29 @@ a -s run reads as a checklist; under plain pytest the verbose test names
 serve the same purpose.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
 import time
 
-from treewedge.suites import RunConfig, run_suite
+from treewedge.suites import SUITES, RunConfig, run_suite
 
 CONFIG = RunConfig()  # anchors w, w*2, w^2, w^2+w, w^3 and naturals <= 64
+
+# sha256 of each report at CONFIG, serialized as the CLI's --json report:
+# the benchmark runs the suites at this config, so a speed-up must keep
+# these bytes as well as test_golden's small-config ones
+DIGESTS = {
+    "coherence": "10681b2d6fc752285b18ebb84b43138b7de205072a87626ea666f4bc8b2af01c",
+    "delta-x": "ce03a2f7a0709ce4a0d284e2c4da832f466bb9d9d332ba99324886d9916c7547",
+    "tree-closure": "aea7fd0895887d00ceb292571074a230e680ad1ac1df6a9f3e05cdce09d41ecb",
+    "wedge-safe": "7af8e3b80778b002502a9997e771316dc75b9e34e3d82f25b71f211b912eb8c6",
+    "wedge-oracle": "7adb59905224f32f17c0e277373e55f7c7b707e02eca722ff7087c9242b73142",
+    "sorgenfrey": "4ae950f852ac81624f2ab5b063b2ab4438d8d86de2a38a4250e8952f4122a32c",
+    "forcing-ccc": "73a681097e13c44962cb4e706385cbb9e4b32bf09057e1c59063fe57a6ac88d2",
+    "forcing-density": "accbcd7dd47a9afdf90521467e68003eb4d0913f46dfbe86c4cba8a01a860247",
+}
 
 
 def _criterion(number, name, suite_names, limit_seconds):
@@ -28,6 +43,13 @@ def _criterion(number, name, suite_names, limit_seconds):
                 print(f"      failed property: {r['suite']}::{prop['name']}")
     assert ok, f"criterion {number} has failing properties"
     assert in_time, f"criterion {number} took {elapsed:.1f}s (budget {limit_seconds}s)"
+    for r in reports:
+        text = json.dumps(r, sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[r["suite"]], r["suite"]
+
+
+def test_digests_cover_every_suite():
+    assert set(DIGESTS) == set(SUITES)
 
 
 def test_criterion_1_coherence_suite():

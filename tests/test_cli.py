@@ -64,6 +64,13 @@ def test_isolate_query():
     assert report["result"]["u"].startswith("L:")
 
 
+def test_isolate_rejects_negative_digits(capsys):
+    for point in ("L:1.-1", "L:-1", "L:0.-2"):
+        report = run_query(f"isolate {point}", RunConfig())
+        assert report["result"] == {"error": "ValueError: digits must be naturals"}
+        assert main(["--query", f"isolate {point}"]) == 1
+
+
 def test_simulate_query():
     report = run_query("simulate include(u:[d0]) reach(w)", RunConfig())
     checks = report["result"]["checks"]

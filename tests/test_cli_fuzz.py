@@ -92,7 +92,7 @@ points = st.one_of(
     st.tuples(st.sampled_from("LR"), st.lists(st.integers(0, 9_999), min_size=1, max_size=4)).map(
         lambda p: f"{p[0]}:" + ".".join(map(str, p[1]))
     ),
-    st.sampled_from(["L:", "X:1", "L:1.", "R:0"]),
+    st.sampled_from(["L:", "X:1", "L:1.", "R:0", "L:1.-1"]),
 )
 targets = st.one_of(
     nodes.map(lambda u: f"include({u})"),

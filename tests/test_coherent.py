@@ -21,9 +21,21 @@ def test_eval_base_values(coh):
     assert coh.eval_e(from_nat(1), ZERO) == 1
 
 
-def test_eval_domain_guard(coh):
+def test_eval_domain_guard():
+    # the memo is read before the check, so a miss must be refused both on
+    # an empty memo and on one that holds other keys
+    coh = CoherentSystem()
     with pytest.raises(ValueError):
         coh.eval_e(from_nat(3), from_nat(3))
+    for n in range(3):
+        coh.eval_e(from_nat(3), from_nat(n))
+        coh.eval_e(from_nat(4), from_nat(n + 1))
+    coh.eval_e(OMEGA, from_nat(3))
+    assert coh._eval
+    for alpha, xi in ((from_nat(3), from_nat(3)), (from_nat(3), from_nat(4)), (from_nat(4), OMEGA), (OMEGA, OMEGA)):
+        with pytest.raises(ValueError, match="not below anchor"):
+            coh.eval_e(alpha, xi)
+    assert all(xi < alpha for alpha, xi in coh._eval)
 
 
 def test_omega_block_is_plain(coh):

@@ -4,7 +4,7 @@ from bisect import bisect_left
 import pytest
 from hypothesis import given, strategies as st
 
-from treewedge import gen
+from treewedge import gen, ordinal
 from treewedge.ordinal import (
     CNFSyntaxError,
     MAX_NESTING,
@@ -19,6 +19,7 @@ from treewedge.ordinal import (
     cmp_ord,
     decode_structural,
     descent_floor,
+    from_canonical,
     from_nat,
     fund_seq,
     pair_f,
@@ -434,3 +435,62 @@ def test_code_collision_scan():
         a = rand_ordinal(rng, 3)
         code = structural_key(a)
         assert seen.setdefault(code, a) == a, f"collision at {a} vs {seen[code]}"
+
+
+# --- shared naturals and the natural-bound draw ----------------------------------------
+
+def test_small_naturals_are_shared():
+    assert from_nat(0) is ZERO
+    assert from_nat(1) is ONE
+    for n in (2, 5, 64, 1023):
+        assert from_nat(n) is from_nat(n)
+        assert from_nat(n) == Ordinal([(ZERO, n)])
+    assert block_decompose(from_nat(5)).limit_part is ZERO
+    assert block_decompose(from_nat(5)).finite_part == 5
+    assert block_decompose(OMEGA + 3).limit_part == OMEGA
+    with pytest.raises(ValueError):
+        from_nat(-1)
+
+
+def test_shared_natural_table_stays_small_and_int_keyed():
+    assert from_nat(2.5) == from_nat(2)
+    assert from_nat(True) is ONE
+    assert from_nat(10**6) == Ordinal([(ZERO, 10**6)])
+    assert all(type(n) is int and 0 <= n < ordinal.SHARED_NATS for n in ordinal._nats)
+
+
+def prefix_rand_below(rng, bound, coeff_cap=5):
+    """gen.rand_below in its general prefix-list form on every bound, kept
+    verbatim as the oracle for the short cut it takes on natural bounds."""
+    if bound.is_zero():
+        raise ValueError("no ordinal below zero")
+    terms = bound.terms
+    i = rng.randrange(len(terms))
+    prefix = list(terms[:i])
+    e, c = terms[i]
+    c2 = rng.randrange(c)
+    if c2:
+        prefix.append((e, c2))
+    if e.is_zero():
+        return from_canonical(tuple(prefix))
+    exps = []
+    for _ in range(rng.randrange(0, 3)):
+        x = prefix_rand_below(rng, e, coeff_cap)
+        if all(x != y for y in exps):
+            exps.append(x)
+    exps.sort(reverse=True)
+    prefix.extend((x, rng.randrange(1, coeff_cap + 1)) for x in exps)
+    return from_canonical(tuple(prefix))
+
+
+def test_rand_below_keeps_the_draw_stream():
+    bounds = [from_nat(1), from_nat(7), from_nat(64), OMEGA, parse_cnf("w^2+w"), WW, parse_cnf("w^(w)*2+w+3")]
+    fast, slow = random.Random(61), random.Random(61)
+    nats = 0
+    for i in range(6000):
+        bound = bounds[i % len(bounds)]
+        a, b = gen.rand_below(fast, bound), prefix_rand_below(slow, bound)
+        assert a == b and a._key == b._key, (bound, a, b)
+        nats += a.is_nat()
+    assert fast.getstate() == slow.getstate()
+    assert nats > 2000

@@ -12,7 +12,6 @@ from treewedge.sorgenfrey import (
     format_interval,
     format_point,
     isolating_box,
-    lex_cmp,
     neg,
     parse_point,
     point_above,
@@ -46,7 +45,50 @@ def rand_point(rng):
     return TaggedPoint(rng.choice("LR"), seq)
 
 
+def lex_cmp(a, b) -> int:
+    """Lexicographic comparison of the zero-padded sequences, digit by digit:
+    the independent oracle for point_cmp's native tuple order."""
+    n = max(len(a), len(b))
+    for i in range(n):
+        x = a[i] if i < len(a) else 0
+        y = b[i] if i < len(b) else 0
+        if x != y:
+            return -1 if x < y else 1
+    return 0
+
+
 # --- order -----------------------------------------------------------------------
+
+def test_point_cmp_matches_padded_lex_order():
+    rng = random.Random(52)
+    signs = {-1: 0, 0: 0, 1: 0}
+    for _ in range(10**4):
+        p = rand_point(rng)
+        q = TaggedPoint(p.side, p.seq) if rng.random() < 0.1 else rand_point(rng)
+        if p.side == q.side:
+            sign = lex_cmp(p.seq, q.seq)
+            signs[sign] += 1
+            assert point_cmp(p, q) == (sign if p.side == "L" else -sign), (p, q)
+        else:
+            assert point_cmp(p, q) == (-1 if p.side == "L" else 1)
+    assert min(signs.values()) > 500
+
+
+@pytest.mark.parametrize(
+    "seq, message",
+    [
+        ((1, -1), "digits must be naturals"),
+        ((-1,), "digits must be naturals"),
+        ((0, -2), "digits must be naturals"),
+        ([1, 2], "must be a tuple"),
+        ((), "nonzero and trimmed"),
+        ((1, 0), "nonzero and trimmed"),
+    ],
+)
+def test_point_rejects_bad_sequences(seq, message):
+    with pytest.raises(ValueError, match=message):
+        TaggedPoint("L", seq)
+
 
 def test_lex_prefix_rule():
     assert lex_cmp((1,), (1, 1)) == -1
