@@ -9,6 +9,8 @@ Node literals, by family (the one check format_node and parse_node make):
   t:<ordinal>:{<flip ordinals>}:[<tail bits>] a binary node, only as the
                                               tail inside a u: literal
 
+Every <nat>, digit and bit is a run of ASCII decimal digits (ordinal.is_nat).
+
 Cover literals:
   subtree(T-in-U)            the binary tree inside the digit tree
   subtree(T-in-U<h)          the same, truncated to height h
@@ -25,7 +27,7 @@ Forcing targets:
 from __future__ import annotations
 
 from .families import BitFamily, BitNode, DigitFamily, DigitNode
-from .ordinal import MAX_NESTING, Ordinal, parse_cnf, to_cnf
+from .ordinal import MAX_NESTING, Ordinal, is_nat, parse_cnf, read_nat, to_cnf
 from .trees import ExplicitTree
 from .wedge import BinaryInsideDigits, CoverRule, TableCover, TruncatedSubtree
 
@@ -98,7 +100,7 @@ def _parse_t(bits: BitFamily, text: str) -> BitNode:
     if not (tail.startswith("[") and tail.endswith("]")):
         raise ValueError(f"bad tail in {text!r}")
     flip_set = [parse_cnf(s) for s in split_top(flips[1:-1], ",")]
-    tail_bits = [int(s) for s in split_top(tail[1:-1], ",")]
+    tail_bits = [read_nat(s) for s in split_top(tail[1:-1], ",")]
     return bits.node(parse_cnf(height), flip_set, tail_bits)
 
 
@@ -109,7 +111,7 @@ def _parse_u(digits: DigitFamily, text: str) -> DigitNode:
     node = digits.root()
     patches = {}
     for item in split_top(body[1:-1], ","):
-        if item.startswith("d") and item[1:].isdigit():
+        if item.startswith("d") and is_nat(item[1:]):
             node = DigitNode(node.base, node.patch, node.trail + (int(item[1:]),))
         elif item.startswith("tail(") and "@" in item:
             inner, _, at = item.rpartition("@")
@@ -121,7 +123,7 @@ def _parse_u(digits: DigitFamily, text: str) -> DigitNode:
             node = digits.glue(node, t)
         elif item.startswith("patch(") and item.endswith(")"):
             pos, _, val = item[6:-1].partition("=")
-            patches[parse_cnf(pos)] = int(val)
+            patches[parse_cnf(pos)] = read_nat(val.strip())
         else:
             raise ValueError(f"unknown component {item!r}")
     if patches:

@@ -421,7 +421,25 @@ def _parse_nat(src: str, i: int, pos_of) -> tuple[int, int]:
     j = i
     while j < len(src) and src[j].isdigit():
         j += 1
+    if not is_nat(src[i:j]):
+        raise CNFSyntaxError("digits must be ASCII", pos_of(i))
     return int(src[i:j]), j
+
+
+def is_nat(text: str) -> bool:
+    """Whether text is a non-empty run of ASCII decimal digits, the only
+    digits a literal takes: str.isdigit alone also passes other scripts'
+    digits and superscripts."""
+    return text.isascii() and text.isdigit()
+
+
+def read_nat(text: str) -> int:
+    """The natural that text writes in ASCII decimal digits.  int() alone
+    would also read signs, underscores, surrounding spaces and other
+    scripts' digits."""
+    if not is_nat(text):
+        raise ValueError("digits must be naturals")
+    return int(text)
 
 
 def to_cnf(a: Ordinal) -> str:

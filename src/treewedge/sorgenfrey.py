@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .ordinal import read_nat
+
 
 class SeparationError(ValueError):
     """The injection preconditions (x < bound(x) <= next point) fail."""
@@ -200,7 +202,7 @@ def parse_point(text: str) -> TaggedPoint:
     side, _, digits = text.strip().partition(":")
     if side not in ("L", "R") or not digits:
         raise ValueError(f"bad point literal {text!r}")
-    seq = trim(int(d) for d in digits.split("."))
+    seq = trim(read_nat(d) for d in digits.split("."))
     return TaggedPoint(side, seq)
 
 

@@ -469,7 +469,13 @@ class RuleSpace:
     rank.  The options of a node are its subsets of children, by size and
     then in combinations order; a rank is read in mixed radix over the
     nodes with children, in insertion order, the last node's option
-    varying fastest, so range(size) lists the rules in product order."""
+    varying fastest, so range(size) lists the rules in product order.
+
+    Nodes are int bitmasks, bit i for the i-th node in insertion order.  A
+    step table, built once per tree, holds for each node with children, in
+    insertion order (parents first): its place value and radix in the rank,
+    its depth and bit, its wedge under each option and the bits of each
+    option's children."""
 
     def __init__(self, tree: ExplicitTree, size_bound: int):
         self.nodes = [x for x in tree.parent if tree.children[x]]
@@ -478,14 +484,24 @@ class RuleSpace:
             for x in self.nodes
         ]
         self.size = prod(len(opts) for opts in self.options)
-        self._radices = [(i, len(opts)) for i, opts in reversed(list(enumerate(self.options)))]
+        bit = {x: 1 << i for i, x in enumerate(tree.parent)}
+        cone = _cone_masks(tree)
+        self._roots = sum(bit[x] for x, p in tree.parent.items() if p is None)
+        # a leaf's wedge is its whole cone, whatever the rule
+        self._leaf_unions = [0] * tree.tree_height()
+        for x in tree.parent:
+            if not tree.children[x]:
+                self._leaf_unions[tree.depth[x]] |= cone[x]
+        self._steps = []
+        place = self.size
+        for x, opts, wedges in zip(self.nodes, self.options, self.wedge_masks(cone)):
+            place //= len(opts)
+            kids = [sum(bit[c] for c in option) for option in opts]
+            self._steps.append((place, len(opts), tree.depth[x], bit[x], wedges, kids))
 
     def digits(self, rank: int) -> list:
         """The option index of every node under the rule of this rank."""
-        out = [0] * len(self.nodes)
-        for i, radix in self._radices:
-            rank, out[i] = divmod(rank, radix)
-        return out
+        return [rank // place % radix for place, radix, *_ in self._steps]
 
     def rule(self, digits: list) -> dict:
         return {x: opts[k] for x, opts, k in zip(self.nodes, self.options, digits)}
@@ -504,6 +520,24 @@ class RuleSpace:
             table.append(row)
         return table
 
+    def passes(self, ranks):
+        """(rank, safe mask, unions) for each rank, from one top-down pass
+        over the step table.  Each node's option is read off the rank; its
+        wedge joins the union of its depth, and its option's children join
+        the safe mask when the node is safe: a child is safe iff its parent
+        is safe and promises it.  unions[d] is the union of the wedges of
+        the nodes of depth d, leaves included."""
+        steps, roots, leaf_unions = self._steps, self._roots, self._leaf_unions
+        for rank in ranks:
+            safe = roots
+            unions = leaf_unions[:]
+            for place, radix, depth, b, wedges, kids in steps:
+                k = rank // place % radix
+                unions[depth] |= wedges[k]
+                if safe & b:
+                    safe |= kids[k]
+            yield rank, safe, unions
+
 
 def _cone_masks(tree: ExplicitTree) -> dict:
     """cone[x]: x and every node above it, as an int bitmask whose bit i is
@@ -514,18 +548,6 @@ def _cone_masks(tree: ExplicitTree) -> dict:
         for c in tree.children[x]:
             cone[x] |= cone[c]
     return cone
-
-
-def _safe_sets(tree: ExplicitTree, fmap: dict) -> dict:
-    """Dynamic program: a child is safe iff its parent is safe and promised."""
-    safe = {}
-    for x in tree.parent:  # insertion order is top-down for our builders
-        p = tree.parent[x]
-        if p is None:
-            safe[x] = True
-        else:
-            safe[x] = safe[p] and x in fmap.get(p, frozenset())
-    return safe
 
 
 def lindelof_oracle(
@@ -545,8 +567,10 @@ def lindelof_oracle(
     * whole-tree phrasing: U covers every node of depth >= a exactly when
       level a has no safe node.
 
-    Rules are addressed by rank in a RuleSpace, whose wedge masks are built
-    once per tree.  Raises ExplosionGuard when the rule space exceeds
+    Rules are addressed by rank in a RuleSpace, and each rank takes one
+    top-down bitmask pass (RuleSpace.passes) that gives both its safe mask
+    and its wedge unions by depth; a rule is built and formatted only for a
+    counterexample.  Raises ExplosionGuard when the rule space exceeds
     ``max_covers``, unless a ``sample`` size (with rng) asks for a seeded
     sweep instead: one rng.randrange(space) per rule, so sampled rules are
     uniform over the space.
@@ -562,39 +586,29 @@ def lindelof_oracle(
     else:
         ranks = range(space)
 
-    nodes = list(tree.parent)
-    bit = {x: 1 << i for i, x in enumerate(nodes)}
-    cone = _cone_masks(tree)
-    wedges = rules.wedge_masks(cone)
-    slot = {y: i for i, y in enumerate(rules.nodes)}
-    levels = [tree.level_nodes(d) for d in range(tree.tree_height())]
-    level_mask = [sum(bit[x] for x in level) for level in levels]
-    deep_mask = [sum(bit[x] for x in nodes if tree.depth[x] >= a) for a in range(len(levels))]
-    # per level: (digit position, wedge row) of each node with children, and
-    # the union of the leaves' wedges, which are their whole cones
-    level_rows = [[(slot[y], wedges[slot[y]]) for y in level if y in slot] for level in levels]
-    leaf_wedges = [sum(cone[y] for y in level if y not in slot) for level in levels]
-    node_bits = list(bit.items())
+    bit = {x: 1 << i for i, x in enumerate(tree.parent)}
+    height = tree.tree_height()
+    level_mask = [sum(bit[x] for x in tree.level_nodes(a)) for a in range(height)]
+    # deep_mask[a]: every node of depth >= a
+    deep_mask = [sum(level_mask[a:]) for a in range(height)]
+    levels = list(zip(range(height), level_mask, deep_mask))
 
     checked = 0
     counterexamples = []
-    for rank in ranks:
+    for rank, safe_mask, unions in rules.passes(ranks):
         checked += 1
-        digits = rules.digits(rank)
-        fmap = rules.rule(digits)
-        safe = _safe_sets(tree, fmap)
-        safe_mask = sum(b for x, b in node_bits if safe[x])
+        failures = []
         union = 0
-        for a, rows in enumerate(level_rows):
-            safe_here = safe_mask & level_mask[a]
-            if safe_here != level_mask[a] & ~union:
-                counterexamples.append({"cover": _show(fmap), "kind": "level", "level": a})
-            if (deep_mask[a] & ~union == 0) != (safe_here == 0):
-                counterexamples.append({"cover": _show(fmap), "kind": "whole-tree", "level": a})
-            union |= leaf_wedges[a]
-            for i, row in rows:
-                union |= row[digits[i]]
-        if counterexamples:
+        for (a, level, deep), wedges in zip(levels, unions):
+            safe_here = safe_mask & level
+            if safe_here != level & ~union:
+                failures.append(("level", a))
+            if (deep & ~union == 0) != (safe_here == 0):
+                failures.append(("whole-tree", a))
+            union |= wedges
+        if failures:
+            cover = _show(rules.rule(rules.digits(rank)))
+            counterexamples = [{"cover": cover, "kind": kind, "level": a} for kind, a in failures]
             break
     return {
         "covers_checked": checked,

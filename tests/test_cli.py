@@ -71,6 +71,25 @@ def test_isolate_rejects_negative_digits(capsys):
         assert main(["--query", f"isolate {point}"]) == 1
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        "isolate L:1_0",
+        "isolate L:+1",
+        "isolate R:\u0663",
+        "is-safe subtree(T-in-U) u:[d\u0663]",
+        "is-safe subtree(T-in-U) u:[tail(t:w:{}:[])@w,patch(0=+1)]",
+        "is-safe subtree(T-in-U) u:[tail(t:w:{}:[])@w,patch(0= 1_0)]",
+        "eval-e w*\u0663 1",
+        "eval-e w^\u00b2 1",
+    ],
+)
+def test_literal_digits_are_ascii_naturals(capsys, query):
+    # int() and str.isdigit would read each of these as a number
+    assert main(["--query", query]) == 1
+    assert "error" in json.loads(capsys.readouterr().out)["result"]
+
+
 def test_simulate_query():
     report = run_query("simulate include(u:[d0]) reach(w)", RunConfig())
     checks = report["result"]["checks"]

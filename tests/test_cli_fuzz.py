@@ -44,7 +44,9 @@ naturals = st.integers(0, 9_999).map(str)
 tails = st.integers(0, 9_999)
 ordinals = st.one_of(
     naturals,
-    st.sampled_from(["w", "w*2", "w^2", "w^2+w", "w^3", "w^(w)", "w*3+w", "w+w", "w^", "", "x", "(w", "w*0"]),
+    st.sampled_from(
+        ["w", "w*2", "w^2", "w^2+w", "w^3", "w^(w)", "w*3+w", "w+w", "w^", "", "x", "(w", "w*0", "w*\u0663", "w^\u00b2"]
+    ),
     st.tuples(st.sampled_from(["w", "w*2", "w^2", "w^(w)"]), tails).map(lambda p: f"{p[0]}+{p[1]}"),
 )
 # anchors of eval-e and delta-e also take long ladders, whose first-step
@@ -65,6 +67,9 @@ nodes = st.one_of(
             "te:w:{3=2}",
             "u:[d0",
             "u:[dx]",
+            "u:[d\u0663]",
+            "u:[tail(t:w:{}:[])@w,patch(0=+1)]",
+            "u:[tail(t:w:{}:[])@w,patch(0= 1_0)]",
             "r",
             "0",
         ]
@@ -92,7 +97,7 @@ points = st.one_of(
     st.tuples(st.sampled_from("LR"), st.lists(st.integers(0, 9_999), min_size=1, max_size=4)).map(
         lambda p: f"{p[0]}:" + ".".join(map(str, p[1]))
     ),
-    st.sampled_from(["L:", "X:1", "L:1.", "R:0", "L:1.-1"]),
+    st.sampled_from(["L:", "X:1", "L:1.", "R:0", "L:1.-1", "L:1_0", "L:+1", "R:\u0663"]),
 )
 targets = st.one_of(
     nodes.map(lambda u: f"include({u})"),

@@ -5,7 +5,7 @@ import pytest
 from treewedge.coherent import CoherentSystem
 from treewedge.families import BitFamily, DigitFamily, InjFamily
 from treewedge.gen import rand_below, rand_bit_node, rand_digit_node
-from treewedge.literals import format_node, parse_cover, parse_node
+from treewedge.literals import _parse_t, format_node, parse_cover, parse_node
 from treewedge.ordinal import OMEGA, from_nat, parse_cnf
 from treewedge.trees import ExplicitTree
 from treewedge.wedge import BinaryInsideDigits, PatchedCover, TruncatedSubtree
@@ -52,6 +52,15 @@ def test_u_component_example(ws):
     assert node.base == stem
     assert node.patch == ()  # the leading digit agreed with the stem
     assert node.trail == (0,)
+
+
+def test_literal_digits_allow_only_surrounding_spaces(ws):
+    injs, bits, digits = ws
+    spaced = parse_node(digits, "u:[tail(t:w:{}:[])@w,patch(0= 1)]")
+    assert spaced == parse_node(digits, "u:[tail(t:w:{}:[])@w,patch(0=1)]")
+    assert _parse_t(bits, "t:w+1:{}:[ 1 ]") == bits.node(parse_cnf("w+1"), [], [1])
+    with pytest.raises(ValueError, match="digits must be naturals"):
+        _parse_t(bits, "t:w+1:{}:[+1]")
 
 
 @pytest.mark.parametrize("text", ["te:w:{}", "t:w:{}:[]", "r"])

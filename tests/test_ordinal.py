@@ -102,6 +102,14 @@ def test_parse_ignores_whitespace():
     assert parse_cnf(" w^2 * 3 + 1 ") == parse_cnf("w^2*3+1")
 
 
+@pytest.mark.parametrize("text, pos", [("w*\u0663", 2), ("w^\u00b2", 2), ("\u0663", 0), ("w+1\u0663", 2)])
+def test_parse_takes_only_ascii_digits(text, pos):
+    # str.isdigit passes an Arabic-Indic three and a superscript two
+    with pytest.raises(CNFSyntaxError, match="digits must be ASCII") as err:
+        parse_cnf(text)
+    assert err.value.pos == pos
+
+
 @given(ordinals(depth=3))
 def test_print_parse_round_trip(a):
     assert parse_cnf(to_cnf(a)) == a

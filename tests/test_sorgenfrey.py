@@ -241,6 +241,12 @@ def test_point_literals():
     assert parse_point(format_point(L(4, 1))) == L(4, 1)
 
 
+@pytest.mark.parametrize("text", ["L:1_0", "L:+1", "R:\u0663", "L:1.", "L:1.-1"])
+def test_point_digits_are_ascii_naturals(text):
+    with pytest.raises(ValueError, match="digits must be naturals"):
+        parse_point(text)
+
+
 def test_interval_literal_round_trip():
     iv = HalfOpenInterval(L(1), R(2))
     assert format_interval(iv) == "[L:1,R:2)"

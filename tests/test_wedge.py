@@ -354,11 +354,27 @@ def test_oracle_binary_h3_exhaustive():
     assert report["covers_checked"] == report["space"] == 4**3
 
 
+def _safe_sets(tree, fmap):
+    """Dynamic program over nodes, independent of the oracle's bitmask pass:
+    a child is safe iff its parent is safe and promised."""
+    safe = {}
+    for x in tree.parent:  # insertion order is top-down for our builders
+        p = tree.parent[x]
+        if p is None:
+            safe[x] = True
+        else:
+            safe[x] = safe[p] and x in fmap.get(p, frozenset())
+    return safe
+
+
+def _safe_mask(tree, fmap):
+    safe = _safe_sets(tree, fmap)
+    return sum(1 << i for i, x in enumerate(tree.parent) if safe[x])
+
+
 def test_oracle_matches_symbolic_fixture(table_fixture):
     tree, table = table_fixture
-    # cross-check the symbolic safe set against the oracle's DP on one cover
-    from treewedge.wedge import _safe_sets
-
+    # cross-check the symbolic safe set against the DP on one cover
     fmap = {"r": frozenset({"0"})}
     safe = _safe_sets(tree, fmap)
     for x in tree.parent:
@@ -386,18 +402,47 @@ def test_oracle_explosion_guard():
     assert rng.draws == 200  # one rank per sampled rule
 
 
-def test_oracle_catches_a_broken_dp(monkeypatch):
-    def forgetful(tree, fmap):
-        # the root's children count as safe whatever the root promises
-        safe = {}
-        for x, p in tree.parent.items():
-            safe[x] = p is None or tree.parent[p] is None or (safe[p] and x in fmap.get(p, ()))
-        return safe
+def _broken_passes(fault):
+    """RuleSpace.passes with one fault in its safe-mask step."""
 
-    monkeypatch.setattr(wedge, "_safe_sets", forgetful)
-    report = lindelof_oracle(ExplicitTree.complete(2, 3))
-    assert report["counterexamples"]
-    assert report["counterexamples"][0]["level"] == 1
+    def passes(self, ranks):
+        for rank in ranks:
+            safe = self._roots
+            unions = self._leaf_unions[:]
+            for place, radix, depth, b, wedges, kids in self._steps:
+                k = rank // place % radix
+                unions[depth] |= wedges[k]
+                if fault == "forgetful" and b & self._roots:
+                    # the root's children count as safe whatever the root promises
+                    for option_kids in kids:
+                        safe |= option_kids
+                elif fault == "unguarded" or safe & b:
+                    # unguarded: a promise counts even when its node is not safe
+                    safe |= kids[k]
+            yield rank, safe, unions
+
+    return passes
+
+
+def test_oracle_catches_a_broken_dp(monkeypatch):
+    tree = ExplicitTree.complete(2, 3)
+    space = RuleSpace(tree, 2)
+    # the first offending rule and level of each fault: forgetful fails on
+    # the empty rule at level 1, unguarded once the unsafe node 1 promises
+    for fault, cover, level in [("forgetful", "", 1), ("unguarded", "1=>{10}", 2)]:
+        monkeypatch.setattr(RuleSpace, "passes", _broken_passes(fault))
+        report = lindelof_oracle(tree)
+        monkeypatch.undo()
+        assert report["counterexamples"], fault
+        assert report["counterexamples"][0]["cover"] == cover, fault
+        assert report["counterexamples"][0]["level"] == level, fault
+        # the sweep stops at the first offending rank, and only its rule is
+        # formatted
+        rank = report["covers_checked"] - 1
+        (_, broken, _), = _broken_passes(fault)(space, [rank])
+        fmap = space.rule(space.digits(rank))
+        assert broken != _safe_mask(tree, fmap), fault
+        assert all(c["cover"] == wedge._show(fmap) for c in report["counterexamples"]), fault
 
 
 def test_oracle_exhaustive_on_ragged_tree():
@@ -439,6 +484,34 @@ def test_wedge_masks_are_wedges(tree):
     table = space.wedge_masks(cone)
     for y, options, row in zip(space.nodes, space.options, table):
         assert row == [members(Wedge(y, tuple(option))) for option in options], y
+
+
+def _pass_cases():
+    ternary4 = ExplicitTree.complete(3, 4)
+    rng = random.Random(11)
+    size = RuleSpace(ternary4, 2).size
+    cases = [(tree, range(RuleSpace(tree, 2).size)) for tree in RULE_TREES]
+    return cases + [(ternary4, [rng.randrange(size) for _ in range(2000)])]
+
+
+@pytest.mark.parametrize("tree, ranks", _pass_cases(), ids=["binary", "ternary", "ragged", "ternary-h4-seeded"])
+def test_pass_matches_safe_sets(tree, ranks):
+    space = RuleSpace(tree, 2)
+    nodes = list(tree.parent)
+    cone = wedge._cone_masks(tree)
+    table = space.wedge_masks(cone)
+    depth_of = [tree.depth[y] for y in space.nodes]
+    leaves = [0] * tree.tree_height()
+    for x in nodes:
+        if not tree.children[x]:
+            leaves[tree.depth[x]] |= cone[x]
+    for rank, safe, unions in space.passes(ranks):
+        digits = space.digits(rank)
+        assert safe == _safe_mask(tree, space.rule(digits)), rank
+        expected = leaves[:]
+        for d, row, k in zip(depth_of, table, digits):
+            expected[d] |= row[k]
+        assert unions == expected, rank
 
 
 # --- the engine against real wedges ---------------------------------------------------
