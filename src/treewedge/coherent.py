@@ -20,13 +20,19 @@ below g with e_g for every g on b's first-step descent (b, then b[0] of a
 limit or the predecessor of a successor, down to 0).  ``eval_e`` and
 ``delta_e`` therefore jump straight to the least such g above the position
 or the lower anchor (``ordinal.descent_floor``, read off the CNF terms)
-instead of walking the descent one step at a time; what is left is a ladder
-scan, linear in the number of blocks below the target.
+instead of walking the descent one step at a time.  On a limit anchor,
+``eval_e`` then reads the position's block off the CNF terms too
+(``ordinal.ladder_index``), so its cost never grows with a coefficient;
+``delta_e`` still scans the ladder, linear in the number of blocks below
+the target.
 
 All operations are pure; memo tables are idempotent fills, so concurrent use
-needs no coordination.  ``eval_e`` reads its memo before it checks that the
-position lies below the anchor: every stored pair passed that check, so a
-hit skips an ordinal comparison and a miss is validated as before.
+needs no coordination.  ``eval_e``'s memo is keyed by the pair of the
+ordinals' ``_key`` tuples, so a lookup hashes and compares in C and never
+calls ``Ordinal.__hash__``; a key's order is its ordinal's order.  It reads
+the memo before it checks that the position lies below the anchor: every
+stored pair passed that check, so a hit skips an ordinal comparison and a
+miss is validated as before.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .ordinal import (
     descent_floor,
     from_nat,
     fund_seq,
+    ladder_index,
 )
 
 
@@ -68,12 +75,12 @@ class CoherentSystem:
         parameter only so that ``perfbench/tracing.py`` can swap in a
         counting wrapper through its default."""
         self.ladder = ladder
-        self._eval: dict[tuple[Ordinal, Ordinal], int] = {}
+        self._eval: dict[tuple[tuple, tuple], int] = {}
         self._delta: dict[tuple[Ordinal, Ordinal], frozenset] = {}
 
     def eval_e(self, alpha: Ordinal, xi: Ordinal) -> int:
         """Value of e_alpha at xi < alpha."""
-        key = (alpha, xi)
+        key = (alpha._key, xi._key)
         cached = self._eval.get(key)
         if cached is not None:
             return cached
@@ -89,15 +96,10 @@ class CoherentSystem:
                 # the anchor is xi+1, which extends e_xi by xi's birth value
                 value = _birth_value(xi)
                 break
-            # limit anchor whose block 0 ends at or below xi: locate xi's block
-            prev = self.ladder(anchor, 0)
-            n = 1
-            while True:
-                ln = self.ladder(anchor, n)
-                if xi < ln:
-                    break
-                prev = ln
-                n += 1
+            # limit anchor whose block 0 ends at or below xi: xi lies in
+            # block n >= 1, [ladder(n-1), ladder(n))
+            n = ladder_index(anchor, xi)
+            prev, ln = self.ladder(anchor, n - 1), self.ladder(anchor, n)
             if xi == prev and not prev.is_nat():
                 value = _seam_value(prev)
                 break

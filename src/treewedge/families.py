@@ -171,6 +171,7 @@ class BitNode:
 class BitFamily(TreeFamily):
     def __init__(self, coh: CoherentSystem):
         self.coh = coh
+        self._stem: dict[tuple[tuple, tuple], int] = {}  # stem_query memo, keyed by _key
 
     def root(self) -> BitNode:
         return BitNode(ZERO, (), ())
@@ -189,10 +190,12 @@ class BitFamily(TreeFamily):
         return BitNode(alpha, (), ())
 
     def stem_query(self, gamma: Ordinal, eta: Ordinal) -> int:
-        xi, n = unpair_f(eta)
-        if xi < gamma and self.coh.eval_e(gamma, xi) == n:
-            return 1
-        return 0
+        key = (gamma._key, eta._key)
+        bit = self._stem.get(key)
+        if bit is None:
+            xi, n = unpair_f(eta)
+            bit = self._stem[key] = int(xi < gamma and self.coh.eval_e(gamma, xi) == n)
+        return bit
 
     def node(self, alpha: Ordinal, flips, tail) -> BitNode:
         gamma, m = block_decompose(alpha)

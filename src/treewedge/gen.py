@@ -2,6 +2,14 @@
 
 Everything takes an explicit random.Random so that suite reports are
 reproducible bit for bit from (config, seed).
+
+The hot draws (``rand_below``, ``rand_bit_node``, ``rand_digit_node``) bind
+``below = rng._randbelow`` once and call it in place of ``randrange(n)``,
+``randrange(a, b)`` and ``choice(s)``, which are ``_randbelow(n)``,
+``a + _randbelow(b - a)`` and ``s[_randbelow(len(s))]`` on every supported
+Python.  That skips randrange's argument handling and consumes exactly
+the same random bits, so the stream and every report stay the same;
+``tests/test_gen.py`` pins it against randrange-based reference copies.
 """
 
 from __future__ import annotations
@@ -29,27 +37,25 @@ def rand_below(rng: random.Random, bound: Ordinal, coeff_cap: int = 5) -> Ordina
     """Uniform-ish ordinal strictly below ``bound``.  The result is canonical
     by construction: a prefix of bound's terms, then distinct exponents
     below the next one, in descending order."""
-    if bound.is_zero():
-        raise ValueError("no ordinal below zero")
     terms = bound.terms
-    i = rng.randrange(len(terms))
+    if not terms:
+        raise ValueError("no ordinal below zero")
+    below = rng._randbelow
+    i = below(len(terms))  # drawn even from one term: it consumes bits
     e, c = terms[i]
-    if not i and e.is_zero():  # a natural bound: the same two draws
-        return from_nat(rng.randrange(c))
-    prefix = list(terms[:i])
-    c2 = rng.randrange(c)
-    if c2:
-        prefix.append((e, c2))
-    if e.is_zero():
-        return from_canonical(tuple(prefix))
+    if not i and not e.terms:  # a natural bound: the same two draws
+        return from_nat(below(c))
+    c2 = below(c)
+    prefix = terms[:i] + ((e, c2),) if c2 else terms[:i]
+    if not e.terms:
+        return from_canonical(prefix)
     exps = []
-    for _ in range(rng.randrange(0, 3)):
+    for _ in range(below(3)):
         x = rand_below(rng, e, coeff_cap)
         if all(x != y for y in exps):
             exps.append(x)
     exps.sort(reverse=True)
-    prefix.extend((x, rng.randrange(1, coeff_cap + 1)) for x in exps)
-    return from_canonical(tuple(prefix))
+    return from_canonical(prefix + tuple([(x, 1 + below(coeff_cap)) for x in exps]))
 
 
 def rand_positions(rng: random.Random, bound: Ordinal, k: int) -> list[Ordinal]:
@@ -62,19 +68,21 @@ def rand_positions(rng: random.Random, bound: Ordinal, k: int) -> list[Ordinal]:
 
 
 def rand_bit_node(rng: random.Random, bits: BitFamily, alpha: Ordinal) -> BitNode:
+    below = rng._randbelow
     gamma, m = block_decompose(alpha)
-    flips = () if gamma.is_zero() else tuple(rand_positions(rng, gamma, rng.randrange(0, 4)))
-    tail = tuple(rng.randrange(2) for _ in range(m))
+    flips = tuple(rand_positions(rng, gamma, below(4))) if gamma.terms else ()
+    tail = tuple([below(2) for _ in range(m)])
     return bits.node(alpha, flips, tail)
 
 
 def rand_digit_node(rng: random.Random, digits: DigitFamily, alpha: Ordinal) -> DigitNode:
+    below = rng._randbelow
     gamma, m = block_decompose(alpha)
-    trail = tuple(rng.randrange(0, 5) for _ in range(m))
-    if gamma.is_zero():
+    trail = tuple([below(5) for _ in range(m)])
+    if not gamma.terms:
         return DigitNode(None, (), trail)
     base = rand_bit_node(rng, digits.bits, gamma)
-    overrides = {p: rng.randrange(0, 5) for p in rand_positions(rng, gamma, rng.randrange(0, 4))}
+    overrides = {p: below(5) for p in rand_positions(rng, gamma, below(4))}
     return digits.assemble(base, overrides, trail)
 
 

@@ -9,7 +9,8 @@ Node literals, by family (the one check format_node and parse_node make):
   t:<ordinal>:{<flip ordinals>}:[<tail bits>] a binary node, only as the
                                               tail inside a u: literal
 
-Every <nat>, digit and bit is a run of ASCII decimal digits (ordinal.is_nat).
+Every <nat>, digit and bit is a numeral: ASCII decimal digits with no
+leading zero (ordinal.is_nat).  Explicit node ids are names, not numerals.
 
 Cover literals:
   subtree(T-in-U)            the binary tree inside the digit tree

@@ -16,7 +16,9 @@ same induction from ``hash(())``.
 decoded and outside input.  ``from_canonical`` skips the checks; it is used
 only where the result is canonical by construction: ``from_nat``,
 ``add_ord``, ``block_decompose``, ``pred``, ``fund_seq``, ``descent_floor``
-and ``gen.rand_below``.
+and ``gen.rand_below``, which builds its term tuples directly.  Hot memos
+(``CoherentSystem._eval``, ``BitFamily``'s stem memo) key on ``_key``
+rather than on the Ordinal, so a lookup hashes in C.
 
 Small naturals are shared: ``from_nat(n)`` returns one instance per
 ``n < SHARED_NATS`` (``ZERO`` and ``ONE`` among them), filled in on first
@@ -176,13 +178,18 @@ class BlockDecomposition(NamedTuple):
     finite_part: int
 
 
+_tuple_new = tuple.__new__
+
+
 def block_decompose(a: Ordinal) -> BlockDecomposition:
-    """Split ``a`` as (limit-or-zero part, finite remainder)."""
+    """Split ``a`` as (limit-or-zero part, finite remainder).  The pair is
+    built with ``tuple.__new__``, which skips the namedtuple's Python-level
+    ``__new__``."""
     terms = a.terms
-    if terms and terms[-1][0].is_zero():
+    if terms and not terms[-1][0].terms:
         rest = terms[:-1]
-        return BlockDecomposition(from_canonical(rest) if rest else ZERO, terms[-1][1])
-    return BlockDecomposition(a, 0)
+        return _tuple_new(BlockDecomposition, (from_canonical(rest) if rest else ZERO, terms[-1][1]))
+    return _tuple_new(BlockDecomposition, (a, 0))
 
 
 def pred(a: Ordinal) -> Ordinal:
@@ -209,6 +216,43 @@ def fund_seq(lam: Ordinal, n: int) -> Ordinal:
     if classify(e) == "successor":
         return from_canonical((*delta, (pred(e), n + 1)))
     return from_canonical((*delta, (fund_seq(e, n), 1)))
+
+
+def ladder_index(lam: Ordinal, xi: Ordinal) -> int:
+    """Least n with xi < fund_seq(lam, n), for xi below the limit ``lam``.
+
+    Write lam as d + w^e.  Members of the ladder are d + w^b for b below e,
+    so n is 0 when xi < d, and otherwise depends only on r, xi minus d:
+    for a successor e it is r's coefficient at w^(e-1) (0 when r's leading
+    exponent is lower), and for a limit e it is ladder_index(e, leading
+    exponent of r).  The loop descends only into exponents, so the nesting
+    of lam bounds it, never its coefficients.
+    """
+    if classify(lam) != "limit":
+        raise ValueError(f"{lam} is not a limit ordinal")
+    if not xi._key < lam._key:
+        raise ValueError(f"{xi} is not below {lam}")
+    while True:
+        lt, k = lam.terms, len(lam.terms) - 1
+        e, c = lt[k]
+        xt = xi.terms
+        if len(xt) <= k or xi._key[:k] != lam._key[:k]:
+            return 0  # xi lies below lam's terms before the last: below d
+        a, ca = xt[k]
+        if a._key == e._key:
+            if ca < c - 1:
+                return 0  # xi < d = ... + w^e*(c-1)
+            r = xt[k + 1 :]
+        elif c > 1:
+            return 0  # d ends in w^e*(c-1), above xi's lower term
+        else:
+            r = xt[k:]
+        if not r:
+            return 0  # xi is d itself
+        lead, q = r[0]
+        if not e.terms[-1][0].terms:  # successor e: rungs d + w^(e-1)*(n+1)
+            return q if lead._key == pred(e)._key else 0
+        lam, xi = e, lead  # limit e: rungs d + w^(e[n]), and xi < rung n iff lead < e[n]
 
 
 def descent_floor(beta: Ordinal, alpha: Ordinal) -> Ordinal:
@@ -421,25 +465,34 @@ def _parse_nat(src: str, i: int, pos_of) -> tuple[int, int]:
     j = i
     while j < len(src) and src[j].isdigit():
         j += 1
-    if not is_nat(src[i:j]):
-        raise CNFSyntaxError("digits must be ASCII", pos_of(i))
-    return int(src[i:j]), j
+    text = src[i:j]
+    if not is_nat(text):
+        raise CNFSyntaxError(_nat_error(text, "digits must be ASCII"), pos_of(i))
+    return int(text), j
 
 
 def is_nat(text: str) -> bool:
-    """Whether text is a non-empty run of ASCII decimal digits, the only
-    digits a literal takes: str.isdigit alone also passes other scripts'
-    digits and superscripts."""
-    return text.isascii() and text.isdigit()
+    """Whether text is a numeral: a non-empty run of ASCII decimal digits
+    with no leading zero, ``0`` itself included.  str.isdigit alone also
+    passes other scripts' digits and superscripts, and a leading zero would
+    not survive printing, so ``parse(format(x))`` round trips only on this
+    grammar."""
+    return text.isascii() and text.isdigit() and (text[0] != "0" or len(text) == 1)
 
 
 def read_nat(text: str) -> int:
-    """The natural that text writes in ASCII decimal digits.  int() alone
-    would also read signs, underscores, surrounding spaces and other
-    scripts' digits."""
+    """The natural that the numeral ``text`` writes (see ``is_nat``).  int()
+    alone would also read signs, underscores, surrounding spaces, leading
+    zeros and other scripts' digits."""
     if not is_nat(text):
-        raise ValueError("digits must be naturals")
+        raise ValueError(_nat_error(text, "digits must be naturals"))
     return int(text)
+
+
+def _nat_error(text: str, otherwise: str) -> str:
+    if text.isascii() and text.isdigit():
+        return "numerals take no leading zero"
+    return otherwise
 
 
 def to_cnf(a: Ordinal) -> str:

@@ -12,6 +12,12 @@ naturals.  On such tuples the lexicographic order of the zero-padded
 sequences is Python's tuple order: where one tuple is a proper prefix of the
 other, the longer one ends in a positive digit, so it is the larger either
 way.  ``point_cmp`` therefore compares the tuples natively.
+
+``TaggedPoint(side, seq)`` checks its fields and is the constructor for
+parsed and outside input.  ``_point`` skips the checks, as
+``ordinal.from_canonical`` does; it is used only where the sequence is
+canonical by construction: ``neg``, ``find_between``, ``point_below``,
+``point_above`` and the suites' random points.
 """
 
 from __future__ import annotations
@@ -55,6 +61,19 @@ class TaggedPoint:
         return point_cmp(self, other) <= 0
 
 
+_new = object.__new__
+
+
+def _point(side: str, seq: tuple) -> TaggedPoint:
+    """The point of a side and a trimmed, nonzero tuple of naturals.
+    Nothing is checked; input from outside goes through TaggedPoint."""
+    p = _new(TaggedPoint)
+    d = p.__dict__
+    d["side"] = side
+    d["seq"] = seq
+    return p
+
+
 def point_cmp(p: TaggedPoint, q: TaggedPoint) -> int:
     if p.side != q.side:
         return -1 if p.side == "L" else 1
@@ -65,7 +84,7 @@ def point_cmp(p: TaggedPoint, q: TaggedPoint) -> int:
 
 def neg(p: TaggedPoint) -> TaggedPoint:
     """Order-reversing involution: swap the copy, keep the sequence."""
-    return TaggedPoint("R" if p.side == "L" else "L", p.seq)
+    return _point("R" if p.side == "L" else "L", p.seq)
 
 
 def _lex_between(s, t) -> tuple:
@@ -96,10 +115,10 @@ def find_between(x: TaggedPoint, y: TaggedPoint) -> TaggedPoint:
         raise ValueError(f"{x} is not below {y}")
     if x.side != y.side:
         # block boundary: step up inside the Left copy
-        return TaggedPoint("L", tuple(x.seq) + (1,))
+        return _point("L", x.seq + (1,))
     if x.side == "L":
-        return TaggedPoint("L", _lex_between(x.seq, y.seq))
-    return TaggedPoint("R", _lex_between(y.seq, x.seq))
+        return _point("L", _lex_between(x.seq, y.seq))
+    return _point("R", _lex_between(y.seq, x.seq))
 
 
 def _seq_below(s) -> tuple:
@@ -119,12 +138,12 @@ def _seq_above(s) -> tuple:
 
 def point_below(p: TaggedPoint) -> TaggedPoint:
     seq = _seq_below(p.seq) if p.side == "L" else _seq_above(p.seq)
-    return TaggedPoint(p.side, seq)
+    return _point(p.side, seq)
 
 
 def point_above(p: TaggedPoint) -> TaggedPoint:
     seq = _seq_above(p.seq) if p.side == "L" else _seq_below(p.seq)
-    return TaggedPoint(p.side, seq)
+    return _point(p.side, seq)
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,12 @@ from .ordinal import Ordinal, ZERO, add_ord, classify, from_nat, parse_cnf
 from .sorgenfrey import (
     HalfOpenInterval,
     TaggedPoint,
+    _point,
     dense_injection,
     find_between,
     isolating_box,
     neg,
     point_cmp,
-    trim,
     uncovered_left_endpoints,
 )
 from .trees import ExplicitTree
@@ -334,8 +334,11 @@ def suite_wedge_oracle(config: RunConfig) -> list[dict]:
 
 
 def _rand_point(rng) -> TaggedPoint:
-    seq = trim([rng.randrange(0, 5) for _ in range(rng.randrange(0, 4))] + [rng.randrange(1, 5)])
-    return TaggedPoint(rng.choice("LR"), seq)
+    """Up to three digits then a positive one, on a random side: drawn
+    through ``_randbelow`` as ``gen`` draws, trimmed by construction."""
+    below = rng._randbelow
+    seq = (*[below(5) for _ in range(below(4))], 1 + below(4))
+    return _point("LR"[below(2)], seq)
 
 
 def suite_sorgenfrey(config: RunConfig) -> list[dict]:

@@ -4,8 +4,10 @@ Queries are built from the nine commands and from literal fragments, valid
 and malformed.  Naturals stay below 10^4 because some answers grow with the
 input: ``find-safe subtree(T-in-U) 100000`` prints a node of 100,000 digits
 (about 300 KB), which takes time to build and print but is no defect.  The
-finite tail of an ordinal like w+n, and the coefficient of the eval-e and
-delta-e anchors w*n and w^2*n, go up to 9,999.
+finite tail of an ordinal like w+n, and the coefficient of the delta-e
+anchors w*n and w^2*n, go up to 9,999; eval-e reads a position's block off
+its terms, so its coefficients go up to 10^20.  Numerals with a leading
+zero are among the malformed fragments.
 """
 
 import contextlib
@@ -45,7 +47,8 @@ tails = st.integers(0, 9_999)
 ordinals = st.one_of(
     naturals,
     st.sampled_from(
-        ["w", "w*2", "w^2", "w^2+w", "w^3", "w^(w)", "w*3+w", "w+w", "w^", "", "x", "(w", "w*0", "w*\u0663", "w^\u00b2"]
+        ["w", "w*2", "w^2", "w^2+w", "w^3", "w^(w)", "w*3+w", "w+w", "w^", "", "x", "(w", "w*0", "w*\u0663", "w^\u00b2",
+         "w*007", "00", "w^01"]
     ),
     st.tuples(st.sampled_from(["w", "w*2", "w^2", "w^(w)"]), tails).map(lambda p: f"{p[0]}+{p[1]}"),
 )
@@ -54,6 +57,14 @@ ordinals = st.one_of(
 anchors = st.one_of(
     ordinals,
     st.tuples(st.sampled_from(["w", "w^2"]), st.integers(1, 9_999)).map(lambda p: f"{p[0]}*{p[1]}"),
+)
+# eval-e's cost does not grow with a coefficient
+huge_anchors = st.one_of(
+    anchors,
+    st.tuples(st.sampled_from(["w", "w^2", "w^(w)"]), st.integers(1, 10**20)).map(lambda p: f"{p[0]}*{p[1]}"),
+    st.tuples(st.sampled_from(["w^2*", "w^(w)+w*"]), st.integers(1, 10**20), st.integers(0, 10**20)).map(
+        lambda p: f"{p[0]}{p[1]}+{p[2]}"
+    ),
 )
 nodes = st.one_of(
     st.lists(st.integers(0, 9_999), max_size=4).map(lambda ds: "u:[" + ",".join(f"d{d}" for d in ds) + "]"),
@@ -68,6 +79,8 @@ nodes = st.one_of(
             "u:[d0",
             "u:[dx]",
             "u:[d\u0663]",
+            "u:[d01]",
+            "u:[tail(t:w:{}:[])@w,patch(3=02)]",
             "u:[tail(t:w:{}:[])@w,patch(0=+1)]",
             "u:[tail(t:w:{}:[])@w,patch(0= 1_0)]",
             "r",
@@ -97,7 +110,7 @@ points = st.one_of(
     st.tuples(st.sampled_from("LR"), st.lists(st.integers(0, 9_999), min_size=1, max_size=4)).map(
         lambda p: f"{p[0]}:" + ".".join(map(str, p[1]))
     ),
-    st.sampled_from(["L:", "X:1", "L:1.", "R:0", "L:1.-1", "L:1_0", "L:+1", "R:\u0663"]),
+    st.sampled_from(["L:", "X:1", "L:1.", "R:0", "L:1.-1", "L:1_0", "L:+1", "R:\u0663", "L:01", "R:1.007"]),
 )
 targets = st.one_of(
     nodes.map(lambda u: f"include({u})"),
@@ -106,7 +119,7 @@ targets = st.one_of(
 )
 fragments = st.one_of(ordinals, nodes, covers, points, targets, st.text(alphabet="()[]{}:;,=>w+*^ud0123 ", max_size=8))
 ARGUMENTS = {
-    "eval-e": st.tuples(anchors, anchors),
+    "eval-e": st.tuples(huge_anchors, huge_anchors),
     "delta-e": st.tuples(anchors, anchors),
     "delta-x": st.tuples(ordinals, ordinals),
     "is-safe": st.tuples(covers, nodes),
@@ -165,7 +178,9 @@ def test_patched_subtree_levels_are_decided(cover, level):
         assert covered == {"covered": False}
 
 
-@pytest.mark.parametrize("query", ["eval-e 99999999999999999999999 5", "delta-e w+9999 w^2"])
+@pytest.mark.parametrize(
+    "query", ["eval-e 99999999999999999999999 5", "delta-e w+9999 w^2", "eval-e w^2 w*99999999999999999999"]
+)
 def test_huge_successor_anchor_answers_in_time(query, capsys):
     with deadline(2):
         assert main(["--query", query]) == 0

@@ -35,7 +35,8 @@ def test_eval_domain_guard():
     for alpha, xi in ((from_nat(3), from_nat(3)), (from_nat(3), from_nat(4)), (from_nat(4), OMEGA), (OMEGA, OMEGA)):
         with pytest.raises(ValueError, match="not below anchor"):
             coh.eval_e(alpha, xi)
-    assert all(xi < alpha for alpha, xi in coh._eval)
+    # the memo is keyed by the ordinals' _key tuples, whose order is ordinal order
+    assert all(xi_key < alpha_key for alpha_key, xi_key in coh._eval)
 
 
 def test_omega_block_is_plain(coh):

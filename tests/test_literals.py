@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -61,6 +62,36 @@ def test_literal_digits_allow_only_surrounding_spaces(ws):
     assert _parse_t(bits, "t:w+1:{}:[ 1 ]") == bits.node(parse_cnf("w+1"), [], [1])
     with pytest.raises(ValueError, match="digits must be naturals"):
         _parse_t(bits, "t:w+1:{}:[+1]")
+
+
+def with_leading_zeros(text):
+    """text with a 0 put before each of its numerals in turn."""
+    for m in re.finditer(r"(?<![0-9])[0-9]+", text):
+        yield text[: m.start()] + "0" + text[m.start() :]
+
+
+def test_canonical_u_literals_round_trip_and_take_no_leading_zero(ws):
+    injs, bits, digits = ws
+    rng = random.Random(73)
+    texts = ["u:[]", "u:[d0,d10]", "u:[tail(t:w:{}:[])@w,d0]", "u:[tail(t:w*2:{w+3}:[])@w*2,patch(w+10=20),d7]"]
+    for _ in range(60):
+        alpha = rng.choice(ANCHORS + [from_nat(12), parse_cnf("w^2+13")])
+        texts.append(format_node(digits, rand_digit_node(rng, digits, alpha)))
+    zeros = 0
+    for text in texts:
+        assert format_node(digits, parse_node(digits, text)) == text
+        for bad in with_leading_zeros(text):
+            with pytest.raises(ValueError):
+                parse_node(digits, bad)
+            zeros += 1
+    assert zeros > 200
+
+
+@pytest.mark.parametrize("text", ["u:[d01]", "u:[d00]", "u:[tail(t:w:{}:[])@w,patch(3=02)]", "u:[tail(t:w+1:{}:[01])@w+1]"])
+def test_u_literals_reject_leading_zeros(ws, text):
+    injs, bits, digits = ws
+    with pytest.raises(ValueError):
+        parse_node(digits, text)
 
 
 @pytest.mark.parametrize("text", ["te:w:{}", "t:w:{}:[]", "r"])

@@ -22,9 +22,12 @@ from treewedge.ordinal import (
     from_canonical,
     from_nat,
     fund_seq,
+    is_nat,
+    ladder_index,
     pair_f,
     parse_cnf,
     pred,
+    read_nat,
     structural_key,
     to_cnf,
     unpair_f,
@@ -108,6 +111,24 @@ def test_parse_takes_only_ascii_digits(text, pos):
     with pytest.raises(CNFSyntaxError, match="digits must be ASCII") as err:
         parse_cnf(text)
     assert err.value.pos == pos
+
+
+@pytest.mark.parametrize("text", ["00", "01", "w*007", "w^02", "w^(w*010)", "w+05", "w*2+00"])
+def test_parse_rejects_leading_zeros(text):
+    with pytest.raises(CNFSyntaxError, match="leading zero"):
+        parse_cnf(text)
+
+
+def test_numerals_take_no_leading_zero():
+    assert [is_nat(t) for t in ("0", "7", "10", "100", "00", "01", "007", "", "-1", "1_0", " 1")] == [True] * 4 + [False] * 7
+    assert read_nat("0") == 0 and read_nat("100") == 100
+    with pytest.raises(ValueError, match="leading zero"):
+        read_nat("01")
+
+
+@pytest.mark.parametrize("text", ["0", "1", "10", "w", "w*10", "w^10*100+w^2+101", "w^(w+10)*20+w^(w)+w*30"])
+def test_canonical_text_round_trips(text):
+    assert to_cnf(parse_cnf(text)) == text
 
 
 @given(ordinals(depth=3))
@@ -372,6 +393,51 @@ def test_descent_floor_examples():
     assert descent_floor(parse_cnf("w*100000"), from_nat(6)) == OMEGA
     with pytest.raises(ValueError):
         descent_floor(OMEGA, OMEGA + 1)
+
+
+def scan_ladder_index(lam, xi):
+    """The oracle: walk the ladder until a rung passes xi."""
+    n = 0
+    while not xi < fund_seq(lam, n):
+        n += 1
+    return n
+
+
+def test_ladder_index_matches_scan():
+    rng = random.Random(43)
+    checked = 0
+    answers = {}
+    while checked < 5000:
+        lam = small_ordinal(rng, 3)
+        if classify(lam) != "limit":
+            continue
+        for _ in range(8):
+            if rng.random() < 0.5:
+                # at or just above a rung, where an off-by-one would show
+                xi = add_ord(fund_seq(lam, rng.randrange(6)), small_ordinal(rng, rng.randrange(3)))
+            else:
+                xi = small_ordinal(rng, 3)
+            if not xi < lam:
+                continue
+            n = scan_ladder_index(lam, xi)
+            assert ladder_index(lam, xi) == n, (lam, xi)
+            checked += 1
+            answers[min(n, 4)] = answers.get(min(n, 4), 0) + 1
+    assert min(answers.values()) > 200, answers
+
+
+def test_ladder_index_examples():
+    big = 99999999999999999999
+    assert ladder_index(W2, parse_cnf(f"w*{big}")) == big
+    assert ladder_index(W2, parse_cnf(f"w*{big}+7")) == big
+    assert ladder_index(OMEGA, from_nat(big)) == big
+    assert ladder_index(WW, parse_cnf(f"w^{big}*3+w")) == big
+    assert ladder_index(parse_cnf("w^2*2"), parse_cnf("w^2+w*5")) == 5
+    assert ladder_index(parse_cnf("w^2*2"), parse_cnf("w*5")) == 0
+    assert ladder_index(parse_cnf("w^(w)+w^2"), parse_cnf("w^(w)+w+4")) == 1
+    for lam, xi in ((OMEGA + 1, ZERO), (ZERO, ZERO), (OMEGA, OMEGA), (W2, W2 + 1)):
+        with pytest.raises(ValueError):
+            ladder_index(lam, xi)
 
 
 def rand_below(rng, bound):

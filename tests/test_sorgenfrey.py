@@ -145,6 +145,21 @@ def test_find_between_random():
         assert a < z and z < b
 
 
+def test_trusted_points_pass_the_checked_constructor():
+    # neg, find_between, point_below and point_above build unchecked
+    rng = random.Random(29)
+    for _ in range(2000):
+        x, y = rand_point(rng), rand_point(rng)
+        if y < x:
+            x, y = y, x
+        built = [neg(x), point_below(x), point_above(x)]
+        if x < y:
+            built.append(find_between(x, y))
+        for p in built:
+            checked = TaggedPoint(p.side, p.seq)
+            assert checked == p and hash(checked) == hash(p)
+
+
 def test_find_between_cross_side():
     a, b = L(2), R(1)
     z = find_between(a, b)
@@ -245,6 +260,22 @@ def test_point_literals():
 def test_point_digits_are_ascii_naturals(text):
     with pytest.raises(ValueError, match="digits must be naturals"):
         parse_point(text)
+
+
+@pytest.mark.parametrize("text", ["L:01", "R:00.1", "L:1.007", "R:2.0.03"])
+def test_point_digits_take_no_leading_zero(text):
+    with pytest.raises(ValueError, match="leading zero"):
+        parse_point(text)
+
+
+@pytest.mark.parametrize("text", ["L:1", "R:10", "L:0.1", "R:0.0.10.3", "L:100.0.2"])
+def test_canonical_point_literals_round_trip(text):
+    assert format_point(parse_point(text)) == text
+
+
+@given(points())
+def test_drawn_point_literals_round_trip(p):
+    assert parse_point(format_point(p)) == p
 
 
 def test_interval_literal_round_trip():
