@@ -27,7 +27,6 @@ from .ordinal import (
     block_decompose,
     classify,
     from_nat,
-    ordinals_from_keys,
     pair_f,
     unpair_f,
 )
@@ -36,19 +35,6 @@ from .trees import TreeFamily
 
 class InjectivityError(ValueError):
     """Node construction would denote a non-injective sequence."""
-
-
-# --- position stream ------------------------------------------------
-
-def positions_below(bound: Ordinal) -> Iterator[Ordinal]:
-    """Canonical stream of all ordinals below ``bound`` (structural-key order)."""
-    if bound.is_nat():
-        for i in range(bound.to_nat()):
-            yield from_nat(i)
-        return
-    for a in ordinals_from_keys():
-        if a < bound:
-            yield a
 
 
 # --- injective-sequence family ---------------------------------------------------

@@ -1,7 +1,9 @@
-"""Seeded random fixture generators.
+"""Seeded random fixture generators, and one fixed grid of positions.
 
-Everything takes an explicit random.Random so that suite reports are
-reproducible bit for bit from (config, seed).
+Every draw takes an explicit random.Random so that suite reports are
+reproducible bit for bit from (config, seed).  ``grid_below`` draws
+nothing: it enumerates a fixed set of positions below a bound, so a suite
+can check each distinct position once instead of redrawing the same few.
 
 The hot draws (``rand_below``, ``rand_bit_node``, ``rand_digit_node``) bind
 ``below = rng._randbelow`` once and call it in place of ``randrange(n)``,
@@ -15,6 +17,9 @@ the same random bits, so the stream and every report stay the same;
 from __future__ import annotations
 
 import random
+
+from itertools import islice
+from typing import Iterator
 
 from .families import BitFamily, BitNode, DigitFamily, DigitNode, InjFamily
 from .ordinal import Ordinal, block_decompose, from_canonical, from_nat
@@ -94,3 +99,47 @@ def rand_inj_node(rng: random.Random, injs: InjFamily, alpha: Ordinal):
     for p in rand_positions(rng, alpha, rng.randrange(0, 4)) if not alpha.is_zero() else []:
         over[p] = pool.pop()
     return injs.node(alpha, over)
+
+
+def grid_below(bound: Ordinal, limit: int | None = None, coeff_cap: int = 8) -> Iterator[Ordinal]:
+    """The first ``limit`` points (all when None) of a fixed grid strictly
+    below ``bound``, in increasing order, canonical and without repeats.
+
+    Below a natural n the grid is 0..n-1.  Otherwise a point keeps a prefix
+    of bound's terms, lowers the next coefficient to one of 0..coeff_cap
+    (its natural last term to any lower n), and goes on with terms whose
+    coefficients are 1..coeff_cap and whose exponents come from the grid
+    below that term's exponent.  Points are built as they are taken, so a
+    huge grid (below ``w^(w^2)``, say) costs only its first ``limit``.
+    Naturals come from ``from_nat``, so memo keys share their key tuples.
+    """
+    if bound.is_nat():
+        return islice(map(from_nat, range(bound.to_nat())), limit)
+    return islice(map(from_canonical, _grid_terms(bound.terms, coeff_cap)), limit)
+
+
+def _grid_terms(terms: tuple, cap: int) -> Iterator[tuple]:
+    """Term tuples of the grid below the ordinal with these terms."""
+    if not terms:
+        return
+    (e, c), rest = terms[0], terms[1:]
+    if not e.terms:  # a natural last term: every n below it
+        yield ()
+        yield from (((e, n),) for n in range(1, c))
+        return
+    for k in range(min(c, cap + 1)):  # below w^e*c: w^e*k + (a point below w^e)
+        head = ((e, k),) if k else ()
+        for tail in _power_terms(e, cap):
+            yield head + tail
+    for tail in _grid_terms(rest, cap):  # then bound's own w^e*c + (a point below rest)
+        yield ((e, c),) + tail
+
+
+def _power_terms(e: Ordinal, cap: int) -> Iterator[tuple]:
+    """Term tuples of the grid below w^e: zero, then w^x*k + (a point below
+    w^x) for x up the grid below e and k in 1..cap."""
+    yield ()
+    for x in grid_below(e, None, cap):
+        for k in range(1, cap + 1):
+            for tail in _power_terms(x, cap):
+                yield ((x, k),) + tail

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from functools import total_ordering
 from math import isqrt
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 
 class CNFSyntaxError(ValueError):
@@ -512,15 +512,3 @@ def to_cnf(a: Ordinal) -> str:
         parts.append(base if c == 1 else f"{base}*{c}")
     return "+".join(parts)
 
-
-def ordinals_from_keys() -> Iterator[Ordinal]:
-    """All ordinals below epsilon_0 in structural-key order (0, 1, the first
-    composite with odd key 1 if valid, ...).  Used for canonical position
-    streams; keys that decode to nothing are skipped.
-    """
-    key = 0
-    while True:
-        a = _decode_key(key)
-        if a is not None:
-            yield a
-        key += 1

@@ -1,11 +1,20 @@
-"""Named verification suites over seeded random fixtures.
+"""Named verification suites over seeded random fixtures and fixed grids.
 
 Each suite function takes a RunConfig and returns a report dict with one
 entry per property: {"name", "passed", "note"}.  Reports contain no
 timestamps and all randomness flows from the config seed, so a (config,
-seed) pair fully determines the bytes of the serialized report.  A property
-whose checks are counted by a setting (``trials``, ``budget_enum``,
-``oracle_sample``) fails when that count is zero: it checked nothing.
+seed) pair fully determines the bytes of the serialized report.
+
+Positions below an anchor come from ``gen.grid_below``, a fixed
+enumeration, wherever a property checks a function pointwise: the
+coherence suite checks each grid point of each anchor once, and
+tree-closure reads each drawn node at its anchor's grid and at the node's
+own flip and tail positions.  Redrawn random positions would repeat the
+same few again and again.  The other fixtures are seeded draws.
+
+A property whose checks are counted by a setting (``trials``,
+``budget_enum``, ``oracle_sample``) fails when that count is zero: it
+checked nothing.  ``trials`` caps the grid points per anchor.
 """
 
 from __future__ import annotations
@@ -29,8 +38,8 @@ from .forcing import (
     spec_extend,
     union_compatible,
 )
-from .gen import rand_below, rand_bit_node, rand_digit_node, rand_inj_node
-from .ordinal import Ordinal, ZERO, add_ord, classify, from_nat, parse_cnf
+from .gen import grid_below, rand_below, rand_bit_node, rand_digit_node, rand_inj_node
+from .ordinal import ONE, Ordinal, ZERO, add_ord, block_decompose, classify, from_nat, parse_cnf
 from .sorgenfrey import (
     HalfOpenInterval,
     TaggedPoint,
@@ -54,6 +63,11 @@ from .wedge import (
 )
 
 DEFAULT_ANCHORS = ("w", "w*2", "w^2", "w^2+w", "w^3")
+# coherence checks the first ladder points of each limit anchor's correction table
+LADDER_STAGES = 8
+# tree-closure reads each of its 100 nodes per anchor at the anchor's grid
+# with this coefficient cap: coarser than the grid coherence checks once
+NODE_GRID_COEFF = 3
 
 
 @dataclass
@@ -94,55 +108,86 @@ def suite_coherence(config: RunConfig) -> list[dict]:
     ws = Workspace(config)
     coh = ws.coh
     rng = random.Random(config.seed)
-    anchors = config.anchor_ordinals() + [from_nat(n) for n in range(config.nat_anchors + 1)]
+    named = config.anchor_ordinals()
+    anchors = sorted(set(named).union(map(from_nat, range(config.nat_anchors + 1))))
     props = []
 
-    bad = 0
-    pairs = 0
-    for alpha in anchors:
-        if alpha.is_zero() or alpha == from_nat(1):
-            continue
-        for _ in range(min(config.trials, 1000)):
-            xi, eta = rand_below(rng, alpha), rand_below(rng, alpha)
-            if xi == eta:
-                continue
-            pairs += 1
-            if coh.eval_e(alpha, xi) == coh.eval_e(alpha, eta):
-                bad += 1
-    props.append(_prop("injectivity-per-anchor", pairs > 0 and bad == 0, f"{pairs} pairs"))
-
-    odd_ok = True
-    for alpha in anchors:
-        if alpha.is_zero():
-            continue
-        for _ in range(50):
-            v = coh.eval_e(alpha, rand_below(rng, alpha))
-            if v % 2 == 0:
-                odd_ok = False
-    props.append(_prop("values-odd", odd_ok))
-
+    # one pass over the anchors in order: each grid point of an anchor is
+    # checked once; the grid is listed again for each later anchor rather
+    # than kept, and only its values stay until the next anchor
+    points = named_points = bad = undecided = even = 0
+    witnesses = agreements = pairs = 0
     exact = True
-    witness_total = 0
-    ordered = sorted(anchors)
-    for i, alpha in enumerate(ordered):
-        for beta in ordered[i:]:
+    for i, alpha in enumerate(anchors):
+        own = []
+        for xi in grid_below(alpha, config.trials):
+            v = coh.eval_e(alpha, xi)
+            own.append(v)
+            even += v % 2 == 0
+            # decoding shares no code with eval_e, so a value two points
+            # share decodes to at most one of them
+            try:
+                if coh.position_of_value(alpha, v, config.budget_range) != xi:
+                    bad += 1
+            except UndecidedError:
+                undecided += 1
+        points += len(own)
+        if not alpha.is_nat():
+            named_points += len(own)
+        for beta in anchors[i + 1 :]:
+            pairs += 1
             delta = coh.delta_e(alpha, beta)
-            witness_total += len(delta)
+            witnesses += len(delta)
             for xi in delta:
-                if coh.eval_e(alpha, xi) == coh.eval_e(beta, xi):
+                va, vb = coh.eval_e(alpha, xi), coh.eval_e(beta, xi)
+                even += (va % 2 == 0) + (vb % 2 == 0)
+                if va == vb:
                     exact = False
-            for _ in range(50):
-                if alpha.is_zero():
-                    break
-                xi = rand_below(rng, alpha)
-                if xi not in delta and coh.eval_e(alpha, xi) != coh.eval_e(beta, xi):
-                    exact = False
-    props.append(_prop("delta-witnesses-exact", exact, f"{witness_total} witnesses"))
+            for xi, v in zip(grid_below(alpha, config.trials), own):
+                if xi not in delta:
+                    agreements += 1
+                    if v != coh.eval_e(beta, xi):
+                        exact = False
+    props.append(
+        _prop(
+            "injectivity-per-anchor",
+            points > undecided and bad == 0,
+            f"{points} (anchor, position) pairs over {len(anchors)} anchors, "
+            f"{named_points} on named anchors, {undecided} undecided",
+        )
+    )
+    values = points + 2 * witnesses  # each grid point's, and both sides of each witness
+    props.append(_prop("values-odd", values > 0 and even == 0, f"{values} values"))
+    props.append(
+        _prop(
+            "delta-witnesses-exact",
+            witnesses + agreements > 0 and exact,
+            f"{witnesses} witnesses and {agreements} grid agreements over {pairs} anchor pairs",
+        )
+    )
+
+    # each composite ladder point p of a limit is re-keyed at its seam, so
+    # e_lam(p) is the table's entry and differs from e_(p+1)(p), p's birth value
+    table_ok = True
+    entries = 0
+    limits = [lam for lam in named if classify(lam) == "limit"]
+    for lam in limits:
+        for p, seam in coh.correction_table(lam, LADDER_STAGES).items():
+            entries += 1
+            if coh.eval_e(lam, p) != seam or p not in coh.delta_e(add_ord(p, ONE), lam):
+                table_ok = False
+    props.append(
+        _prop(
+            "correction-table-matches-eval",
+            table_ok,
+            f"{entries} entries over the first {LADDER_STAGES} ladder points of {len(limits)} limit anchors",
+        )
+    )
 
     fresh = CoherentSystem()
     agree = all(
         coh.eval_e(alpha, xi) == fresh.eval_e(alpha, xi)
-        for alpha in config.anchor_ordinals()
+        for alpha in named
         for xi in [rand_below(rng, alpha) for _ in range(20)]
     )
     props.append(_prop("determinism-fresh-system", agree))
@@ -216,18 +261,33 @@ def suite_tree_closure(config: RunConfig) -> list[dict]:
                 ok_glue = False
     props.append(_prop("glue-restrictions-member", ok_glue))
 
+    # each node is read at its anchor's grid and at every one of its own
+    # flip and tail positions, where a fault in the embedding would show
     ok_embed = True
+    nodes = coords = 0
     for alpha in anchors:
+        grid = list(grid_below(alpha, config.trials, NODE_GRID_COEFF))
+        on_grid = set(grid)
+        gamma, m = block_decompose(alpha)
+        tails = [add_ord(gamma, from_nat(i)) for i in range(m)]
         for _ in range(100):
             t = rand_bit_node(rng, bits, alpha)
             u = digits.embed_bits(t)
+            nodes += 1
             if digits.height(u) != bits.height(t):
                 ok_embed = False
-            for _ in range(50):
-                xi = rand_below(rng, alpha)
+            at = grid + [xi for xi in {*t.flips, *tails} if xi not in on_grid]
+            coords += len(at)
+            for xi in at:
                 if digits.query(u, xi) != bits.query(t, xi):
                     ok_embed = False
-    props.append(_prop("embedding-pointwise", ok_embed, "100 nodes x 50 coordinates per anchor"))
+    props.append(
+        _prop(
+            "embedding-pointwise",
+            ok_embed,
+            f"{nodes} nodes at {coords} coordinates: each anchor's grid and every flip and tail position",
+        )
+    )
 
     ok_split = True
     for alpha in anchors:

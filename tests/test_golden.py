@@ -17,9 +17,9 @@ from treewedge.suites import SUITES, RunConfig, run_suite
 CONFIG = RunConfig(trials=60, nat_anchors=16, oracle_max=3000, oracle_sample=500)
 
 GOLDEN = {
-    "coherence": "c27c3833f72eddfbd338861ab2c877565ab35bff04d4d023c545f115abeadefe",
+    "coherence": "2a63a8d627a89a3e695e801baac88d41f2eefccdb701b616f37da5f61e51124b",
     "delta-x": "f5247be2b3ca77f703d5675734698ef5b98adbe624df05f1789264d8286c709c",
-    "tree-closure": "3e2e032f187e06d727d3fd198f4af3bdfa6608102b061ca7d18018e0b1eacefa",
+    "tree-closure": "4a3c4fea226e45567ead4fd8c112d6ffc32ee4bac1b134ed5e88b434a4b06e2c",
     "wedge-safe": "9fd5af7a0382061e257c3871b3afbb2e22d941453aad6011eabd4547f67dc9b6",
     "wedge-oracle": "1953334a1868bf534b438f77e5e1c4002d4770732465876352f21d31965c98d5",
     "sorgenfrey": "0ffdd12709e1fce2231bbdf157f25378349b21dda885303a9651fc96353bff27",

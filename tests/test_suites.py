@@ -1,10 +1,15 @@
 """Suite properties whose checks are counted by a setting fail when the
-setting makes that count zero, so a run that checked nothing cannot pass."""
+setting makes that count zero, so a run that checked nothing cannot pass;
+and the enumerated properties fail on a fault planted at a single point."""
 
 import json
 from dataclasses import asdict, replace
 
 from treewedge.cli import build_parser, merge_config
+from treewedge.coherent import CoherentSystem
+from treewedge.families import DigitFamily
+from treewedge.gen import grid_below
+from treewedge.ordinal import parse_cnf
 from treewedge.suites import SUITES, RunConfig, run_suite
 
 SMALL = RunConfig(nat_anchors=16, oracle_max=3000, oracle_sample=500)
@@ -55,3 +60,43 @@ def test_as_dict_matches_asdict(tmp_path):
         # a report's "config" entry: the same bytes, not only equal values
         flat, deep = (json.dumps(d, sort_keys=True, indent=2) for d in (config.as_dict(), asdict(config)))
         assert flat == deep
+
+
+# --- the enumerated properties catch a fault at a single grid point ---
+
+def _failed_with(monkeypatch, cls, attr, make, suite):
+    monkeypatch.setattr(cls, attr, make(getattr(cls, attr)))
+    return _failed(suite, SMALL)
+
+
+def test_a_shared_value_fails_injectivity(monkeypatch):
+    anchor, xi, eta = parse_cnf("w^2"), parse_cnf("w*3+2"), parse_cnf("w*5")
+
+    def make(eval_e):
+        return lambda self, alpha, pos: eval_e(self, alpha, eta if (alpha, pos) == (anchor, xi) else pos)
+
+    assert xi in set(grid_below(anchor)) and eta in set(grid_below(anchor))
+    failed = _failed_with(monkeypatch, CoherentSystem, "eval_e", make, "coherence")
+    assert "coherence::injectivity-per-anchor" in failed
+    assert "coherence::values-odd" not in failed
+
+
+def test_an_even_value_fails_values_odd(monkeypatch):
+    anchor, xi = parse_cnf("w^2+w"), parse_cnf("w^2+3")
+
+    def make(eval_e):
+        return lambda self, alpha, pos: 6 if (alpha, pos) == (anchor, xi) else eval_e(self, alpha, pos)
+
+    assert "coherence::values-odd" in _failed_with(monkeypatch, CoherentSystem, "eval_e", make, "coherence")
+
+
+def test_a_digit_query_wrong_at_flips_fails_embedding(monkeypatch):
+    def make(query):
+        def wrong_at_flips(self, x, xi):
+            digit = query(self, x, xi)
+            return 1 - digit if x.base is not None and xi in x.base.flips else digit
+
+        return wrong_at_flips
+
+    failed = _failed_with(monkeypatch, DigitFamily, "query", make, "tree-closure")
+    assert "tree-closure::embedding-pointwise" in failed
