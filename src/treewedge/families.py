@@ -150,8 +150,14 @@ class BitNode:
     """Binary sequence: the characteristic stem of its block, toggled at
     ``flips`` (below the block limit) plus an explicit finite ``tail``."""
     height: Ordinal
-    flips: tuple  # sorted tuple of Ordinal positions < gamma(height)
-    tail: tuple  # bits on [gamma(height), height)
+    flips: tuple  # sorted tuple of Ordinal positions < gamma
+    tail: tuple  # bits on [gamma, height)
+
+    @property
+    def gamma(self) -> Ordinal:
+        """The block limit of the height: the height itself when the tail,
+        which is as long as the height's finite part, is empty."""
+        return block_decompose(self.height).limit_part if self.tail else self.height
 
 
 class BitFamily(TreeFamily):
@@ -164,9 +170,6 @@ class BitFamily(TreeFamily):
 
     def height(self, x: BitNode) -> Ordinal:
         return x.height
-
-    def gamma(self, alpha: Ordinal) -> Ordinal:
-        return block_decompose(alpha).limit_part
 
     def char_stem(self, alpha: Ordinal) -> BitNode:
         """The canonical member of a limit-or-zero level: the characteristic
@@ -197,7 +200,7 @@ class BitFamily(TreeFamily):
         return BitNode(alpha, flips, tail)
 
     def query(self, x: BitNode, xi: Ordinal) -> int:
-        gamma = self.gamma(x.height)
+        gamma = x.gamma
         if xi < gamma:
             return self.stem_query(gamma, xi) ^ (xi in x.flips)
         return x.tail[block_decompose(xi).finite_part]
@@ -228,7 +231,7 @@ class BitFamily(TreeFamily):
     def restrict(self, x: BitNode, beta: Ordinal) -> BitNode:
         if beta == x.height:
             return x
-        gamma = self.gamma(x.height)
+        gamma = x.gamma
         gamma2, m2 = block_decompose(beta)
         if not beta < gamma:
             # same block: cut the tail
@@ -254,7 +257,7 @@ class BitFamily(TreeFamily):
         if alpha == x.height:
             return x
         gamma, m = block_decompose(alpha)
-        gx = self.gamma(x.height)
+        gx = x.gamma
         if gamma == gx:
             return BitNode(alpha, x.flips, x.tail + (0,) * (m - len(x.tail)))
         flips = set(x.flips)

@@ -12,9 +12,13 @@ tree-closure reads each drawn node at its anchor's grid and at the node's
 own flip and tail positions.  Redrawn random positions would repeat the
 same few again and again.  The other fixtures are seeded draws.
 
-A property whose checks are counted by a setting (``trials``,
-``budget_enum``, ``oracle_sample``) fails when that count is zero: it
-checked nothing.  ``trials`` caps the grid points per anchor.
+Every property keeps one ``Tally`` of the checks it made, the checks that
+failed and the fixtures it passed over, by reason (equal points, an
+``ExtensionError``, an undecided range test).  A property passes iff it
+made at least one check and none failed, so a property that checked
+nothing fails, whether a setting (``trials``, ``budget_enum``,
+``oracle_sample``) or the draws left it nothing.  Its note starts with
+those counts.  ``trials`` caps the grid points per anchor.
 """
 
 from __future__ import annotations
@@ -100,8 +104,38 @@ class Workspace:
         self.digits = DigitFamily(self.bits)
 
 
-def _prop(name: str, passed: bool, note: str = "") -> dict:
-    return {"name": name, "passed": bool(passed), "note": note}
+class Tally:
+    """One property's checks, failed checks and skipped fixtures by reason.
+
+    The property passes iff it made at least one check and none failed.  A
+    batch of checks counted elsewhere is added to ``checks`` and ``failed``.
+    """
+
+    __slots__ = ("name", "checks", "failed", "skipped")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checks = self.failed = 0
+        self.skipped: dict[str, int] = {}
+
+    def check(self, cond) -> None:
+        self.checks += 1
+        if not cond:
+            self.failed += 1
+
+    def skip(self, reason: str) -> None:
+        self.skipped[reason] = self.skipped.get(reason, 0) + 1
+
+    def result(self, context: str = "") -> dict:
+        """The report entry; its note leads with the counts, then ``context``."""
+        counts = [f"{self.checks} checks", f"{self.failed} failed"]
+        counts += [f"{n} skipped ({reason})" for reason, n in self.skipped.items()]
+        note = ", ".join(counts)
+        return {
+            "name": self.name,
+            "passed": self.checks > 0 and self.failed == 0,
+            "note": f"{note}; {context}" if context else note,
+        }
 
 
 def suite_coherence(config: RunConfig) -> list[dict]:
@@ -110,87 +144,59 @@ def suite_coherence(config: RunConfig) -> list[dict]:
     rng = random.Random(config.seed)
     named = config.anchor_ordinals()
     anchors = sorted(set(named).union(map(from_nat, range(config.nat_anchors + 1))))
-    props = []
+    injective, odd, exact = Tally("injectivity-per-anchor"), Tally("values-odd"), Tally("delta-witnesses-exact")
 
     # one pass over the anchors in order: each grid point of an anchor is
     # checked once; the grid is listed again for each later anchor rather
     # than kept, and only its values stay until the next anchor
-    points = named_points = bad = undecided = even = 0
-    witnesses = agreements = pairs = 0
-    exact = True
+    named_points = witnesses = 0
     for i, alpha in enumerate(anchors):
         own = []
         for xi in grid_below(alpha, config.trials):
             v = coh.eval_e(alpha, xi)
             own.append(v)
-            even += v % 2 == 0
+            odd.check(v % 2)
             # decoding shares no code with eval_e, so a value two points
             # share decodes to at most one of them
             try:
-                if coh.position_of_value(alpha, v, config.budget_range) != xi:
-                    bad += 1
+                injective.check(coh.position_of_value(alpha, v, config.budget_range) == xi)
             except UndecidedError:
-                undecided += 1
-        points += len(own)
+                injective.skip("undecided")
         if not alpha.is_nat():
             named_points += len(own)
         for beta in anchors[i + 1 :]:
-            pairs += 1
             delta = coh.delta_e(alpha, beta)
             witnesses += len(delta)
             for xi in delta:
                 va, vb = coh.eval_e(alpha, xi), coh.eval_e(beta, xi)
-                even += (va % 2 == 0) + (vb % 2 == 0)
-                if va == vb:
-                    exact = False
+                odd.check(va % 2)
+                odd.check(vb % 2)
+                exact.check(va != vb)
             for xi, v in zip(grid_below(alpha, config.trials), own):
                 if xi not in delta:
-                    agreements += 1
-                    if v != coh.eval_e(beta, xi):
-                        exact = False
-    props.append(
-        _prop(
-            "injectivity-per-anchor",
-            points > undecided and bad == 0,
-            f"{points} (anchor, position) pairs over {len(anchors)} anchors, "
-            f"{named_points} on named anchors, {undecided} undecided",
-        )
-    )
-    values = points + 2 * witnesses  # each grid point's, and both sides of each witness
-    props.append(_prop("values-odd", values > 0 and even == 0, f"{values} values"))
-    props.append(
-        _prop(
-            "delta-witnesses-exact",
-            witnesses + agreements > 0 and exact,
-            f"{witnesses} witnesses and {agreements} grid agreements over {pairs} anchor pairs",
-        )
-    )
+                    exact.check(v == coh.eval_e(beta, xi))
+    pairs = len(anchors) * (len(anchors) - 1) // 2
+    props = [
+        injective.result(f"(anchor, position) pairs over {len(anchors)} anchors, {named_points} on named anchors"),
+        odd.result(),
+        exact.result(f"{witnesses} witnesses and {exact.checks - witnesses} grid agreements over {pairs} anchor pairs"),
+    ]
 
     # each composite ladder point p of a limit is re-keyed at its seam, so
     # e_lam(p) is the table's entry and differs from e_(p+1)(p), p's birth value
-    table_ok = True
-    entries = 0
+    table = Tally("correction-table-matches-eval")
     limits = [lam for lam in named if classify(lam) == "limit"]
     for lam in limits:
         for p, seam in coh.correction_table(lam, LADDER_STAGES).items():
-            entries += 1
-            if coh.eval_e(lam, p) != seam or p not in coh.delta_e(add_ord(p, ONE), lam):
-                table_ok = False
-    props.append(
-        _prop(
-            "correction-table-matches-eval",
-            table_ok,
-            f"{entries} entries over the first {LADDER_STAGES} ladder points of {len(limits)} limit anchors",
-        )
-    )
+            table.check(coh.eval_e(lam, p) == seam and p in coh.delta_e(add_ord(p, ONE), lam))
+    props.append(table.result(f"the first {LADDER_STAGES} ladder points of {len(limits)} limit anchors"))
 
     fresh = CoherentSystem()
-    agree = all(
-        coh.eval_e(alpha, xi) == fresh.eval_e(alpha, xi)
-        for alpha in named
-        for xi in [rand_below(rng, alpha) for _ in range(20)]
-    )
-    props.append(_prop("determinism-fresh-system", agree))
+    same = Tally("determinism-fresh-system")
+    for alpha in named:
+        for xi in [rand_below(rng, alpha) for _ in range(20)]:
+            same.check(coh.eval_e(alpha, xi) == fresh.eval_e(alpha, xi))
+    props.append(same.result())
     return props
 
 
@@ -199,31 +205,26 @@ def suite_delta_x(config: RunConfig) -> list[dict]:
     bits = ws.bits
     rng = random.Random(config.seed)
     stems = [ZERO] + [a for a in ws.config.anchor_ordinals() if classify(a) == "limit"]
-    props = []
-    contained = True
-    rechecked = True
-    outside_ok = True
-    count = 0
+    contained = Tally("delta-inside-candidate-set")
+    disagree = Tally("delta-members-disagree")
+    complete = Tally("delta-complete-on-samples")
     for i, alpha in enumerate(stems):
         for beta in stems[i:]:
             delta = bits.char_delta(alpha, beta)
-            count += len(delta)
-            if not delta <= bits.char_delta_candidates(alpha, beta):
-                contained = False
+            contained.check(delta <= bits.char_delta_candidates(alpha, beta))
             stem_a, stem_b = bits.char_stem(alpha), bits.char_stem(beta)
             for eta in delta:
-                if bits.query(stem_a, eta) == bits.query(stem_b, eta):
-                    rechecked = False
+                disagree.check(bits.query(stem_a, eta) != bits.query(stem_b, eta))
             for _ in range(50):
                 if alpha.is_zero():
                     break
                 eta = rand_below(rng, alpha)
-                if eta not in delta and bits.query(stem_a, eta) != bits.query(stem_b, eta):
-                    outside_ok = False
-    props.append(_prop("delta-inside-candidate-set", contained, f"{count} members"))
-    props.append(_prop("delta-members-disagree", rechecked))
-    props.append(_prop("delta-complete-on-samples", outside_ok))
-    return props
+                if eta in delta:
+                    complete.skip("sample in the difference set")
+                else:
+                    complete.check(bits.query(stem_a, eta) == bits.query(stem_b, eta))
+    # each member is one check of delta-members-disagree
+    return [contained.result(f"{disagree.checks} members"), disagree.result(), complete.result()]
 
 
 def suite_tree_closure(config: RunConfig) -> list[dict]:
@@ -231,40 +232,35 @@ def suite_tree_closure(config: RunConfig) -> list[dict]:
     bits, digits = ws.bits, ws.digits
     rng = random.Random(config.seed)
     anchors = config.anchor_ordinals()
-    props = []
 
-    ok_bits = True
+    restricted = Tally("bit-restrictions-member")
     for alpha in anchors:
         for _ in range(100):
             x = rand_bit_node(rng, bits, alpha)
             beta = rand_below(rng, alpha)
             y = bits.restrict(x, beta)
-            if not bits.contains(y):
-                ok_bits = False
+            restricted.check(bits.contains(y))
             for _ in range(5):
                 if beta.is_zero():
                     break
                 xi = rand_below(rng, beta)
-                if bits.query(y, xi) != bits.query(x, xi):
-                    ok_bits = False
-    props.append(_prop("bit-restrictions-member", ok_bits))
+                restricted.check(bits.query(y, xi) == bits.query(x, xi))
 
-    ok_glue = True
+    glued = Tally("glue-restrictions-member")
     for alpha in anchors:
         for _ in range(100):
             beta = rand_below(rng, alpha)
             u = rand_digit_node(rng, digits, beta)
             t = rand_bit_node(rng, bits, alpha)
-            glued = digits.glue(u, t)
+            node = digits.glue(u, t)
             cut = rand_below(rng, alpha)
-            if not digits.contains(digits.restrict(glued, cut)):
-                ok_glue = False
-    props.append(_prop("glue-restrictions-member", ok_glue))
+            glued.check(digits.contains(digits.restrict(node, cut)))
+    props = [restricted.result(), glued.result()]
 
     # each node is read at its anchor's grid and at every one of its own
     # flip and tail positions, where a fault in the embedding would show
-    ok_embed = True
-    nodes = coords = 0
+    embedded = Tally("embedding-pointwise")
+    nodes = 0  # one height check each; every other check reads a coordinate
     for alpha in anchors:
         grid = list(grid_below(alpha, config.trials, NODE_GRID_COEFF))
         on_grid = set(grid)
@@ -274,37 +270,31 @@ def suite_tree_closure(config: RunConfig) -> list[dict]:
             t = rand_bit_node(rng, bits, alpha)
             u = digits.embed_bits(t)
             nodes += 1
-            if digits.height(u) != bits.height(t):
-                ok_embed = False
-            at = grid + [xi for xi in {*t.flips, *tails} if xi not in on_grid]
-            coords += len(at)
-            for xi in at:
-                if digits.query(u, xi) != bits.query(t, xi):
-                    ok_embed = False
+            embedded.check(digits.height(u) == bits.height(t))
+            for xi in grid + [xi for xi in {*t.flips, *tails} if xi not in on_grid]:
+                embedded.check(digits.query(u, xi) == bits.query(t, xi))
+    coords = embedded.checks - nodes
     props.append(
-        _prop(
-            "embedding-pointwise",
-            ok_embed,
-            f"{nodes} nodes at {coords} coordinates: each anchor's grid and every flip and tail position",
-        )
+        embedded.result(f"{nodes} nodes at {coords} coordinates: each anchor's grid and every flip and tail position")
     )
 
-    ok_split = True
+    # one check per digit successor read: it is new, and the bit node drawn
+    # at the same anchor has exactly two successors
+    split = Tally("splitting-degrees")
     for alpha in anchors:
         x = rand_bit_node(rng, bits, alpha)
-        kids = list(bits.successors(x))
-        if len(kids) != 2:
-            ok_split = False
+        binary = len(list(bits.successors(x))) == 2
         u = rand_digit_node(rng, digits, alpha)
         stream = digits.successors(u)
-        seen = [next(stream) for _ in range(config.budget_enum)]
-        if not seen or len(set(seen)) != config.budget_enum:
-            ok_split = False
-    props.append(_prop("splitting-degrees", ok_split))
+        seen = set()
+        for _ in range(config.budget_enum):
+            s = next(stream)
+            split.check(binary and s not in seen)
+            seen.add(s)
+    props.append(split.result())
 
     injs = ws.injs
-    ok_inj = True
-    undecided = 0
+    inj = Tally("inj-restrictions-member")
     for alpha in anchors:
         for _ in range(20):
             x = rand_inj_node(rng, injs, alpha)
@@ -312,14 +302,12 @@ def suite_tree_closure(config: RunConfig) -> list[dict]:
             xis = [] if beta.is_zero() else [rand_below(rng, beta) for _ in range(5)]
             try:
                 y = injs.restrict(x, beta)
-                if not injs.contains(y) or any(injs.query(y, xi) != injs.query(x, xi) for xi in xis):
-                    ok_inj = False
+                inj.check(injs.contains(y) and all(injs.query(y, xi) == injs.query(x, xi) for xi in xis))
                 kids = list(islice(injs.successors(x), 4))
-                if len(set(kids)) != 4 or any(injs.restrict(k, alpha) != x for k in kids):
-                    ok_inj = False
+                inj.check(len(set(kids)) == 4 and all(injs.restrict(k, alpha) == x for k in kids))
             except UndecidedError:  # a range test ran past --budget-range
-                undecided += 1
-    props.append(_prop("inj-restrictions-member", ok_inj, f"20 nodes per anchor, {undecided} undecided"))
+                inj.skip("undecided")
+    props.append(inj.result())
     return props
 
 
@@ -328,45 +316,36 @@ def suite_wedge_safe(config: RunConfig) -> list[dict]:
     digits = ws.digits
     tinu = BinaryInsideDigits(digits)
     limits = [a for a in config.anchor_ordinals() if classify(a) == "limit"]
-    props = []
 
-    found = True
-    uncovered = True
+    found, uncovered = Tally("safe-points-at-limits"), Tally("full-subtree-never-covered")
     for alpha in limits:
         w = find_safe_point(tinu, alpha)
-        if w is None or not is_safe(tinu, w) or digits.height(w) != alpha:
-            found = False
-        if covers_within(tinu, alpha):
-            uncovered = False
-    props.append(_prop("safe-points-at-limits", found, f"{len(limits)} levels"))
-    props.append(_prop("full-subtree-never-covered", uncovered))
+        found.check(w is not None and is_safe(tinu, w) and digits.height(w) == alpha)
+        uncovered.check(not covers_within(tinu, alpha))
 
     cut = parse_cnf("w")
     trunc = TruncatedSubtree(BinaryInsideDigits(digits), cut)
-    above = [a for a in limits if cut < a]
-    covered = all(covers_within(trunc, a) for a in above)
-    covered = covered and covers_within(trunc, add_ord(cut, from_nat(1)))
-    props.append(_prop("truncated-covered-above-cut", covered, f"{len(above) + 1} levels"))
-
-    still = not covers_within(trunc, from_nat(3)) and not covers_within(trunc, cut)
-    props.append(_prop("truncated-safe-below-cut", still))
+    covered = Tally("truncated-covered-above-cut")
+    for alpha in [a for a in limits if cut < a] + [add_ord(cut, ONE)]:
+        covered.check(covers_within(trunc, alpha))
+    still = Tally("truncated-safe-below-cut")
+    for alpha in (from_nat(3), cut):
+        still.check(not covers_within(trunc, alpha))
+    props = [found.result(), uncovered.result(), covered.result(), still.result()]
 
     S = SafeSubtree(tinu)
     rng = random.Random(config.seed)
-    closure = True
-    filter_ok = True
+    closed, filtered = Tally("safe-set-downward-closed"), Tally("safe-set-filter-is-rule")
     for _ in range(100):
         alpha = rng.choice(limits)
         u = rand_digit_node(rng, digits, alpha)
         if S.contains(u):
-            if not S.contains(digits.restrict(u, rand_below(rng, alpha))):
-                closure = False
-            kids = S.values(u)
-            if sorted(k.trail[-1] for k in kids) != [0, 1]:
-                filter_ok = False
-    props.append(_prop("safe-set-downward-closed", closure))
-    props.append(_prop("safe-set-filter-is-rule", filter_ok))
-    return props
+            closed.check(S.contains(digits.restrict(u, rand_below(rng, alpha))))
+            filtered.check(sorted(k.trail[-1] for k in S.values(u)) == [0, 1])
+        else:
+            closed.skip("not in the safe set")
+            filtered.skip("not in the safe set")
+    return props + [closed.result(), filtered.result()]
 
 
 def suite_wedge_oracle(config: RunConfig) -> list[dict]:
@@ -381,15 +360,15 @@ def suite_wedge_oracle(config: RunConfig) -> list[dict]:
             sample=config.oracle_sample,
             rng=rng,
         )
+        # one check per rule; the sweep stops at the first failing rule
+        rules = Tally(f"oracle-{label}-h{height}")
+        rules.checks = report["covers_checked"]
+        rules.failed = int(bool(report["counterexamples"]))
         if report["sampled"]:
-            note = (
-                f"space {report['space']} exceeds the guard {config.oracle_max}; "
-                f"{report['covers_checked']} seeded samples"
-            )
+            context = f"seeded samples: space {report['space']} exceeds the guard {config.oracle_max}"
         else:
-            note = f"exhaustive over {report['covers_checked']} rules"
-        passed = report["covers_checked"] > 0 and not report["counterexamples"]
-        props.append(_prop(f"oracle-{label}-h{height}", passed, note))
+            context = "exhaustive over the rule space"
+        props.append(rules.result(context))
     return props
 
 
@@ -403,37 +382,36 @@ def _rand_point(rng) -> TaggedPoint:
 
 def suite_sorgenfrey(config: RunConfig) -> list[dict]:
     rng = random.Random(config.seed)
-    props = []
 
-    iso_ok = True
+    isolated = Tally("isolation-boxes")
     for _ in range(100):
         x = _rand_point(rng)
         u, v, box = isolating_box(x)
-        if not box.contains((x, neg(x))):
-            iso_ok = False
+        isolated.check(box.contains((x, neg(x))))
         for _ in range(200):
             y = _rand_point(rng)
-            if point_cmp(y, x) != 0 and box.contains((y, neg(y))):
-                iso_ok = False
-    props.append(_prop("isolation-boxes", iso_ok, "100 boxes x 200 probes"))
+            if point_cmp(y, x) == 0:
+                isolated.skip("probe equals the point")
+            else:
+                isolated.check(not box.contains((y, neg(y))))
 
-    between_ok = True
+    between = Tally("between-strict")
     for _ in range(10_000):
         a, b = _rand_point(rng), _rand_point(rng)
         if point_cmp(a, b) == 0:
+            between.skip("equal points")
             continue
         if b < a:
             a, b = b, a
         z = find_between(a, b)
-        if not (a < z and z < b):
-            between_ok = False
-    props.append(_prop("between-strict", between_ok, "10^4 pairs"))
+        between.check(a < z and z < b)
 
-    inj_ok = True
+    monotone = Tally("injection-monotone")
     made = 0
     while made < 1000:
         pts = sorted({_rand_point(rng) for _ in range(6)})
         if len(pts) < 2:
+            monotone.skip("too few distinct points")
             continue
         made += 1
         bounds = {}
@@ -443,18 +421,17 @@ def suite_sorgenfrey(config: RunConfig) -> list[dict]:
         try:
             out = dense_injection(usable, bounds)
         except Exception:
-            inj_ok = False
+            monotone.check(False)
             continue
         ordered = sorted(usable)
         for a, b in zip(ordered, ordered[1:]):
-            if not out[a] < out[b]:
-                inj_ok = False
-    props.append(_prop("injection-monotone", inj_ok, "10^3 fixtures"))
+            monotone.check(out[a] < out[b])
 
-    scan_ok = True
+    scan = Tally("endpoint-scan-matches-bruteforce")
     for _ in range(1000):
         pts = sorted({_rand_point(rng) for _ in range(8)})
         if len(pts) < 4:
+            scan.skip("too few distinct points")
             continue
         ivs = []
         for _ in range(4):
@@ -467,10 +444,8 @@ def suite_sorgenfrey(config: RunConfig) -> list[dict]:
             for iv in ivs
             if all(not (o.lo < iv.lo and iv.lo < o.hi) for o in ivs)
         }
-        if got != expect:
-            scan_ok = False
-    props.append(_prop("endpoint-scan-matches-bruteforce", scan_ok, "10^3 families"))
-    return props
+        scan.check(got == expect)
+    return [isolated.result(), between.result(), monotone.result(), scan.result()]
 
 
 def _random_explicit_condition(rng, family):
@@ -500,11 +475,10 @@ def suite_forcing_ccc(config: RunConfig) -> list[dict]:
     digits = ws.digits
     rng = random.Random(config.seed)
     fam = ExplicitTree.complete(2, 5)
-    props = []
 
-    union_ok = True
-    built = 0
-    while built < config.trials:
+    # one check per fixture built
+    union = Tally("union-of-delta-system-pairs")
+    while union.checks < config.trials:
         # a shared root part plus off-root keys in incomparable regions
         root_part = {}
         if rng.random() < 0.5:
@@ -517,18 +491,15 @@ def suite_forcing_ccc(config: RunConfig) -> list[dict]:
             for _ in range(rng.randrange(1, 3)):
                 q = extend_to_include(fam, q, region_q + "0" * rng.randrange(0, 3))
         except ExtensionError:
+            union.skip("ExtensionError")
             continue
         if set(p) & set(q) != set(root_part):
+            union.skip("keys shared off the root")
             continue
-        built += 1
         r = union_compatible(fam, p, q)
-        if r is None or not is_valid_condition(fam, r):
-            union_ok = False
-        elif not (cond_leq(fam, r, p) and cond_leq(fam, r, q)):
-            union_ok = False
-    props.append(_prop("union-of-delta-system-pairs", built > 0 and union_ok, f"{built} fixtures"))
+        union.check(r is not None and is_valid_condition(fam, r) and cond_leq(fam, r, p) and cond_leq(fam, r, q))
 
-    ds_ok = True
+    finder = Tally("delta-system-finder")
     for _ in range(200):
         core = frozenset(rng.sample(range(10), rng.randrange(0, 3)))
         fams = []
@@ -536,29 +507,19 @@ def suite_forcing_ccc(config: RunConfig) -> list[dict]:
             extra = {10 + 3 * i, 11 + 3 * i}
             fams.append(core | frozenset(rng.sample(sorted(extra), rng.randrange(1, 3))))
         got = delta_system(fams, 4)
-        if got is None:
-            ds_ok = False
-        else:
-            root, sub = got
-            if root != core or len(sub) != 4:
-                ds_ok = False
-    props.append(_prop("delta-system-finder", ds_ok, "200 planted families"))
+        finder.check(got is not None and got[0] == core and len(got[1]) == 4)
 
-    sym_ok = True
-    built = 0
-    while built < 100:
+    symbolic = Tally("union-symbolic-pairs")
+    for _ in range(100):
         # symbolic version: off-root keys diverge at the first digit
         d1, d2 = rng.sample(range(4), 2)
         u1 = digits.node([("d", d1), ("d", rng.randrange(2))])
         u2 = digits.node([("d", d2), ("d", rng.randrange(2))])
         p = extend_to_include(digits, {}, u1)
         q = extend_to_include(digits, {}, u2)
-        built += 1
         r = union_compatible(digits, p, q)
-        if r is None or not is_valid_condition(digits, r):
-            sym_ok = False
-    props.append(_prop("union-symbolic-pairs", sym_ok, "100 fixtures"))
-    return props
+        symbolic.check(r is not None and is_valid_condition(digits, r))
+    return [union.result(), finder.result(), symbolic.result()]
 
 
 def suite_forcing_density(config: RunConfig) -> list[dict]:
@@ -567,11 +528,10 @@ def suite_forcing_density(config: RunConfig) -> list[dict]:
     rng = random.Random(config.seed)
     fam = ExplicitTree.complete(2, 5)
     limits = [a for a in config.anchor_ordinals() if classify(a) == "limit"]
-    props = []
 
-    ext_ok = True
-    done = 0
-    while done < config.trials:
+    # one check per fixture extended
+    extended = Tally("extensions-valid")
+    while extended.checks < config.trials:
         symbolic = rng.random() < 0.3
         family = digits if symbolic else fam
         p = (
@@ -580,6 +540,7 @@ def suite_forcing_density(config: RunConfig) -> list[dict]:
             else _random_explicit_condition(rng, fam)
         )
         mode = rng.randrange(3)
+        reached = True
         try:
             if mode == 0 and p:
                 # include a restriction of an existing key
@@ -597,16 +558,13 @@ def suite_forcing_density(config: RunConfig) -> list[dict]:
                     else from_nat(rng.randrange(0, 4))
                 )
                 r = extend_above(family, p, alpha)
-                if not any(not family.height(x) < alpha for x in r):
-                    ext_ok = False
+                reached = any(not family.height(x) < alpha for x in r)
         except ExtensionError:
+            extended.skip("ExtensionError")
             continue
-        done += 1
-        if not is_valid_condition(family, r) or not cond_leq(family, r, p):
-            ext_ok = False
-    props.append(_prop("extensions-valid", done > 0 and ext_ok, f"{done} fixtures"))
+        extended.check(reached and is_valid_condition(family, r) and cond_leq(family, r, p))
 
-    sim_ok = True
+    simulated = Tally("simulation-fragments")
     for _ in range(100):
         symbolic = rng.random() < 0.4
         family = digits if symbolic else fam
@@ -626,13 +584,12 @@ def suite_forcing_density(config: RunConfig) -> list[dict]:
         try:
             _, report = simulate_filter(family, targets)
         except ExtensionError:
+            simulated.skip("ExtensionError")
             continue
         checks = report["checks"]
-        if not (checks["valid"] and checks["window_downward_closed"] and checks["fragment_successors_promised"]):
-            sim_ok = False
-    props.append(_prop("simulation-fragments", sim_ok, "100 scripts"))
+        simulated.check(checks["valid"] and checks["window_downward_closed"] and checks["fragment_successors_promised"])
 
-    spec_ok = True
+    totalized = Tally("specializer-totalizes")
     trees = [ExplicitTree.complete(2, h) for h in (2, 3, 4, 5, 6)]
     trees.append(ExplicitTree.complete(3, 4))
     for size in (10, 40, 100):
@@ -644,10 +601,8 @@ def suite_forcing_density(config: RunConfig) -> list[dict]:
         q = {}
         for x in order:
             q = spec_extend(tree, q, x)
-        if len(q) != len(order) or not is_valid_spec(tree, q):
-            spec_ok = False
-    props.append(_prop("specializer-totalizes", spec_ok, f"{len(trees)} trees"))
-    return props
+        totalized.check(len(q) == len(order) and is_valid_spec(tree, q))
+    return [extended.result(), simulated.result(), totalized.result()]
 
 
 def _random_tree(rng, size):

@@ -18,14 +18,14 @@ CONFIG = RunConfig()  # anchors w, w*2, w^2, w^2+w, w^3 and naturals <= 64
 # the benchmark runs the suites at this config, so a speed-up must keep
 # these bytes as well as test_golden's small-config ones
 DIGESTS = {
-    "coherence": "0cbf33269682b031303e1e94d9bb7c1eb83f6db7faaec6775f2d5198786ee1dc",
-    "delta-x": "ce03a2f7a0709ce4a0d284e2c4da832f466bb9d9d332ba99324886d9916c7547",
-    "tree-closure": "7e1f0ef40584f39fc35969b2d4d31ef995df872fdeb81daaaa4b388a5d56c836",
-    "wedge-safe": "7af8e3b80778b002502a9997e771316dc75b9e34e3d82f25b71f211b912eb8c6",
-    "wedge-oracle": "7adb59905224f32f17c0e277373e55f7c7b707e02eca722ff7087c9242b73142",
-    "sorgenfrey": "4ae950f852ac81624f2ab5b063b2ab4438d8d86de2a38a4250e8952f4122a32c",
-    "forcing-ccc": "73a681097e13c44962cb4e706385cbb9e4b32bf09057e1c59063fe57a6ac88d2",
-    "forcing-density": "accbcd7dd47a9afdf90521467e68003eb4d0913f46dfbe86c4cba8a01a860247",
+    "coherence": "93252ed6e21fa1d20af7b79b8c7de3b3695c46a7b4c50ec28525790f90c1185d",
+    "delta-x": "d1f1f7b6bd259a0af3480aa4e717266c5a3be891382e07cc38f7c627af9848d3",
+    "tree-closure": "94f0078d0004771a92fdbb67a3fbf282a9b87926aaed1ac6b7679fa26552afac",
+    "wedge-safe": "6172a5897422fb36c8686a7aa7e787b0f8393c1b4a690526d8feba7243d23c68",
+    "wedge-oracle": "1b001d9c775fceae122326562951e6d57ed57ad86b56c217c71b3c0340e0358d",
+    "sorgenfrey": "78f2512d4889a65e2ccf06757c99106bd2b0b41c82aea4ca8ec3aee1ac372764",
+    "forcing-ccc": "be98a38800d7166ac06db1a2b03111455ebe899d53e734b5ff8fba29552a8176",
+    "forcing-density": "8f761fad0ce7fd82546d5c7f43772cc0bbd3968ff9f80f2ffdc94f428f141b71",
 }
 
 

@@ -211,14 +211,14 @@ def test_exit_codes(tmp_path):
 def test_zero_trials_fail_the_run():
     out = run_cli(["--suite", "coherence", "--trials", "0"])
     assert out.returncode == 1
-    assert "FAIL coherence::injectivity-per-anchor  [0 (anchor, position) pairs over 70 anchors, 0 on named anchors, 0 undecided]" in out.stdout
+    assert "FAIL coherence::injectivity-per-anchor  [0 checks, 0 failed; (anchor, position) pairs over 70 anchors, 0 on named anchors]" in out.stdout
 
 
 def test_zero_oracle_samples_fail_the_run(tmp_path):
     cfg = _write_config(tmp_path, "suite=wedge-oracle\noracle-max=3000\noracle-sample=0\n")
     out = run_cli(["--config", cfg])
     assert out.returncode == 1
-    assert "FAIL wedge-oracle::oracle-ternary-h4  [space 96889010407 exceeds the guard 3000; 0 seeded samples]" in out.stdout
+    assert "FAIL wedge-oracle::oracle-ternary-h4  [0 checks, 0 failed; seeded samples: space 96889010407 exceeds the guard 3000]" in out.stdout
 
 
 def test_table_over_two_roots_is_an_error_answer(tmp_path, capsys):

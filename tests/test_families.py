@@ -168,6 +168,23 @@ def test_bit_downward_closed(bits):
             assert bits.query(y, xi) == bits.query(x, xi)
 
 
+def test_bit_node_block_limit(bits, digits):
+    # a node reads its block limit as its height when its tail is empty, so
+    # every way to build a node must keep the tail as long as the height's
+    # finite part
+    rng = random.Random(36)
+    for _ in range(100):
+        alpha = rand_below(rng, parse_cnf("w^3+2"))
+        x = rand_bit_node(rng, bits, alpha)
+        beta = ZERO if alpha.is_zero() else rand_below(rng, alpha)
+        nodes = [x, bits.restrict(x, beta), *bits.successors(x)]
+        nodes.append(bits.canonical_extension(x, add_ord(alpha, parse_cnf("w+3"))))
+        nodes.append(digits.embed_bits(x).base or x)
+        for y in nodes:
+            assert len(y.tail) == block_decompose(y.height).finite_part
+            assert y.gamma == block_decompose(y.height).limit_part
+
+
 # --- digit family ------------------------------------------------------------------
 
 def test_digit_query_example(digits):

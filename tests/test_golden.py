@@ -17,14 +17,14 @@ from treewedge.suites import SUITES, RunConfig, run_suite
 CONFIG = RunConfig(trials=60, nat_anchors=16, oracle_max=3000, oracle_sample=500)
 
 GOLDEN = {
-    "coherence": "2a63a8d627a89a3e695e801baac88d41f2eefccdb701b616f37da5f61e51124b",
-    "delta-x": "f5247be2b3ca77f703d5675734698ef5b98adbe624df05f1789264d8286c709c",
-    "tree-closure": "4a3c4fea226e45567ead4fd8c112d6ffc32ee4bac1b134ed5e88b434a4b06e2c",
-    "wedge-safe": "9fd5af7a0382061e257c3871b3afbb2e22d941453aad6011eabd4547f67dc9b6",
-    "wedge-oracle": "1953334a1868bf534b438f77e5e1c4002d4770732465876352f21d31965c98d5",
-    "sorgenfrey": "0ffdd12709e1fce2231bbdf157f25378349b21dda885303a9651fc96353bff27",
-    "forcing-ccc": "bacd95958f3848b171e25512b53ea7fc86534b10491e8912d509b7f94c20794e",
-    "forcing-density": "13fc1dac178196110ce057031e60e8d1303b56ac3f2d2f1222cdb51adc99d2f6",
+    "coherence": "cef272437966df145c8790b95b122f1c48d5eff4538e7d30a8e6591319be03d9",
+    "delta-x": "f08527127f9c80a4f950c64c881474b16d86556002fee1985c854c503903c8b2",
+    "tree-closure": "089994a39989c60c11c5133e08a2397b3f64a818debddd7f44f1e27c32343893",
+    "wedge-safe": "8254c64a2d7c0fa59885dfd73704f196472983d01d6ad06063ad4ee49f24f192",
+    "wedge-oracle": "ff4852c5a5c0fe452397db771acdbc4b3e122ec78cfeb91db86ccb674f501075",
+    "sorgenfrey": "25c0b1d7bcd0e8b0d8b2fc1e7185add2077bb44814a5f24aa7d574441d52d6f7",
+    "forcing-ccc": "a1825e2e292791c9f0b9558966cd8a45a06d3f98ac0d2216248125a7a37ae7c0",
+    "forcing-density": "292d34aec4d0a7ba1cd62afa460c98465ee5a61386a2b92cc15298bc2895f34c",
 }
 
 

@@ -1,6 +1,6 @@
-"""Suite properties whose checks are counted by a setting fail when the
-setting makes that count zero, so a run that checked nothing cannot pass;
-and the enumerated properties fail on a fault planted at a single point."""
+"""A suite property that made no check fails, so a run that checked nothing
+cannot pass, whether a setting or a fault left it nothing to check; and the
+enumerated properties fail on a fault planted at a single point."""
 
 import json
 from dataclasses import asdict, replace
@@ -10,7 +10,8 @@ from treewedge.coherent import CoherentSystem
 from treewedge.families import DigitFamily
 from treewedge.gen import grid_below
 from treewedge.ordinal import parse_cnf
-from treewedge.suites import SUITES, RunConfig, run_suite
+from treewedge.suites import SUITES, RunConfig, Tally, run_suite
+from treewedge.wedge import SafeSubtree
 
 SMALL = RunConfig(nat_anchors=16, oracle_max=3000, oracle_sample=500)
 
@@ -36,6 +37,48 @@ def test_zero_enumeration_budget_fails_splitting_degrees():
 def test_zero_oracle_samples_fail_the_sampled_jobs():
     failed = _failed("wedge-oracle", replace(SMALL, oracle_sample=0))
     assert failed == ["wedge-oracle::oracle-binary-h4", "wedge-oracle::oracle-ternary-h4"]
+
+
+def test_an_empty_safe_set_fails_the_safe_set_properties(monkeypatch):
+    # every drawn node is then passed over, so both properties check nothing
+    monkeypatch.setattr(SafeSubtree, "contains", lambda self, x: False)
+    report = {p["name"]: p for p in run_suite("wedge-safe", SMALL)["properties"]}
+    for name in ("safe-set-downward-closed", "safe-set-filter-is-rule"):
+        assert not report[name]["passed"]
+        assert report[name]["note"] == "0 checks, 0 failed, 100 skipped (not in the safe set)"
+
+
+# --- the tally every property keeps ---
+
+def test_tally_counts_checks_failures_and_skips():
+    tally = Tally("p")
+    for cond in (True, 1, "yes"):
+        tally.check(cond)
+    tally.skip("equal points")
+    tally.skip("undecided")
+    tally.skip("equal points")
+    assert tally.result("over 2 anchors") == {
+        "name": "p",
+        "passed": True,
+        "note": "3 checks, 0 failed, 2 skipped (equal points), 1 skipped (undecided); over 2 anchors",
+    }
+    tally.check(0)
+    tally.check(None)
+    assert tally.result() == {
+        "name": "p",
+        "passed": False,
+        "note": "5 checks, 2 failed, 2 skipped (equal points), 1 skipped (undecided)",
+    }
+
+
+def test_a_tally_with_no_check_fails():
+    assert Tally("p").result() == {"name": "p", "passed": False, "note": "0 checks, 0 failed"}
+    skipped = Tally("p")
+    skipped.skip("undecided")
+    assert not skipped.result()["passed"]
+    batch = Tally("p")
+    batch.checks = 7  # a batch counted elsewhere
+    assert batch.result()["passed"]
 
 
 # --- RunConfig.as_dict is the flat form of dataclasses.asdict ---
