@@ -1,0 +1,252 @@
+"""Finite exhaustive oracle for the safe-point dynamic program.
+
+On a finite explicit tree, every rule f with |f(x)| <= size_bound, or a
+seeded sample of them, is checked against the wedge sets themselves: the
+safe points of each level must be exactly its points outside every wedge
+from below, and those wedges must cover every deeper point exactly when the
+level has no safe point.  Rules are addressed by rank in a RuleSpace, and a
+bit-sliced kernel checks a block of ranks at a time, one int per node with
+one bit per rank.  The module shares no code with the cover rules of
+``wedge``, whose finite shadow it checks by brute force.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from math import prod
+
+from .trees import ExplicitTree
+
+
+class ExplosionGuard(RuntimeError):
+    """Exhaustive enumeration would exceed the configured bound."""
+
+
+# Ranks per kernel block: the oracle's memory is bounded by the block, not by
+# the sweep.
+BLOCK = 2048
+
+
+class RuleSpace:
+    """The rules f with |f(x)| <= size_bound on a finite tree, addressed by
+    rank.  The options of a node are its subsets of children, by size and
+    then in combinations order; a rank is read in mixed radix over the
+    nodes with children, in insertion order, the last node's option
+    varying fastest, so range(size) lists the rules in product order.
+
+    Nodes are numbered in insertion order.  A step table, built once per
+    tree, holds for each node with children, in insertion order (parents
+    first): its place value and radix in the rank, its depth and number,
+    and for each option the numbers of the nodes in its wedge and of its
+    children.  The steps are cut into groups, runs whose radices multiply
+    to at most 256, so that a group is read off a rank as one byte: rank //
+    (its last step's place) % (the product of its radices)."""
+
+    def __init__(self, tree: ExplicitTree, size_bound: int):
+        self.nodes = [x for x in tree.parent if tree.children[x]]
+        self.options = [
+            [frozenset(c) for size in range(size_bound + 1) for c in combinations(tree.children[x], size)]
+            for x in self.nodes
+        ]
+        self.size = prod(len(opts) for opts in self.options)
+        self.count = len(tree.parent)
+        self.height = tree.tree_height()
+        number = {x: i for i, x in enumerate(tree.parent)}
+        self._roots = [number[x] for x, p in tree.parent.items() if p is None]
+        self._groups = []  # [place value, radix, steps] of each group
+        place = self.size
+        for x, opts, wedges in zip(self.nodes, self.options, self.wedge_masks(_cone_masks(tree))):
+            radix = len(opts)
+            place //= radix
+            if not self._groups or self._groups[-1][1] * radix > 256:
+                self._groups.append([place, 1, []])
+            group = self._groups[-1]
+            group[0], group[1] = place, group[1] * radix
+            members = [[i for i in range(self.count) if w >> i & 1] for w in wedges]
+            kids = [[number[c] for c in option] for option in opts]
+            group[2].append((place, radix, tree.depth[x], number[x], members, kids))
+        # each step's tables translate its group's number to its option
+        # indicators; a lone step with more options than byte values has none
+        for group in self._groups:
+            group[2] = [
+                (*step, _digit_tables(step[0] // group[0], step[1]) if group[1] <= 256 else None)
+                for step in group[2]
+            ]
+
+    def digits(self, rank: int) -> list:
+        """The option index of every node under the rule of this rank."""
+        return [rank // place % radix for *_, steps in self._groups for place, radix, *_ in steps]
+
+    def rule(self, digits: list) -> dict:
+        return {x: opts[k] for x, opts, k in zip(self.nodes, self.options, digits)}
+
+    def wedge_masks(self, cone: dict) -> list:
+        """W[i][k] = cone[y] minus the cones over option k of y = nodes[i]:
+        the wedge of y under that option, as a bitmask over ``cone``'s bits."""
+        table = []
+        for y, opts in zip(self.nodes, self.options):
+            row = []
+            for option in opts:
+                excluded = 0
+                for z in option:
+                    excluded |= cone[z]
+                row.append(cone[y] & ~excluded)
+            table.append(row)
+        return table
+
+    def block_masks(self, ranks) -> tuple[list, list]:
+        """(safe, cover) for a block of ranks, bit-sliced: bit j of every
+        mask stands for the rule of ranks[j].  safe[i] holds the ranks under
+        which node i is safe, and cover[d][i] those under which node i lies
+        in the wedge of some node of depth d.
+
+        One top-down pass over the step table makes one update per option,
+        not per rank.  The ranks whose digit at node y is k are one int,
+        read off the bytes of y's group numbers by a translation table;
+        under them, option k's wedge joins the cover of y's depth, and its
+        children join safe where y is safe: a child is safe iff its parent
+        is safe and promises it."""
+        safe = [0] * self.count
+        cover = [[0] * self.count for _ in range(self.height)]
+        if not ranks:
+            return safe, cover
+        for i in self._roots:
+            safe[i] = (1 << len(ranks)) - 1
+        for place, radix, steps in self._groups:
+            # backward, as int(text, 2) reads its first character as the highest bit
+            numbers = [r // place % radix for r in reversed(ranks)]
+            text = bytes(numbers) if radix <= 256 else None
+            for _, _, depth, i, wedges, kids, tables in steps:
+                if tables is None:  # more options than byte values: one rank at a time
+                    with_digit = [0] * radix
+                    for j, k in enumerate(reversed(numbers)):
+                        with_digit[k] |= 1 << j
+                else:
+                    with_digit = [int(text.translate(t), 2) for t in tables]
+                row, s = cover[depth], safe[i]
+                for ranks_k, wedge, option_kids in zip(with_digit, wedges, kids):
+                    for z in wedge:
+                        row[z] |= ranks_k
+                    for c in option_kids:
+                        safe[c] |= s & ranks_k
+        return safe, cover
+
+
+def _digit_tables(inner: int, radix: int) -> list:
+    """For each option k of a step whose digit is v // inner % radix of its
+    group's number v: the table that translates v to "1" when that digit is
+    k and to "0" otherwise."""
+    digit = bytes(v // inner % radix for v in range(256))
+    return [digit.translate(b"0" * k + b"1" + b"0" * (255 - k)) for k in range(radix)]
+
+
+def _cone_masks(tree: ExplicitTree) -> dict:
+    """cone[x]: x and every node above it, as an int bitmask whose bit i is
+    the i-th node in insertion order."""
+    cone = {}
+    for i, x in reversed(list(enumerate(tree.parent))):  # insertion order puts every parent before its children
+        cone[x] = 1 << i
+        for c in tree.children[x]:
+            cone[x] |= cone[c]
+    return cone
+
+
+def lindelof_oracle(
+    tree: ExplicitTree,
+    size_bound: int = 2,
+    max_covers: int = 10**6,
+    sample: int | None = None,
+    rng=None,
+) -> dict:
+    """Check, for every bounded rule f on a finite tree, the safe-point DP
+    against the wedge sets W(y) = cone(y) minus the cones over f(y), built as
+    int bitmasks.  At each level a, with U the union of W(y) over
+    every y of depth < a:
+
+    * level phrasing: the safe nodes of level a are exactly its nodes
+      outside U (no wedge from strictly below covers a safe point);
+    * whole-tree phrasing: U covers every node of depth >= a exactly when
+      level a has no safe node.
+
+    Rules are addressed by rank in a RuleSpace and checked BLOCK ranks at a
+    time: RuleSpace.block_masks gives the block's safe and cover masks with
+    one bit per rank, both phrasings become XOR/AND/OR over those ints, and
+    the first failing rule is the lowest failing bit.  A rule is built and
+    formatted only for a counterexample.  Raises ExplosionGuard when the rule
+    space exceeds ``max_covers``, unless a ``sample`` size (with ``rng``, a
+    random.Random) asks for a seeded sweep instead: one rng.randrange(space)
+    per checked rule, drawn a block at a time, so sampled rules are uniform
+    over the space.  Raises ValueError for a negative sample or a sample
+    without an rng.
+    """
+    if sample is not None:
+        if sample < 0:
+            raise ValueError(f"sample must not be negative, got {sample}")
+        if rng is None:
+            raise ValueError("a sampled sweep needs an rng")
+    rules = RuleSpace(tree, size_bound)
+    space = rules.size
+    sampled = space > max_covers
+    if sampled and sample is None:
+        raise ExplosionGuard(f"{space} rules exceed the bound {max_covers}")
+    total = sample if sampled else space
+
+    number = {x: i for i, x in enumerate(tree.parent)}
+    levels = [[number[x] for x in tree.level_nodes(a)] for a in range(rules.height)]
+    # deep[a]: every node of depth >= a
+    deep = [sum(levels[a:], []) for a in range(rules.height)]
+
+    checked = 0
+    counterexamples = []
+    for start in range(0, total, BLOCK):
+        n = min(BLOCK, total - start)
+        if sampled:
+            state = rng.getstate()
+            ranks = [rng.randrange(space) for _ in range(n)]
+        else:
+            ranks = range(start, start + n)
+        safe, cover = rules.block_masks(ranks)
+        full = (1 << n) - 1
+        covered = [0] * rules.count  # covered[z]: the ranks under which U holds z
+        failures = []  # per level: the ranks failing each phrasing
+        for a in range(rules.height):
+            any_safe = wrong = 0
+            for z in levels[a]:
+                any_safe |= safe[z]
+                wrong |= ~(safe[z] ^ covered[z])  # safe exactly when outside U
+            all_covered = full
+            for z in deep[a]:
+                all_covered &= covered[z]
+            failures.append((wrong & full, ~(all_covered ^ any_safe) & full))
+            for z, ranks_z in enumerate(cover[a]):
+                covered[z] |= ranks_z
+        failing = 0
+        for bad in failures:
+            failing |= bad[0] | bad[1]
+        if not failing:
+            checked += n
+            continue
+        j = (failing & -failing).bit_length() - 1
+        checked += j + 1
+        if sampled:  # leave the rng as if no rank past the failing rule was drawn
+            rng.setstate(state)
+            for _ in range(j + 1):
+                rng.randrange(space)
+        shown = _show(rules.rule(rules.digits(ranks[j])))
+        counterexamples = [
+            {"cover": shown, "kind": kind, "level": a}
+            for a, bad in enumerate(failures)
+            for kind, mask in zip(("level", "whole-tree"), bad)
+            if mask >> j & 1
+        ]
+        break
+    return {
+        "covers_checked": checked,
+        "space": space,
+        "sampled": sampled,
+        "counterexamples": counterexamples,
+    }
+
+
+def _show(fmap: dict) -> str:
+    return "; ".join(f"{x}=>{{{','.join(sorted(s))}}}" for x, s in sorted(fmap.items()) if s)

@@ -43,6 +43,7 @@ from .forcing import (
     union_compatible,
 )
 from .gen import grid_below, rand_below, rand_bit_node, rand_digit_node, rand_inj_node
+from .oracle import lindelof_oracle
 from .ordinal import ONE, Ordinal, ZERO, add_ord, block_decompose, classify, from_nat, parse_cnf
 from .sorgenfrey import (
     HalfOpenInterval,
@@ -63,7 +64,6 @@ from .wedge import (
     covers_within,
     find_safe_point,
     is_safe,
-    lindelof_oracle,
 )
 
 DEFAULT_ANCHORS = ("w", "w*2", "w^2", "w^2+w", "w^3")
@@ -318,6 +318,9 @@ def suite_wedge_safe(config: RunConfig) -> list[dict]:
     limits = [a for a in config.anchor_ordinals() if classify(a) == "limit"]
 
     found, uncovered = Tally("safe-points-at-limits"), Tally("full-subtree-never-covered")
+    if not limits:
+        found.skip("no limit anchor")
+        uncovered.skip("no limit anchor")
     for alpha in limits:
         w = find_safe_point(tinu, alpha)
         found.check(w is not None and is_safe(tinu, w) and digits.height(w) == alpha)
@@ -337,6 +340,10 @@ def suite_wedge_safe(config: RunConfig) -> list[dict]:
     rng = random.Random(config.seed)
     closed, filtered = Tally("safe-set-downward-closed"), Tally("safe-set-filter-is-rule")
     for _ in range(100):
+        if not limits:
+            closed.skip("no limit anchor")
+            filtered.skip("no limit anchor")
+            continue
         alpha = rng.choice(limits)
         u = rand_digit_node(rng, digits, alpha)
         if S.contains(u):
@@ -533,6 +540,9 @@ def suite_forcing_density(config: RunConfig) -> list[dict]:
     extended = Tally("extensions-valid")
     while extended.checks < config.trials:
         symbolic = rng.random() < 0.3
+        if symbolic and not limits:  # every symbolic fixture draws below a limit anchor
+            extended.skip("no limit anchor")
+            continue
         family = digits if symbolic else fam
         p = (
             _random_symbolic_condition(rng, digits, limits)
@@ -567,6 +577,9 @@ def suite_forcing_density(config: RunConfig) -> list[dict]:
     simulated = Tally("simulation-fragments")
     for _ in range(100):
         symbolic = rng.random() < 0.4
+        if symbolic and not limits:  # every symbolic target draws a limit anchor
+            simulated.skip("no limit anchor")
+            continue
         family = digits if symbolic else fam
         targets = []
         for _ in range(rng.randrange(1, 4)):

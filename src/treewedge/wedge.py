@@ -27,21 +27,18 @@ limit level is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import prod
 
 from .families import DigitFamily, DigitNode
 from .ordinal import Ordinal, ZERO, add_ord, classify, from_nat, pred
 from .trees import ExplicitTree, TreeFamily, is_immediate_successor, tree_le
 
+# the benchmark's tracer (perfbench/tracing.py) wraps the oracle under this name
+from .oracle import lindelof_oracle  # noqa: F401
+
 
 class CoverUndecided(RuntimeError):
     """The cover question cannot be decided for the rule's structure: only a
     patch over the safe set of another rule raises it."""
-
-
-class ExplosionGuard(RuntimeError):
-    """Exhaustive enumeration would exceed the configured bound."""
 
 
 # --- wedges --------------------------------------------------------------------
@@ -460,163 +457,3 @@ class SafeSubtree(SubtreeCover):
 
     def covers_within(self, alpha: Ordinal) -> bool:
         return covers_within(self.f, alpha)
-
-
-# --- finite exhaustive oracle ------------------------------------------------------------
-
-class RuleSpace:
-    """The rules f with |f(x)| <= size_bound on a finite tree, addressed by
-    rank.  The options of a node are its subsets of children, by size and
-    then in combinations order; a rank is read in mixed radix over the
-    nodes with children, in insertion order, the last node's option
-    varying fastest, so range(size) lists the rules in product order.
-
-    Nodes are int bitmasks, bit i for the i-th node in insertion order.  A
-    step table, built once per tree, holds for each node with children, in
-    insertion order (parents first): its place value and radix in the rank,
-    its depth and bit, its wedge under each option and the bits of each
-    option's children."""
-
-    def __init__(self, tree: ExplicitTree, size_bound: int):
-        self.nodes = [x for x in tree.parent if tree.children[x]]
-        self.options = [
-            [frozenset(c) for size in range(size_bound + 1) for c in combinations(tree.children[x], size)]
-            for x in self.nodes
-        ]
-        self.size = prod(len(opts) for opts in self.options)
-        bit = {x: 1 << i for i, x in enumerate(tree.parent)}
-        cone = _cone_masks(tree)
-        self._roots = sum(bit[x] for x, p in tree.parent.items() if p is None)
-        # a leaf's wedge is its whole cone, whatever the rule
-        self._leaf_unions = [0] * tree.tree_height()
-        for x in tree.parent:
-            if not tree.children[x]:
-                self._leaf_unions[tree.depth[x]] |= cone[x]
-        self._steps = []
-        place = self.size
-        for x, opts, wedges in zip(self.nodes, self.options, self.wedge_masks(cone)):
-            place //= len(opts)
-            kids = [sum(bit[c] for c in option) for option in opts]
-            self._steps.append((place, len(opts), tree.depth[x], bit[x], wedges, kids))
-
-    def digits(self, rank: int) -> list:
-        """The option index of every node under the rule of this rank."""
-        return [rank // place % radix for place, radix, *_ in self._steps]
-
-    def rule(self, digits: list) -> dict:
-        return {x: opts[k] for x, opts, k in zip(self.nodes, self.options, digits)}
-
-    def wedge_masks(self, cone: dict) -> list:
-        """W[i][k] = cone[y] minus the cones over option k of y = nodes[i]:
-        the wedge of y under that option, as a bitmask over ``cone``'s bits."""
-        table = []
-        for y, opts in zip(self.nodes, self.options):
-            row = []
-            for option in opts:
-                excluded = 0
-                for z in option:
-                    excluded |= cone[z]
-                row.append(cone[y] & ~excluded)
-            table.append(row)
-        return table
-
-    def passes(self, ranks):
-        """(rank, safe mask, unions) for each rank, from one top-down pass
-        over the step table.  Each node's option is read off the rank; its
-        wedge joins the union of its depth, and its option's children join
-        the safe mask when the node is safe: a child is safe iff its parent
-        is safe and promises it.  unions[d] is the union of the wedges of
-        the nodes of depth d, leaves included."""
-        steps, roots, leaf_unions = self._steps, self._roots, self._leaf_unions
-        for rank in ranks:
-            safe = roots
-            unions = leaf_unions[:]
-            for place, radix, depth, b, wedges, kids in steps:
-                k = rank // place % radix
-                unions[depth] |= wedges[k]
-                if safe & b:
-                    safe |= kids[k]
-            yield rank, safe, unions
-
-
-def _cone_masks(tree: ExplicitTree) -> dict:
-    """cone[x]: x and every node above it, as an int bitmask whose bit i is
-    the i-th node in insertion order."""
-    cone = {}
-    for i, x in reversed(list(enumerate(tree.parent))):  # insertion order puts every parent before its children
-        cone[x] = 1 << i
-        for c in tree.children[x]:
-            cone[x] |= cone[c]
-    return cone
-
-
-def lindelof_oracle(
-    tree: ExplicitTree,
-    size_bound: int = 2,
-    max_covers: int = 10**6,
-    sample: int | None = None,
-    rng=None,
-) -> dict:
-    """Check, for every bounded rule f on a finite tree, the safe-point DP
-    against the wedge sets W(y) = cone(y) minus the cones over f(y), built as
-    int bitmasks.  At each level a, with U the union of W(y) over
-    every y of depth < a:
-
-    * level phrasing: the safe nodes of level a are exactly its nodes
-      outside U (no wedge from strictly below covers a safe point);
-    * whole-tree phrasing: U covers every node of depth >= a exactly when
-      level a has no safe node.
-
-    Rules are addressed by rank in a RuleSpace, and each rank takes one
-    top-down bitmask pass (RuleSpace.passes) that gives both its safe mask
-    and its wedge unions by depth; a rule is built and formatted only for a
-    counterexample.  Raises ExplosionGuard when the rule space exceeds
-    ``max_covers``, unless a ``sample`` size (with rng) asks for a seeded
-    sweep instead: one rng.randrange(space) per rule, so sampled rules are
-    uniform over the space.
-    """
-    rules = RuleSpace(tree, size_bound)
-    space = rules.size
-    sampled = False
-    if space > max_covers:
-        if sample is None:
-            raise ExplosionGuard(f"{space} rules exceed the bound {max_covers}")
-        sampled = True
-        ranks = (rng.randrange(space) for _ in range(sample))
-    else:
-        ranks = range(space)
-
-    bit = {x: 1 << i for i, x in enumerate(tree.parent)}
-    height = tree.tree_height()
-    level_mask = [sum(bit[x] for x in tree.level_nodes(a)) for a in range(height)]
-    # deep_mask[a]: every node of depth >= a
-    deep_mask = [sum(level_mask[a:]) for a in range(height)]
-    levels = list(zip(range(height), level_mask, deep_mask))
-
-    checked = 0
-    counterexamples = []
-    for rank, safe_mask, unions in rules.passes(ranks):
-        checked += 1
-        failures = []
-        union = 0
-        for (a, level, deep), wedges in zip(levels, unions):
-            safe_here = safe_mask & level
-            if safe_here != level & ~union:
-                failures.append(("level", a))
-            if (deep & ~union == 0) != (safe_here == 0):
-                failures.append(("whole-tree", a))
-            union |= wedges
-        if failures:
-            cover = _show(rules.rule(rules.digits(rank)))
-            counterexamples = [{"cover": cover, "kind": kind, "level": a} for kind, a in failures]
-            break
-    return {
-        "covers_checked": checked,
-        "space": space,
-        "sampled": sampled,
-        "counterexamples": counterexamples,
-    }
-
-
-def _show(fmap: dict) -> str:
-    return "; ".join(f"{x}=>{{{','.join(sorted(s))}}}" for x, s in sorted(fmap.items()) if s)

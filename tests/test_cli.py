@@ -221,6 +221,28 @@ def test_zero_oracle_samples_fail_the_run(tmp_path):
     assert "FAIL wedge-oracle::oracle-ternary-h4  [0 checks, 0 failed; seeded samples: space 96889010407 exceeds the guard 3000]" in out.stdout
 
 
+def test_no_limit_anchor_skips_the_limit_draws(tmp_path):
+    # wedge-safe: the properties that need a limit make no check and fail
+    cfg = _write_config(tmp_path, "suite=wedge-safe\nanchors=w+1, 5\n")
+    out = run_cli(["--config", cfg])
+    assert out.returncode == 1
+    assert out.stderr == ""
+    assert "FAIL wedge-safe::safe-points-at-limits  [0 checks, 0 failed, 1 skipped (no limit anchor)]" in out.stdout
+    assert "FAIL wedge-safe::safe-set-downward-closed  [0 checks, 0 failed, 100 skipped (no limit anchor)]" in out.stdout
+    assert "PASS wedge-safe::truncated-safe-below-cut  [2 checks, 0 failed]" in out.stdout
+    # forcing-density: only the symbolic fixtures need a limit; the explicit
+    # ones are still checked, so its properties pass with the skips noted
+    cfg = _write_config(tmp_path, "suite=forcing-density\nanchors=w+1, 5\n")
+    out = run_cli(["--config", cfg])
+    assert out.returncode == 0
+    assert out.stderr == ""
+    notes = [line for line in out.stdout.splitlines() if "skipped (no limit anchor)" in line]
+    assert [line.split()[1] for line in notes] == [
+        "forcing-density::extensions-valid",
+        "forcing-density::simulation-fragments",
+    ]
+
+
 def test_table_over_two_roots_is_an_error_answer(tmp_path, capsys):
     path = tmp_path / "forest.txt"
     path.write_text("r -\n0 r\ns -\n")

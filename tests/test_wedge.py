@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -10,14 +11,13 @@ from treewedge.literals import parse_cover
 from treewedge.ordinal import OMEGA, ZERO, add_ord, from_nat, parse_cnf
 from treewedge.suites import _random_tree
 from treewedge.trees import ExplicitTree, tree_le
-from treewedge import wedge
+from treewedge import oracle
+from treewedge.oracle import ExplosionGuard, RuleSpace, lindelof_oracle
 from treewedge.wedge import (
     BinaryInsideDigits,
     CoverUndecided,
     ExplicitSubtree,
-    ExplosionGuard,
     PatchedCover,
-    RuleSpace,
     SafeSubtree,
     TableCover,
     TruncatedSubtree,
@@ -25,7 +25,6 @@ from treewedge.wedge import (
     covers_within,
     find_safe_point,
     is_safe,
-    lindelof_oracle,
     wedge_contains,
 )
 
@@ -402,26 +401,85 @@ def test_oracle_explosion_guard():
     assert rng.draws == 200  # one rank per sampled rule
 
 
-def _broken_passes(fault):
-    """RuleSpace.passes with one fault in its safe-mask step."""
+def test_oracle_rejects_bad_arguments():
+    tree = ExplicitTree.complete(3, 4)
+    # checked before any work: no rule space is built, no rank is drawn
+    with pytest.raises(ValueError, match="needs an rng"):
+        lindelof_oracle(tree, max_covers=10**6, sample=200)
+    rng = _CountingRandom(1)
+    with pytest.raises(ValueError, match="must not be negative"):
+        lindelof_oracle(tree, max_covers=10**6, sample=-1, rng=rng)
+    assert rng.draws == 0
 
-    def passes(self, ranks):
-        for rank in ranks:
-            safe = self._roots
-            unions = self._leaf_unions[:]
-            for place, radix, depth, b, wedges, kids in self._steps:
-                k = rank // place % radix
-                unions[depth] |= wedges[k]
-                if fault == "forgetful" and b & self._roots:
-                    # the root's children count as safe whatever the root promises
-                    for option_kids in kids:
-                        safe |= option_kids
-                elif fault == "unguarded" or safe & b:
-                    # unguarded: a promise counts even when its node is not safe
-                    safe |= kids[k]
-            yield rank, safe, unions
 
-    return passes
+def _transpose(masks, width):
+    """out[j] has bit i iff masks[i] has bit j: per-rank masks from
+    bit-sliced ones, and back."""
+    out = [0] * width
+    for i, m in enumerate(masks):
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= 1 << i
+            m ^= low
+    return out
+
+
+def _wedge_table(tree, space):
+    return space.wedge_masks(oracle._cone_masks(tree))
+
+
+def _unions(tree, space, table, digits):
+    """unions[d]: the union of the wedge_masks rows (``table``) of the nodes
+    of depth d under these digits."""
+    unions = [0] * tree.tree_height()
+    for y, row, k in zip(space.nodes, table, digits):
+        unions[tree.depth[y]] |= row[k]
+    return unions
+
+
+def _reference_failures(tree, safe, unions):
+    """Both phrasings for one rule, level by level, from its safe mask and
+    its wedge unions by depth."""
+    nodes = list(tree.parent)
+    failures, union = [], 0
+    for a in range(tree.tree_height()):
+        level = sum(1 << i for i, x in enumerate(nodes) if tree.depth[x] == a)
+        deep = sum(1 << i for i, x in enumerate(nodes) if tree.depth[x] >= a)
+        if safe & level != level & ~union:
+            failures.append(("level", a))
+        if (deep & ~union == 0) != (safe & level == 0):
+            failures.append(("whole-tree", a))
+        union |= unions[a]
+    return failures
+
+
+def _broken_safe_mask(tree, fmap, fault):
+    """_safe_mask with one fault: forgetful counts the root's children safe
+    whatever the root promises, unguarded counts a promise even when its
+    node is not safe."""
+    safe = {}
+    for x, p in tree.parent.items():
+        promised = p is not None and x in fmap.get(p, frozenset())
+        if p is None or (fault == "forgetful" and tree.parent[p] is None):
+            safe[x] = True
+        elif fault == "unguarded":
+            safe[x] = promised
+        else:
+            safe[x] = safe[p] and promised
+    return sum(1 << i for i, x in enumerate(tree.parent) if safe[x])
+
+
+def _broken_kernel(tree, fault):
+    """RuleSpace.block_masks with one fault in its safe masks: each rank's
+    safe mask comes from _broken_safe_mask and is sliced into the block."""
+    real = RuleSpace.block_masks
+
+    def block_masks(self, ranks):
+        _, cover = real(self, ranks)
+        broken = [_broken_safe_mask(tree, self.rule(self.digits(r)), fault) for r in ranks]
+        return _transpose(broken, self.count), cover
+
+    return block_masks
 
 
 def test_oracle_catches_a_broken_dp(monkeypatch):
@@ -430,7 +488,7 @@ def test_oracle_catches_a_broken_dp(monkeypatch):
     # the first offending rule and level of each fault: forgetful fails on
     # the empty rule at level 1, unguarded once the unsafe node 1 promises
     for fault, cover, level in [("forgetful", "", 1), ("unguarded", "1=>{10}", 2)]:
-        monkeypatch.setattr(RuleSpace, "passes", _broken_passes(fault))
+        monkeypatch.setattr(RuleSpace, "block_masks", _broken_kernel(tree, fault))
         report = lindelof_oracle(tree)
         monkeypatch.undo()
         assert report["counterexamples"], fault
@@ -439,10 +497,46 @@ def test_oracle_catches_a_broken_dp(monkeypatch):
         # the sweep stops at the first offending rank, and only its rule is
         # formatted
         rank = report["covers_checked"] - 1
-        (_, broken, _), = _broken_passes(fault)(space, [rank])
         fmap = space.rule(space.digits(rank))
-        assert broken != _safe_mask(tree, fmap), fault
-        assert all(c["cover"] == wedge._show(fmap) for c in report["counterexamples"]), fault
+        assert _broken_safe_mask(tree, fmap, fault) != _safe_mask(tree, fmap), fault
+        assert all(c["cover"] == oracle._show(fmap) for c in report["counterexamples"]), fault
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
+def test_fault_in_the_second_block(monkeypatch, sampled):
+    # one wrong safe bit, for the rule at sweep position BLOCK + 5 only
+    tree = ExplicitTree.complete(3, 4) if sampled else ExplicitTree.complete(2, 4)
+    space = RuleSpace(tree, 2)
+    target, leaf = oracle.BLOCK + 5, space.count - 1
+    real = RuleSpace.block_masks
+    swept, hit = [0], []
+
+    def faulty(self, ranks):
+        safe, cover = real(self, ranks)
+        j = target - swept[0]
+        if 0 <= j < len(ranks):
+            safe[leaf] ^= 1 << j
+            hit.append(ranks[j])
+        swept[0] += len(ranks)
+        return safe, cover
+
+    monkeypatch.setattr(RuleSpace, "block_masks", faulty)
+    rng, replay = random.Random(4), random.Random(4)
+    report = lindelof_oracle(tree, sample=3 * oracle.BLOCK, rng=rng, max_covers=10**5 if sampled else 10**6)
+    assert report["sampled"] == sampled
+    assert report["covers_checked"] == target + 1
+    # the rng is left as if no rank past the failing rule had been drawn
+    for _ in range(target + 1 if sampled else 0):
+        replay.randrange(space.size)
+    assert rng.getstate() == replay.getstate()
+    rank, = hit
+    assert sampled or rank == target
+    fmap = space.rule(space.digits(rank))
+    unions = _unions(tree, space, _wedge_table(tree, space), space.digits(rank))
+    failures = _reference_failures(tree, _safe_mask(tree, fmap) ^ 1 << leaf, unions)
+    assert failures
+    shown = oracle._show(fmap)
+    assert report["counterexamples"] == [{"cover": shown, "kind": kind, "level": a} for kind, a in failures]
 
 
 def test_oracle_exhaustive_on_ragged_tree():
@@ -478,7 +572,7 @@ def test_wedge_masks_are_wedges(tree):
     def members(w):
         return sum(1 << i for i, x in enumerate(nodes) if wedge_contains(tree, w, x))
 
-    cone = wedge._cone_masks(tree)
+    cone = oracle._cone_masks(tree)
     assert cone == {y: members(Wedge(y, ())) for y in nodes}
     space = RuleSpace(tree, 2)
     table = space.wedge_masks(cone)
@@ -486,32 +580,96 @@ def test_wedge_masks_are_wedges(tree):
         assert row == [members(Wedge(y, tuple(option))) for option in options], y
 
 
-def _pass_cases():
+def _star(arity, grandchildren):
+    """A root with ``arity`` children, the first of which has ``grandchildren``
+    children: at size bound 2 the root has more options than a byte holds
+    once arity >= 23."""
+    tree = ExplicitTree().add("r", None)
+    for i in range(arity):
+        tree.add(f"c{i}", "r")
+    for i in range(grandchildren):
+        tree.add(f"g{i}", "c0")
+    return tree
+
+
+def _assert_block_matches(tree, space, ranks, safe, cover):
+    """The transposed per-rank safe masks equal _safe_sets, and the
+    transposed covers the wedge_masks rows."""
+    table = _wedge_table(tree, space)
+    safe_by_rank = _transpose(safe, len(ranks))
+    cover_by_rank = [_transpose(row, len(ranks)) for row in cover]
+    for j, rank in enumerate(ranks):
+        digits = space.digits(rank)
+        assert safe_by_rank[j] == _safe_mask(tree, space.rule(digits)), rank
+        assert [row[j] for row in cover_by_rank] == _unions(tree, space, table, digits), rank
+
+
+def _kernel_cases():
     ternary4 = ExplicitTree.complete(3, 4)
     rng = random.Random(11)
     size = RuleSpace(ternary4, 2).size
-    cases = [(tree, range(RuleSpace(tree, 2).size)) for tree in RULE_TREES]
+    trees = [*RULE_TREES, _star(23, 3)]
+    cases = [(tree, range(RuleSpace(tree, 2).size)) for tree in trees]
     return cases + [(ternary4, [rng.randrange(size) for _ in range(2000)])]
 
 
-@pytest.mark.parametrize("tree, ranks", _pass_cases(), ids=["binary", "ternary", "ragged", "ternary-h4-seeded"])
-def test_pass_matches_safe_sets(tree, ranks):
+@pytest.mark.parametrize(
+    "tree, ranks", _kernel_cases(), ids=["binary", "ternary", "ragged", "wide-star", "ternary-h4-seeded"]
+)
+def test_kernel_matches_safe_sets(tree, ranks):
     space = RuleSpace(tree, 2)
-    nodes = list(tree.parent)
-    cone = wedge._cone_masks(tree)
-    table = space.wedge_masks(cone)
-    depth_of = [tree.depth[y] for y in space.nodes]
-    leaves = [0] * tree.tree_height()
-    for x in nodes:
-        if not tree.children[x]:
-            leaves[tree.depth[x]] |= cone[x]
-    for rank, safe, unions in space.passes(ranks):
-        digits = space.digits(rank)
-        assert safe == _safe_mask(tree, space.rule(digits)), rank
-        expected = leaves[:]
-        for d, row, k in zip(depth_of, table, digits):
-            expected[d] |= row[k]
-        assert unions == expected, rank
+    for start in range(0, len(ranks), oracle.BLOCK):
+        block = ranks[start:start + oracle.BLOCK]
+        _assert_block_matches(tree, space, block, *space.block_masks(block))
+
+
+B = oracle.BLOCK
+
+
+@pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize(
+    "tree", [ExplicitTree.complete(3, 4), _random_tree(random.Random(1), 15)], ids=["ternary-h4", "ragged"]
+)
+def test_kernel_at_block_boundaries(monkeypatch, tree, count):
+    space = RuleSpace(tree, 2)
+    blocks = []
+    real = RuleSpace.block_masks
+
+    def recording(self, ranks):
+        safe, cover = real(self, ranks)
+        blocks.append((ranks, safe, cover))
+        return safe, cover
+
+    monkeypatch.setattr(RuleSpace, "block_masks", recording)
+    report = lindelof_oracle(tree, max_covers=0, sample=count, rng=random.Random(count))
+    assert report["covers_checked"] == count
+    assert report["counterexamples"] == []
+    assert [len(ranks) for ranks, *_ in blocks] == [min(B, count - s) for s in range(0, count, B)]
+    replay = random.Random(count)
+    assert [r for ranks, *_ in blocks for r in ranks] == [replay.randrange(space.size) for _ in range(count)]
+    for block in blocks:
+        _assert_block_matches(tree, space, *block)
+
+
+def test_kernel_of_an_empty_block():
+    space = RuleSpace(ExplicitTree.complete(2, 3), 2)
+    safe, cover = space.block_masks([])
+    assert safe == [0] * space.count
+    assert cover == [[0] * space.count for _ in range(3)]
+
+
+def test_oracle_memory_scales_with_the_block():
+    tree = ExplicitTree.complete(3, 4)
+    peaks = []
+    for sample in (20_000, 100_000):
+        tracemalloc.start()
+        try:
+            report = lindelof_oracle(tree, max_covers=0, sample=sample, rng=random.Random(0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report["covers_checked"] == sample
+    assert peaks[1] <= 2 * peaks[0], peaks
 
 
 # --- the engine against real wedges ---------------------------------------------------
