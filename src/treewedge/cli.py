@@ -33,7 +33,7 @@ from .ordinal import parse_cnf, to_cnf
 from .sorgenfrey import format_interval, format_point, isolating_box, neg, parse_point
 from .suites import SUITES, RunConfig, Workspace, run_suite
 from .trees import ExplicitTree
-from .wedge import CoverUndecided, covers_within, find_safe_point, is_safe
+from .wedge import covers_within, find_safe_point, is_safe
 
 # Kept for callers that still import the old name: the benchmark harness
 # builds and traces query contexts as cli.QueryContext.
@@ -123,7 +123,7 @@ def run_query(expr: str, config: RunConfig) -> dict:
         result = _dispatch(ws, cmd, args)
     except UsageError:
         raise
-    except (ValueError, KeyError, CoverUndecided, BudgetExceeded, OSError) as err:  # ValueError covers CNFSyntaxError
+    except (ValueError, KeyError, BudgetExceeded, OSError) as err:  # ValueError covers CNFSyntaxError
         result = {"error": f"{type(err).__name__}: {err}"}
     return {
         "version": __version__,

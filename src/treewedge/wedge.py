@@ -12,16 +12,16 @@ reduce to the existence of safe points there.
 Only structured rules are admitted over symbolic (infinite-level) families,
 all in one CoverRule hierarchy: the subtree rules (SubtreeCover and its
 subtrees: the binary tree inside the digit tree, its truncations, finite
-explicit subtrees and the safe set of another rule), finite patches of a
-subtree rule (PatchedCover), and finite tables over explicit trees
-(TableCover).  Each decides safety exactly, and each decides its levels
-exactly: a subtree by its canonical witness, a table by scanning the finite
-level, a patch by a finite search over its rows, which also gives the safe
-node find_safe_point answers.  The one rule that cannot say whether it
-reaches a level above a node other than the root is the safe set of another
-rule; used as a patch core, which no literal builds, it raises
-CoverUndecided.  A level an explicit tree does not have is an error, as a
-limit level is.
+explicit subtrees, among them the safe set of a finite table over an
+explicit tree (TableCover), and the safe set of another rule) and finite
+patches of a subtree rule (PatchedCover).  Each decides safety exactly, and
+each answers the one level question exactly with one method: safe_above(x,
+alpha) is a safe node of height alpha above the safe node x, or None exactly
+when there is none.  The witness is defined once per rule: a subtree gives
+its canonical node, a table the first safe node in level order, and a patch
+the first safe one of the core witness, the nodes threaded through its rows
+and the node its row search settles on.  A level an explicit tree does not
+have is an error, as a limit level is.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ from .oracle import lindelof_oracle  # noqa: F401
 
 
 class CoverUndecided(RuntimeError):
-    """The cover question cannot be decided for the rule's structure: only a
-    patch over the safe set of another rule raises it."""
+    """An undecided cover question.  No rule raises it: every level answer is
+    exact.  It stays because the benchmark's tracer (perfbench/tracing.py)
+    tests each covers_within call for it."""
 
 
 # --- wedges --------------------------------------------------------------------
@@ -71,13 +72,10 @@ class CoverRule:
         x is not in f(b-prefix).  None means x is safe."""
         raise NotImplementedError
 
-    def witness_candidates(self, alpha: Ordinal):
-        """Nodes of height alpha > 0 that find_safe_point tests, in order,
-        as an iterable; some candidate is safe unless the level is covered."""
-        raise NotImplementedError
-
-    def covers_within(self, alpha: Ordinal) -> bool:
-        """Whether the wedges below level alpha > 0 cover it."""
+    def safe_above(self, x, alpha: Ordinal):
+        """The rule's canonical node of height alpha above the safe node x, of
+        height <= alpha, that is safe for the rule, or None exactly when there
+        is none."""
         raise NotImplementedError
 
     def patched(self, rows: dict) -> CoverRule:
@@ -90,14 +88,9 @@ class SubtreeCover(CoverRule):
     successors of x inside S, so first_violation(x) is the least height b
     whose (b+1)-prefix of x leaves S.  Each subclass is one subtree: it
     decides membership, f and the first violation, and gives a canonical
-    safe node above each safe node, from which the level questions follow."""
+    safe node above each safe node."""
 
     def contains(self, x) -> bool:
-        raise NotImplementedError
-
-    def safe_above(self, x, alpha: Ordinal):
-        """A canonical node of height alpha above the safe node x, of height
-        <= alpha, that is safe for the rule, or None when there is none."""
         raise NotImplementedError
 
     def reaches(self, x, alpha: Ordinal) -> bool:
@@ -131,13 +124,6 @@ class SubtreeCover(CoverRule):
                     return c
             stack.extend(blocked)
         return None
-
-    def witness_candidates(self, alpha: Ordinal) -> list:
-        w = self.safe_above(self.family.root(), alpha)
-        return [w] if w is not None else []
-
-    def covers_within(self, alpha: Ordinal) -> bool:
-        return self.safe_above(self.family.root(), alpha) is None
 
     def patched(self, rows: dict) -> CoverRule:
         return PatchedCover(self, rows)
@@ -249,39 +235,31 @@ class ExplicitSubtree(SubtreeCover):
     def safe_above(self, x, alpha: Ordinal):
         tree = self.family
         for y in tree.level_nodes(alpha.to_nat()):
-            if self.first_violation(y) is None and tree.le(x, y):
+            if y in self.members and tree.le(x, y):
                 return y
         return None
 
 
-class TableCover(CoverRule):
+class TableCover(ExplicitSubtree):
     """Explicit finite assignment over an explicit tree; nodes missing from
-    the table get the empty set.  Levels are finite, so this is the one rule
-    that decides a level by scanning it."""
+    the table get the empty set.  A node is safe exactly when every step down
+    to it is in its parent's row, so the rule is the subtree of its safe set,
+    built in one top-down pass.  Only patching differs: rows merge into the
+    table, so a patched table stays a table.  Patching the safe set would
+    drop the rows off it: with r=>{0}, 1=>{10} patched by r=>{1}, node 10 is
+    safe for the merged table but not for a patch of the safe set {r, 0}."""
 
     def __init__(self, family: ExplicitTree, table: dict):
-        self.family = family
         for x, succ in table.items():
             for z in succ:
                 if family.parent[z] != x:
                     raise ValueError(f"{z!r} is not an immediate successor of {x!r}")
         self.table = {x: frozenset(s) for x, s in table.items()}
-
-    def values(self, x) -> list:
-        return sorted(self.table.get(x, frozenset()))
-
-    def first_violation(self, x) -> Ordinal | None:
-        tree = self.family
-        for b in range(tree.depth[x]):
-            if tree.ancestor_at(x, b + 1) not in self.table.get(tree.ancestor_at(x, b), ()):
-                return from_nat(b)
-        return None
-
-    def witness_candidates(self, alpha: Ordinal) -> list:
-        return self.family.level_nodes(alpha.to_nat())
-
-    def covers_within(self, alpha: Ordinal) -> bool:
-        return all(not is_safe(self, x) for x in self.family.level_nodes(alpha.to_nat()))
+        safe = set()
+        for x, p in family.parent.items():  # insertion order puts every parent first
+            if p is None or (p in safe and x in self.table.get(p, ())):
+                safe.add(x)
+        super().__init__(family, safe)
 
     def patched(self, rows: dict) -> CoverRule:
         return TableCover(self.family, {**self.table, **rows})
@@ -293,8 +271,9 @@ class PatchedCover(CoverRule):
     always one layer over its core.  Safety stays exactly decidable: the
     core's violations form an upward-closed set, and only finitely many
     steps are patched.  Levels are decidable too: a safe node leaves the
-    core only through patched nodes, so one search over the rows decides
-    the level and gives find_safe_point its last candidate."""
+    core only through patched nodes, so one search over the rows above a
+    safe node decides the level there and gives safe_above its last
+    candidate."""
 
     def __init__(self, core: SubtreeCover, table: dict):
         if not isinstance(core, SubtreeCover):
@@ -332,20 +311,20 @@ class PatchedCover(CoverRule):
                 b = add_ord(b, from_nat(1))
         return best
 
-    def witness_candidates(self, alpha: Ordinal):
-        # lazy, so that find_safe_point stops at the first safe candidate
-        # before the search runs
-        yield from self.core.witness_candidates(alpha)
-        yield from self._threaded_candidates(alpha)
-        # a node of height alpha that the search reaches through the rows is
-        # a safe threaded candidate, so the search gets here only when it
-        # settles below alpha, in the core
-        settled = self._search(alpha)
-        if settled is not None:
-            yield self.core.safe_above(settled, alpha)
+    def safe_above(self, x, alpha: Ordinal):
+        # the candidates in order; the search runs only when no earlier one
+        # is safe
+        w = self.core.safe_above(x, alpha)
+        if w is not None and is_safe(self, w):
+            return w
+        for w in self._threaded_candidates(x, alpha):
+            if is_safe(self, w):
+                return w
+        return self._search(x, alpha)
 
-    def _threaded_candidates(self, alpha: Ordinal):
-        """Candidates routed through the allowed successors of patched nodes."""
+    def _threaded_candidates(self, x, alpha: Ordinal):
+        """Candidates above x routed through the allowed successors of
+        patched nodes."""
         fam = self.family
         for y, succ in self.table.items():
             if not fam.height(y) < alpha:
@@ -353,12 +332,15 @@ class PatchedCover(CoverRule):
             for z in succ:
                 if not alpha < fam.height(z):
                     try:
-                        yield fam.canonical_extension(z, alpha)
+                        w = fam.canonical_extension(z, alpha)
                     except ValueError:
                         continue
+                    if tree_le(fam, x, w) in ("below", "equal"):
+                        yield w
 
-    def _search(self, alpha: Ordinal):
-        """Exact search for a safe node of height alpha, from the root up.
+    def _search(self, x, alpha: Ordinal):
+        """Exact search for a safe node of height alpha, up from the safe
+        node x.
         A safe node z below alpha goes on as follows: if z is patched, through
         the rows of z that are its immediate successors (no other member
         routes a step); if z is unpatched and outside the core, nowhere;
@@ -366,13 +348,13 @@ class PatchedCover(CoverRule):
         patched node in between (the core's reaches_avoiding) or to the
         least patched core nodes above z (the gates).  Branches climb into
         disjoint cones and every gate is a row, so the search is finite.
-        Returns None when there is no safe node of height alpha; otherwise
-        either such a node, reached through the rows, or the core node where
-        reaches_avoiding settles, above which the core's canonical safe node
-        of height alpha is safe for the patch too."""
+        Returns None when there is no safe node of height alpha above x;
+        otherwise either such a node, reached through the rows, or the core's
+        canonical safe node of height alpha above the node where
+        reaches_avoiding settles, which is safe for the patch too."""
         fam, core = self.family, self.core
         patched = [y for y in self.table if fam.height(y) < alpha]
-        stack = [fam.root()]
+        stack = [x]
         while stack:
             z = stack.pop()
             if fam.height(z) == alpha:
@@ -386,12 +368,9 @@ class PatchedCover(CoverRule):
             gates = [q for q in above if not any(tree_le(fam, p, q) == "below" for p in above)]
             settled = core.reaches_avoiding(z, gates, alpha)
             if settled is not None:
-                return settled
+                return core.safe_above(settled, alpha)
             stack.extend(gates)
         return None
-
-    def covers_within(self, alpha: Ordinal) -> bool:
-        return self._search(alpha) is None
 
     def patched(self, rows: dict) -> CoverRule:
         return PatchedCover(self.core, {**self.table, **rows})
@@ -405,28 +384,19 @@ def is_safe(f: CoverRule, x) -> bool:
 
 
 def find_safe_point(f: CoverRule, alpha: Ordinal):
-    """A safe node of height alpha, or None exactly when there is none, that
-    is, when covers_within(f, alpha) holds.  Subtree rules return their
-    canonical witness, tables the first safe node of the level, and patches
-    the first safe one of the core witness, the nodes threaded through their
-    rows and the node their level search settles on.  Raises CoverUndecided
-    where covers_within does."""
-    if alpha.is_zero():
-        return f.family.root()
-    for x in f.witness_candidates(alpha):
-        if is_safe(f, x):
-            return x
-    return None
+    """The rule's witness of height alpha above the root, f.safe_above(root,
+    alpha): a safe node, or None exactly when there is none, that is, when
+    covers_within(f, alpha) holds.  The answer is always exact."""
+    root = f.family.root()
+    return root if alpha.is_zero() else f.safe_above(root, alpha)
 
 
 def covers_within(f: CoverRule, alpha: Ordinal) -> bool:
     """True iff the wedges of f below level alpha cover that whole level,
-    which happens exactly when no safe point of height alpha exists.  Every
-    rule a literal builds decides this exactly; CoverUndecided is left for a
-    patch over the safe set of another rule."""
-    if alpha.is_zero():
-        return False  # the root is always safe
-    return f.covers_within(alpha)
+    which happens exactly when no safe point of height alpha exists; the
+    root is always safe.  It asks f.safe_above, the one level method, and
+    the answer is always exact."""
+    return not alpha.is_zero() and f.safe_above(f.family.root(), alpha) is None
 
 
 class SafeSubtree(SubtreeCover):
@@ -448,12 +418,7 @@ class SafeSubtree(SubtreeCover):
             return []
         return list(self.f.values(x))
 
-    # a node is safe for the derived rule iff it is safe for f itself, so
-    # both level questions go to f; above any other node it cannot say
+    # a node is safe for the derived rule iff it is safe for f itself, so the
+    # level question goes to f
     def safe_above(self, x, alpha: Ordinal):
-        if x != self.family.root():
-            raise CoverUndecided("the safe set of a rule cannot say which levels it reaches above a node")
-        return find_safe_point(self.f, alpha)
-
-    def covers_within(self, alpha: Ordinal) -> bool:
-        return covers_within(self.f, alpha)
+        return self.f.safe_above(x, alpha)

@@ -7,7 +7,7 @@ import pytest
 from treewedge.coherent import CoherentSystem
 from treewedge.families import BitFamily, DigitFamily, DigitNode
 from treewedge.gen import rand_below, rand_digit_node
-from treewedge.literals import parse_cover
+from treewedge.literals import format_node, parse_cover
 from treewedge.ordinal import OMEGA, ZERO, add_ord, from_nat, parse_cnf
 from treewedge.suites import _random_tree
 from treewedge.trees import ExplicitTree, tree_le
@@ -15,7 +15,6 @@ from treewedge import oracle
 from treewedge.oracle import ExplosionGuard, RuleSpace, lindelof_oracle
 from treewedge.wedge import (
     BinaryInsideDigits,
-    CoverUndecided,
     ExplicitSubtree,
     PatchedCover,
     SafeSubtree,
@@ -161,7 +160,7 @@ def test_patched_symbolic_reroute(digits, tinu):
 def test_patched_search_stops_at_the_core_witness(digits, tinu, monkeypatch):
     f = parse_cover("patched(subtree(T-in-U); u:[d1]=>{u:[d1,d0]})", digits)
 
-    def no_search(alpha):
+    def no_search(x, alpha):
         raise AssertionError("the level was searched")
 
     monkeypatch.setattr(f, "_search", no_search)
@@ -178,16 +177,15 @@ def test_patched_search_skips_a_covered_level(digits, level):
     assert find_safe_point(f, alpha) is None
 
 
-def test_find_safe_on_a_patch_over_a_safe_set_is_undecided(digits, tinu):
+def test_find_safe_on_a_patch_over_a_safe_set_answers_exactly(digits, tinu):
     # the row leaves the binary subtree, so neither the core witness nor the
-    # threaded candidate is safe, and the level search must ask the safe set
-    # what it reaches above u:[d1], which it cannot say: find_safe_point
-    # raises rather than answer none
+    # threaded candidate is safe, and the level search asks the safe set what
+    # it reaches above u:[d1]: its rule's canonical node there
     f = SafeSubtree(tinu).patched({digits.node([("d", 0)]): (digits.node([("d", 0), ("d", 5)]),)})
-    with pytest.raises(CoverUndecided):
-        covers_within(f, OMEGA)
-    with pytest.raises(CoverUndecided):
-        find_safe_point(f, OMEGA)
+    assert covers_within(f, OMEGA) is False
+    w = find_safe_point(f, OMEGA)
+    assert format_node(digits, w) == "u:[tail(t:w:{0}:[])@w]"
+    assert digits.height(w) == OMEGA and is_safe(f, w) and digits.query(w, ZERO) == 1
 
 
 def test_patch_over_a_safe_set_decides_a_level_its_rows_close(digits, tinu):
@@ -209,11 +207,14 @@ def test_patched_blocking_is_covered(digits, tinu):
     assert covers_within(f, from_nat(1)) is False
 
 
-def test_patch_over_a_safe_set_is_undecided(digits, tinu):
-    # the safe set of a rule cannot say which levels it reaches
+def test_patch_over_a_safe_set_answers_exactly(digits, tinu):
+    # the row at u:[d1] leaves the all-zeros witness alone, so the core
+    # witness is safe for the patch
     f = SafeSubtree(tinu).patched({digits.node([("d", 1)]): (digits.node([("d", 1), ("d", 5)]),)})
-    with pytest.raises(CoverUndecided):
-        covers_within(f, OMEGA)
+    assert covers_within(f, OMEGA) is False
+    w = find_safe_point(f, OMEGA)
+    assert format_node(digits, w) == "u:[tail(t:w:{}:[])@w]"
+    assert digits.height(w) == OMEGA and is_safe(f, w) and digits.query(w, ZERO) == 0
 
 
 # --- canonical safe nodes -------------------------------------------------------------
@@ -224,6 +225,8 @@ DIGIT_LEVELS = [*map(from_nat, range(1, 5)), *LIMITS, *(parse_cnf(s) for s in ("
 def _subtree_rules(tinu):
     """Each subtree rule kind, over the digit family and over explicit trees,
     with the levels it is asked about."""
+    digits = tinu.family
+    patch = parse_cover("patched(subtree(T-in-U); u:[d1]=>{u:[d1,d0], u:[d1,d2]}, u:[d1,d2]=>{u:[d1,d2,d3]})", digits)
     tree = ExplicitTree.complete(3, 4)
     fmap = {"r": {"0", "2"}, "0": {"00", "01"}, "2": {"21"}, "00": {"000"}, "21": {"210", "212"}}
     members = {x for x in tree.parent if is_safe(TableCover(tree, fmap), x)}
@@ -233,6 +236,7 @@ def _subtree_rules(tinu):
         (tinu, DIGIT_LEVELS),
         *((TruncatedSubtree(tinu, parse_cnf(h)), DIGIT_LEVELS) for h in ("3", "w", "w+2", "w^2")),
         (SafeSubtree(tinu), DIGIT_LEVELS),
+        (SafeSubtree(patch), DIGIT_LEVELS),
         (explicit, tree_levels),
         *((TruncatedSubtree(explicit, from_nat(h)), tree_levels) for h in (1, 2, 3)),
         (SafeSubtree(TableCover(tree, fmap)), tree_levels),
@@ -253,8 +257,6 @@ def test_subtree_witnesses_are_safe(tinu):
                 continue
             returned += 1
             assert fam.height(w) == alpha and is_safe(rule, w), (rule, alpha)
-            if isinstance(rule, SafeSubtree):
-                continue  # it answers above the root only
             # above the lower witnesses and their promised children
             for beta in levels[:i]:
                 x = rule.safe_above(root, beta)
@@ -752,7 +754,7 @@ def test_engine_matches_wedges(tree, rules):
 
 # --- patched covers decide their levels -------------------------------------------------
 # The oracles below read safety off wedges or off is_safe, node by node, and
-# never call the row search behind PatchedCover.covers_within.
+# never call the row search behind PatchedCover.safe_above.
 
 def _random_patched_explicit(rng):
     """A seeded ragged tree, a downward-closed core on it and a few patch
@@ -789,6 +791,33 @@ def test_patched_explicit_cores_match_wedges():
         _assert_engine_matches_wedges(tree, rule, fmap)
         levels += tree.tree_height() - 1
     assert levels >= 900
+
+
+def test_patched_explicit_answers_above_every_safe_node():
+    # safe_above(y, a) against a scan of level a by is_safe, which reads only
+    # first_violation: None exactly when no safe node of the level lies above
+    # y, and otherwise one of them
+    rng = random.Random(11)
+    answers = {True: 0, False: 0}
+    for _ in range(300):
+        tree, members, rows = _random_patched_explicit(rng)
+        rule = ExplicitSubtree(tree, members).patched(rows)
+        safe = [y for y in tree.parent if is_safe(rule, y)]
+        for y in safe:
+            for d in range(tree.depth[y], tree.tree_height()):
+                above = [z for z in safe if tree.depth[z] == d and _ancestor(tree, z, tree.depth[y]) == y]
+                w = rule.safe_above(y, from_nat(d))
+                assert (w is None) == (not above), (rows, y, d)
+                assert w is None or w in above, (rows, y, d)
+                answers[w is None] += 1
+    assert min(answers.values()) >= 500
+
+
+def _ancestor(tree, z, d):
+    """The ancestor of z at depth d, read off the parent links."""
+    for _ in range(tree.depth[z] - d):
+        z = tree.parent[z]
+    return z
 
 
 def _random_digit_rows(rng, top):
