@@ -336,6 +336,8 @@ def suite_wedge_safe(config: RunConfig) -> list[dict]:
         still.check(not covers_within(trunc, alpha))
     props = [found.result(), uncovered.result(), covered.result(), still.result()]
 
+    # each draw is a member of the safe set, an embedded bit node, and a
+    # non-member of the same height, the member with one digit >= 2
     S = SafeSubtree(tinu)
     rng = random.Random(config.seed)
     closed, filtered = Tally("safe-set-downward-closed"), Tally("safe-set-filter-is-rule")
@@ -345,14 +347,14 @@ def suite_wedge_safe(config: RunConfig) -> list[dict]:
             filtered.skip("no limit anchor")
             continue
         alpha = rng.choice(limits)
-        u = rand_digit_node(rng, digits, alpha)
-        if S.contains(u):
-            closed.check(S.contains(digits.restrict(u, rand_below(rng, alpha))))
-            filtered.check(sorted(k.trail[-1] for k in S.values(u)) == [0, 1])
-        else:
-            closed.skip("not in the safe set")
-            filtered.skip("not in the safe set")
-    return props + [closed.result(), filtered.result()]
+        t = rand_bit_node(rng, ws.bits, alpha)
+        u = digits.embed_bits(t)
+        v = digits.assemble(t, {rand_below(rng, alpha): 2 + rng._randbelow(3)}, ())
+        closed.check(S.contains(u) and S.contains(digits.restrict(u, rand_below(rng, alpha))))
+        promised = sorted(k.trail[-1] for k in S.values(u))
+        filtered.check(S.contains(u) and promised == [0, 1] and not S.contains(v) and S.values(v) == [])
+    context = "members drawn as embedded bit nodes, each with a non-member that has one digit >= 2" if limits else ""
+    return props + [closed.result(context), filtered.result(context)]
 
 
 def suite_wedge_oracle(config: RunConfig) -> list[dict]:

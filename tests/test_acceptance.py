@@ -24,7 +24,7 @@ DIGESTS = {
     "coherence": "93252ed6e21fa1d20af7b79b8c7de3b3695c46a7b4c50ec28525790f90c1185d",
     "delta-x": "d1f1f7b6bd259a0af3480aa4e717266c5a3be891382e07cc38f7c627af9848d3",
     "tree-closure": "94f0078d0004771a92fdbb67a3fbf282a9b87926aaed1ac6b7679fa26552afac",
-    "wedge-safe": "6172a5897422fb36c8686a7aa7e787b0f8393c1b4a690526d8feba7243d23c68",
+    "wedge-safe": "e3a2c3beccee841f27fc53768a84c8a5d04faf2cd99f6f4f2340e81c25bc9323",
     "wedge-oracle": "1b001d9c775fceae122326562951e6d57ed57ad86b56c217c71b3c0340e0358d",
     "sorgenfrey": "78f2512d4889a65e2ccf06757c99106bd2b0b41c82aea4ca8ec3aee1ac372764",
     "forcing-ccc": "be98a38800d7166ac06db1a2b03111455ebe899d53e734b5ff8fba29552a8176",

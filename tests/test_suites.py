@@ -40,12 +40,21 @@ def test_zero_oracle_samples_fail_the_sampled_jobs():
 
 
 def test_an_empty_safe_set_fails_the_safe_set_properties(monkeypatch):
-    # every drawn node is then passed over, so both properties check nothing
+    # every drawn member is then outside the set, so every check of both
+    # properties fails
     monkeypatch.setattr(SafeSubtree, "contains", lambda self, x: False)
     report = {p["name"]: p for p in run_suite("wedge-safe", SMALL)["properties"]}
     for name in ("safe-set-downward-closed", "safe-set-filter-is-rule"):
         assert not report[name]["passed"]
-        assert report[name]["note"] == "0 checks, 0 failed, 100 skipped (not in the safe set)"
+        assert report[name]["note"].startswith("100 checks, 100 failed; members drawn as embedded bit nodes")
+
+
+def test_a_full_safe_set_fails_the_filter_property(monkeypatch):
+    # the non-member with a digit >= 2 is then inside the set
+    monkeypatch.setattr(SafeSubtree, "contains", lambda self, x: True)
+    report = {p["name"]: p for p in run_suite("wedge-safe", SMALL)["properties"]}
+    assert report["safe-set-downward-closed"]["passed"]
+    assert report["safe-set-filter-is-rule"]["note"].startswith("100 checks, 100 failed")
 
 
 # --- the tally every property keeps ---
