@@ -243,11 +243,12 @@ class ExplicitSubtree(SubtreeCover):
 class TableCover(ExplicitSubtree):
     """Explicit finite assignment over an explicit tree; nodes missing from
     the table get the empty set.  A node is safe exactly when every step down
-    to it is in its parent's row, so the rule is the subtree of its safe set,
-    built in one top-down pass.  Only patching differs: rows merge into the
-    table, so a patched table stays a table.  Patching the safe set would
-    drop the rows off it: with r=>{0}, 1=>{10} patched by r=>{1}, node 10 is
-    safe for the merged table but not for a patch of the safe set {r, 0}."""
+    to it is in its parent's row, so for safety and levels the table is the
+    subtree of its safe set, built in one top-down pass, and values reads f
+    inside that set.  Only patching differs: rows merge into the table, so a
+    patched table stays a table.  Patching the safe set would drop the rows
+    off it: with r=>{0}, 1=>{10} patched by r=>{1}, node 10 is safe for the
+    merged table but not for a patch of the safe set {r, 0}."""
 
     def __init__(self, family: ExplicitTree, table: dict):
         for x, succ in table.items():
