@@ -17,7 +17,7 @@ way.  ``point_cmp`` therefore compares the tuples natively.
 parsed and outside input.  ``_point`` skips the checks, as
 ``ordinal.from_canonical`` does; it is used only where the sequence is
 canonical by construction: ``neg``, ``find_between``, ``point_below``,
-``point_above`` and the suites' random points.
+``point_above`` and the Sorgenfrey suite's listed point space.
 """
 
 from __future__ import annotations

@@ -7,18 +7,21 @@ seed) pair fully determines the bytes of the serialized report.
 
 Positions below an anchor come from ``gen.grid_below``, a fixed
 enumeration, wherever a property checks a function pointwise: the
-coherence suite checks each grid point of each anchor once, and
-tree-closure reads each drawn node at its anchor's grid and at the node's
-own flip and tail positions.  Redrawn random positions would repeat the
-same few again and again.  The other fixtures are seeded draws.
+coherence suite checks each grid point of each anchor once, delta-x each
+grid point of each stem off a difference set, and tree-closure reads each
+drawn node at its anchor's grid and at the node's own flip and tail
+positions.  Redrawn random positions would repeat the same few again and
+again.  The Sorgenfrey suite lists its whole point space, and the
+forcing-ccc pairs are built so that they always extend.  The other
+fixtures are seeded draws.
 
 Every property keeps one ``Tally`` of the checks it made, the checks that
-failed and the fixtures it passed over, by reason (equal points, an
-``ExtensionError``, an undecided range test).  A property passes iff it
-made at least one check and none failed, so a property that checked
-nothing fails, whether a setting (``trials``, ``budget_enum``,
-``oracle_sample``) or the draws left it nothing.  Its note starts with
-those counts.  ``trials`` caps the grid points per anchor.
+failed and the fixtures it passed over, by reason (an ``ExtensionError``,
+an undecided range test, no limit anchor).  A property passes iff it made
+at least one check and none failed, so a property that checked nothing
+fails, whether a setting (``trials``, ``budget_enum``, ``oracle_sample``)
+or the draws left it nothing.  Its note starts with those counts.
+``trials`` caps the grid points per anchor.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import random
 
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import islice, product
 from . import __version__
 from .coherent import CoherentSystem, UndecidedError
 from .families import BitFamily, DigitFamily, InjFamily
@@ -53,7 +56,6 @@ from .sorgenfrey import (
     find_between,
     isolating_box,
     neg,
-    point_cmp,
     uncovered_left_endpoints,
 )
 from .trees import ExplicitTree
@@ -203,11 +205,10 @@ def suite_coherence(config: RunConfig) -> list[dict]:
 def suite_delta_x(config: RunConfig) -> list[dict]:
     ws = Workspace(config)
     bits = ws.bits
-    rng = random.Random(config.seed)
     stems = [ZERO] + [a for a in ws.config.anchor_ordinals() if classify(a) == "limit"]
     contained = Tally("delta-inside-candidate-set")
     disagree = Tally("delta-members-disagree")
-    complete = Tally("delta-complete-on-samples")
+    complete = Tally("delta-complete-on-grid")
     for i, alpha in enumerate(stems):
         for beta in stems[i:]:
             delta = bits.char_delta(alpha, beta)
@@ -215,16 +216,15 @@ def suite_delta_x(config: RunConfig) -> list[dict]:
             stem_a, stem_b = bits.char_stem(alpha), bits.char_stem(beta)
             for eta in delta:
                 disagree.check(bits.query(stem_a, eta) != bits.query(stem_b, eta))
-            for _ in range(50):
-                if alpha.is_zero():
-                    break
-                eta = rand_below(rng, alpha)
-                if eta in delta:
-                    complete.skip("sample in the difference set")
-                else:
+            for eta in grid_below(alpha, config.trials):
+                if eta not in delta:
                     complete.check(bits.query(stem_a, eta) == bits.query(stem_b, eta))
     # each member is one check of delta-members-disagree
-    return [contained.result(f"{disagree.checks} members"), disagree.result(), complete.result()]
+    return [
+        contained.result(f"{disagree.checks} members"),
+        disagree.result(),
+        complete.result("each pair at the lower stem's grid, off its difference set"),
+    ]
 
 
 def suite_tree_closure(config: RunConfig) -> list[dict]:
@@ -381,67 +381,52 @@ def suite_wedge_oracle(config: RunConfig) -> list[dict]:
     return props
 
 
-def _rand_point(rng) -> TaggedPoint:
-    """Up to three digits then a positive one, on a random side: drawn
-    through ``_randbelow`` as ``gen`` draws, trimmed by construction."""
-    below = rng._randbelow
-    seq = (*[below(5) for _ in range(below(4))], 1 + below(4))
-    return _point("LR"[below(2)], seq)
+def _points() -> list[TaggedPoint]:
+    """The 1,248 points of up to three digits below 5 then a last digit in
+    1..4, on both sides, in order: trimmed by construction."""
+    seqs = [(*head, last) for k in range(4) for head in product(range(5), repeat=k) for last in range(1, 5)]
+    return sorted(_point(side, seq) for side in "LR" for seq in seqs)
 
 
 def suite_sorgenfrey(config: RunConfig) -> list[dict]:
     rng = random.Random(config.seed)
+    points = _points()
+    n = len(points)
 
+    # the points of the space in [x, v) form a run from x, so another point
+    # in the box puts x's successor in it; far probes test Box.contains itself
     isolated = Tally("isolation-boxes")
-    for _ in range(100):
-        x = _rand_point(rng)
+    below = rng._randbelow
+    for i, x in enumerate(points):
         u, v, box = isolating_box(x)
         isolated.check(box.contains((x, neg(x))))
-        for _ in range(200):
-            y = _rand_point(rng)
-            if point_cmp(y, x) == 0:
-                isolated.skip("probe equals the point")
-            else:
-                isolated.check(not box.contains((y, neg(y))))
+        near = points[max(i - 1, 0) : i] + points[i + 1 : i + 2]
+        for y in near + [points[(i + 1 + below(n - 1)) % n] for _ in range(4)]:
+            isolated.check(not box.contains((y, neg(y))))
 
     between = Tally("between-strict")
-    for _ in range(10_000):
-        a, b = _rand_point(rng), _rand_point(rng)
-        if point_cmp(a, b) == 0:
-            between.skip("equal points")
-            continue
-        if b < a:
-            a, b = b, a
+    seeded = [sorted(rng.sample(range(n), 2)) for _ in range(1000)]
+    for i, j in [(i, i + 1) for i in range(n - 1)] + seeded:
+        a, b = points[i], points[j]
         z = find_between(a, b)
         between.check(a < z and z < b)
 
     monotone = Tally("injection-monotone")
-    made = 0
-    while made < 1000:
-        pts = sorted({_rand_point(rng) for _ in range(6)})
-        if len(pts) < 2:
-            monotone.skip("too few distinct points")
-            continue
-        made += 1
-        bounds = {}
+    for _ in range(1000):
+        pts = sorted(rng.sample(points, 6))
+        bounds = {x: find_between(x, nxt) for x, nxt in zip(pts, pts[1:])}
         usable = pts[:-1]
-        for x, nxt in zip(pts, pts[1:]):
-            bounds[x] = find_between(x, nxt)
         try:
             out = dense_injection(usable, bounds)
         except Exception:
             monotone.check(False)
             continue
-        ordered = sorted(usable)
-        for a, b in zip(ordered, ordered[1:]):
+        for a, b in zip(usable, usable[1:]):
             monotone.check(out[a] < out[b])
 
     scan = Tally("endpoint-scan-matches-bruteforce")
     for _ in range(1000):
-        pts = sorted({_rand_point(rng) for _ in range(8)})
-        if len(pts) < 4:
-            scan.skip("too few distinct points")
-            continue
+        pts = sorted(rng.sample(points, 8))
         ivs = []
         for _ in range(4):
             i = rng.randrange(len(pts) - 1)
@@ -454,7 +439,12 @@ def suite_sorgenfrey(config: RunConfig) -> list[dict]:
             if all(not (o.lo < iv.lo and iv.lo < o.hi) for o in ivs)
         }
         scan.check(got == expect)
-    return [isolated.result(), between.result(), monotone.result(), scan.result()]
+    return [
+        isolated.result(f"all {n} points, each against its neighbours and 4 seeded far probes"),
+        between.result(f"all {n - 1} adjacent pairs and {len(seeded)} seeded pairs"),
+        monotone.result(),
+        scan.result(),
+    ]
 
 
 def _random_explicit_condition(rng, family):
@@ -485,10 +475,10 @@ def suite_forcing_ccc(config: RunConfig) -> list[dict]:
     rng = random.Random(config.seed)
     fam = ExplicitTree.complete(2, 5)
 
-    # one check per fixture built
+    # one check per fixture built; keys stop above the leaves, so every
+    # fixture extends, and the two regions are disjoint subtrees
     union = Tally("union-of-delta-system-pairs")
-    while union.checks < config.trials:
-        # a shared root part plus off-root keys in incomparable regions
+    for _ in range(config.trials):
         root_part = {}
         if rng.random() < 0.5:
             root_part = {"r": frozenset({"0", "1"})}
@@ -496,14 +486,11 @@ def suite_forcing_ccc(config: RunConfig) -> list[dict]:
         region_p, region_q = ("00", "10") if rng.random() < 0.5 else ("01", "11")
         try:
             for _ in range(rng.randrange(1, 3)):
-                p = extend_to_include(fam, p, region_p + "0" * rng.randrange(0, 3))
+                p = extend_to_include(fam, p, region_p + "0" * rng.randrange(0, 2))
             for _ in range(rng.randrange(1, 3)):
-                q = extend_to_include(fam, q, region_q + "0" * rng.randrange(0, 3))
+                q = extend_to_include(fam, q, region_q + "0" * rng.randrange(0, 2))
         except ExtensionError:
-            union.skip("ExtensionError")
-            continue
-        if set(p) & set(q) != set(root_part):
-            union.skip("keys shared off the root")
+            union.check(False)
             continue
         r = union_compatible(fam, p, q)
         union.check(r is not None and is_valid_condition(fam, r) and cond_leq(fam, r, p) and cond_leq(fam, r, q))

@@ -12,7 +12,6 @@ from treewedge import gen, suites
 from treewedge.coherent import CoherentSystem
 from treewedge.families import BitFamily, DigitFamily, DigitNode
 from treewedge.ordinal import Ordinal, block_decompose, from_canonical, from_nat, parse_cnf
-from treewedge.sorgenfrey import TaggedPoint, trim
 
 DEEP_BOUNDS = ("w^(w)", "w^(w+1)+w^(w)*3", "w^(w^2)")
 
@@ -66,12 +65,6 @@ def randrange_digit_node(rng, digits, alpha):
     base = randrange_bit_node(rng, digits.bits, gamma)
     overrides = {p: rng.randrange(0, 5) for p in randrange_positions(rng, gamma, rng.randrange(0, 4))}
     return digits.assemble(base, overrides, trail)
-
-
-def randrange_point(rng):
-    """suites._rand_point drawn through randrange and choice."""
-    seq = trim([rng.randrange(0, 5) for _ in range(rng.randrange(0, 4))] + [rng.randrange(1, 5)])
-    return TaggedPoint(rng.choice("LR"), seq)
 
 
 class Recording(random.Random):
@@ -138,21 +131,6 @@ def test_node_draws_keep_the_randrange_stream():
             assert same_state(fast, slow, full=True)
             assert gen.rand_digit_node(fast, digits, alpha) == randrange_digit_node(slow, digits, alpha)
             assert same_state(fast, slow, full=True)
-
-
-def test_rand_point_draws_the_randrange_stream_and_a_checked_point():
-    fast, slow = Recording(19), Recording(19)
-    seen = set()
-    for i in range(54_000):
-        p, q = suites._rand_point(fast), randrange_point(slow)
-        assert p == q and hash(p) == hash(q)
-        assert same_state(fast, slow, full=i % 1000 == 0)
-        # the trusted point passes the checked constructor unchanged
-        checked = TaggedPoint(p.side, p.seq)
-        assert checked == p and hash(checked) == hash(p)
-        seen.add(p)
-    assert same_state(fast, slow, full=True)
-    assert len(seen) > 1000
 
 
 # --- grid_below: a fixed enumeration, no draws ---

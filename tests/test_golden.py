@@ -18,12 +18,12 @@ CONFIG = RunConfig(trials=60, nat_anchors=16, oracle_max=3000, oracle_sample=500
 
 GOLDEN = {
     "coherence": "cef272437966df145c8790b95b122f1c48d5eff4538e7d30a8e6591319be03d9",
-    "delta-x": "f08527127f9c80a4f950c64c881474b16d86556002fee1985c854c503903c8b2",
+    "delta-x": "e704f3102ef04a2eecd92b69f0542430009b366d9a0f3859f63a9b54f770b2af",
     "tree-closure": "089994a39989c60c11c5133e08a2397b3f64a818debddd7f44f1e27c32343893",
     "wedge-safe": "e53c0e2a680af9fa353141e7e4f5a253fe7aec4240feba1298f3f55c33a757b4",
     "wedge-oracle": "ff4852c5a5c0fe452397db771acdbc4b3e122ec78cfeb91db86ccb674f501075",
-    "sorgenfrey": "25c0b1d7bcd0e8b0d8b2fc1e7185add2077bb44814a5f24aa7d574441d52d6f7",
-    "forcing-ccc": "a1825e2e292791c9f0b9558966cd8a45a06d3f98ac0d2216248125a7a37ae7c0",
+    "sorgenfrey": "04342faa79b28f9fe8776879c73440b86e9be997da9b4ce174121fe7558fb7ed",
+    "forcing-ccc": "5f0dbee98009eda01e4ed6bfa48d473c2727f8b6fe68d9afe25bfdea62c72214",
     "forcing-density": "292d34aec4d0a7ba1cd62afa460c98465ee5a61386a2b92cc15298bc2895f34c",
 }
 

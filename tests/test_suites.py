@@ -5,12 +5,17 @@ enumerated properties fail on a fault planted at a single point."""
 import json
 from dataclasses import asdict, replace
 
+import pytest
+
+from treewedge import suites
 from treewedge.cli import build_parser, merge_config
 from treewedge.coherent import CoherentSystem
 from treewedge.families import DigitFamily
+from treewedge.forcing import ExtensionError
 from treewedge.gen import grid_below
 from treewedge.ordinal import parse_cnf
-from treewedge.suites import SUITES, RunConfig, Tally, run_suite
+from treewedge.sorgenfrey import Box, TaggedPoint
+from treewedge.suites import SUITES, RunConfig, Tally, _points, run_suite
 from treewedge.wedge import SafeSubtree
 
 SMALL = RunConfig(nat_anchors=16, oracle_max=3000, oracle_sample=500)
@@ -25,6 +30,7 @@ def test_zero_trials_fail_the_counted_properties():
     failed = [prop for name in SUITES for prop in _failed(name, config)]
     assert failed == [
         "coherence::injectivity-per-anchor",
+        "delta-x::delta-complete-on-grid",
         "forcing-ccc::union-of-delta-system-pairs",
         "forcing-density::extensions-valid",
     ]
@@ -152,3 +158,64 @@ def test_a_digit_query_wrong_at_flips_fails_embedding(monkeypatch):
 
     failed = _failed_with(monkeypatch, DigitFamily, "query", make, "tree-closure")
     assert "tree-closure::embedding-pointwise" in failed
+
+
+# --- the Sorgenfrey space is listed, and its properties check all of it ---
+
+def test_the_point_space_is_listed_in_order_and_checked():
+    points = _points()
+    assert len(points) == 1248
+    assert all(a < b for a, b in zip(points, points[1:]))  # sorted, so distinct
+    assert len(set(points)) == 1248
+    for p in points:
+        assert len(p.seq) <= 4 and max(p.seq) < 5 and p.seq[-1] > 0
+        # the trusted point passes the checked constructor unchanged
+        checked = TaggedPoint(p.side, p.seq)
+        assert checked == p and hash(checked) == hash(p)
+
+
+def test_a_box_that_admits_the_next_point_fails_isolation(monkeypatch):
+    points = _points()
+    x, nxt = points[500], points[501]
+    contains = Box.contains
+
+    def admits_next(self, pair):
+        return (self.first.lo == x and pair[0] == nxt) or contains(self, pair)
+
+    monkeypatch.setattr(Box, "contains", admits_next)
+    assert _failed("sorgenfrey", SMALL) == ["sorgenfrey::isolation-boxes"]
+
+
+def test_a_between_point_at_the_lower_bound_fails_between_strict(monkeypatch):
+    points = _points()
+    a, b = points[700], points[701]
+
+    def make(find_between):
+        return lambda x, y: x if (x, y) == (a, b) else find_between(x, y)
+
+    monkeypatch.setattr(suites, "find_between", make(suites.find_between))
+    assert "sorgenfrey::between-strict" in _failed("sorgenfrey", SMALL)
+
+
+def test_a_pair_that_does_not_extend_fails_the_union_property(monkeypatch):
+    def make(extend_to_include):
+        def refuse(family, p, x):
+            if x == "000":
+                raise ExtensionError("planted")
+            return extend_to_include(family, p, x)
+
+        return refuse
+
+    monkeypatch.setattr(suites, "extend_to_include", make(suites.extend_to_include))
+    report = {p["name"]: p for p in run_suite("forcing-ccc", SMALL)["properties"]}
+    union = report["union-of-delta-system-pairs"]
+    assert not union["passed"] and "skipped" not in union["note"]
+    assert report["union-symbolic-pairs"]["passed"]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_listed_and_built_fixtures_skip_nothing(seed):
+    config = RunConfig(seed=seed)
+    for name in ("delta-x", "sorgenfrey", "forcing-ccc"):
+        for prop in run_suite(name, config)["properties"]:
+            assert prop["passed"] and "skipped" not in prop["note"], (name, prop)
