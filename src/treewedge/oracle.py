@@ -5,8 +5,8 @@ seeded sample of them, is checked against the wedge sets themselves: the
 safe points of each level must be exactly its points outside every wedge
 from below, and those wedges must cover every deeper point exactly when the
 level has no safe point.  Rules are addressed by rank in a RuleSpace, and a
-bit-sliced kernel checks a block of ranks at a time, one int per node with
-one bit per rank.  The module shares no code with the cover rules of
+bit-sliced kernel checks a block of rules at a time, given as one byte
+column per digit group, with one int per node and one bit per rule.  The module shares no code with the cover rules of
 ``wedge``, whose finite shadow it checks by brute force.
 """
 
@@ -22,7 +22,7 @@ class ExplosionGuard(RuntimeError):
     """Exhaustive enumeration would exceed the configured bound."""
 
 
-# Ranks per kernel block: the oracle's memory is bounded by the block, not by
+# Rules per kernel block: the oracle's memory is bounded by the block, not by
 # the sweep.
 BLOCK = 2048
 
@@ -39,8 +39,15 @@ class RuleSpace:
     first): its place value and radix in the rank, its depth and number,
     and for each option the numbers of the nodes in its wedge and of its
     children.  The steps are cut into groups, runs whose radices multiply
-    to at most 256, so that a group is read off a rank as one byte: rank //
-    (its last step's place) % (the product of its radices)."""
+    to at most 256, so that a group's number, rank // (its last step's
+    place) % (the product of its radices), fits a byte; a lone step with
+    more options than byte values is a group of its own.
+
+    The kernel reads a block of rules as columns, one per group, holding
+    each rule's group number: bytes, or a list of ints for a lone wide
+    step.  ``columns`` tiles the columns of consecutive ranks, ``draw``
+    draws uniform ones from an rng, and ``rank`` reads one rule's rank back
+    off them."""
 
     def __init__(self, tree: ExplicitTree, size_bound: int):
         self.nodes = [x for x in tree.parent if tree.children[x]]
@@ -53,32 +60,69 @@ class RuleSpace:
         self.height = tree.tree_height()
         number = {x: i for i, x in enumerate(tree.parent)}
         self._roots = [number[x] for x, p in tree.parent.items() if p is None]
-        self._groups = []  # [place value, radix, steps] of each group
+        groups = []  # [place value, radix, steps] of each group
         place = self.size
         for x, opts, wedges in zip(self.nodes, self.options, self.wedge_masks(_cone_masks(tree))):
             radix = len(opts)
             place //= radix
-            if not self._groups or self._groups[-1][1] * radix > 256:
-                self._groups.append([place, 1, []])
-            group = self._groups[-1]
+            if not groups or groups[-1][1] * radix > 256:
+                groups.append([place, 1, []])
+            group = groups[-1]
             group[0], group[1] = place, group[1] * radix
             members = [[i for i in range(self.count) if w >> i & 1] for w in wedges]
             kids = [[number[c] for c in option] for option in opts]
             group[2].append((place, radix, tree.depth[x], number[x], members, kids))
         # each step's tables translate its group's number to its option
-        # indicators; a lone step with more options than byte values has none
-        for group in self._groups:
-            group[2] = [
-                (*step, _digit_tables(step[0] // group[0], step[1]) if group[1] <= 256 else None)
-                for step in group[2]
-            ]
+        # indicators, and each byte group's tables turn random bytes into its
+        # numbers; a lone step with more options than byte values has none
+        self._groups = []  # (place value, radix, steps, reject, reduce) of each group
+        for place, radix, steps in groups:
+            wide = radix > 256
+            steps = [(*step, None if wide else _digit_tables(step[0] // place, step[1])) for step in steps]
+            reject = None if wide else bytes(range(256 - 256 % radix, 256))
+            reduce = None if wide else bytes(v % radix for v in range(256))
+            self._groups.append((place, radix, steps, reject, reduce))
 
     def digits(self, rank: int) -> list:
         """The option index of every node under the rule of this rank."""
-        return [rank // place % radix for *_, steps in self._groups for place, radix, *_ in steps]
+        return [rank // place % radix for _, _, steps, *_ in self._groups for place, radix, *_ in steps]
 
     def rule(self, digits: list) -> dict:
         return {x: opts[k] for x, opts, k in zip(self.nodes, self.options, digits)}
+
+    def columns(self, start: int, n: int) -> list:
+        """The columns of the ranks range(start, start + n).  A group's
+        numbers run in runs of its place value, counting up mod its radix,
+        so each column is one head run, then whole runs tiled by the
+        period, with no arithmetic per rank."""
+        columns = []
+        for place, radix, *_ in self._groups:
+            cell = bytes if radix <= 256 else list
+            first, skip = divmod(start, place)
+            head = min(n, place - skip)
+            rest = n - head
+            column = cell([first % radix]) * head
+            if rest:
+                period = cell()
+                for v in range(1, min(radix, -(-rest // place)) + 1):
+                    period += cell([(first + v) % radix]) * min(place, rest)
+                column += (period * -(-rest // len(period)))[:rest]
+            columns.append(column)
+        return columns
+
+    def draw(self, rng, n: int) -> list:
+        """The columns of n rules drawn independently and uniformly from
+        the space: each group's numbers are exactly uniform and independent,
+        and they map one-to-one onto ranks.  A wide column draws
+        rng.randrange(radix) per rule."""
+        return [
+            [rng.randrange(radix) for _ in range(n)] if reduce is None else _uniform_bytes(rng, n, reject, reduce)
+            for _, radix, _, reject, reduce in self._groups
+        ]
+
+    def rank(self, columns: list, j: int) -> int:
+        """The rank of the j-th rule of these columns."""
+        return sum(column[j] * place for (place, *_), column in zip(self._groups, columns))
 
     def wedge_masks(self, cone: dict) -> list:
         """W[i][k] = cone[y] minus the cones over option k of y = nodes[i]:
@@ -94,41 +138,40 @@ class RuleSpace:
             table.append(row)
         return table
 
-    def block_masks(self, ranks) -> tuple[list, list]:
-        """(safe, cover) for a block of ranks, bit-sliced: bit j of every
-        mask stands for the rule of ranks[j].  safe[i] holds the ranks under
-        which node i is safe, and cover[d][i] those under which node i lies
-        in the wedge of some node of depth d.
+    def block_masks(self, columns: list, n: int) -> tuple[list, list]:
+        """(safe, cover) for a block of n rules given by their columns,
+        bit-sliced: bit j of every mask stands for the j-th rule.  safe[i]
+        holds the rules under which node i is safe, and cover[d][i] those
+        under which node i lies in the wedge of some node of depth d.
 
         One top-down pass over the step table makes one update per option,
-        not per rank.  The ranks whose digit at node y is k are one int,
-        read off the bytes of y's group numbers by a translation table;
-        under them, option k's wedge joins the cover of y's depth, and its
+        not per rule.  The rules whose digit at node y is k are one int,
+        read off the column of y's group by a translation table; under
+        them, option k's wedge joins the cover of y's depth, and its
         children join safe where y is safe: a child is safe iff its parent
         is safe and promises it."""
         safe = [0] * self.count
         cover = [[0] * self.count for _ in range(self.height)]
-        if not ranks:
+        if not n:
             return safe, cover
         for i in self._roots:
-            safe[i] = (1 << len(ranks)) - 1
-        for place, radix, steps in self._groups:
+            safe[i] = (1 << n) - 1
+        for (_, radix, steps, *_), column in zip(self._groups, columns):
             # backward, as int(text, 2) reads its first character as the highest bit
-            numbers = [r // place % radix for r in reversed(ranks)]
-            text = bytes(numbers) if radix <= 256 else None
+            text = column[::-1]
             for _, _, depth, i, wedges, kids, tables in steps:
-                if tables is None:  # more options than byte values: one rank at a time
+                if tables is None:  # more options than byte values: one rule at a time
                     with_digit = [0] * radix
-                    for j, k in enumerate(reversed(numbers)):
+                    for j, k in enumerate(column):
                         with_digit[k] |= 1 << j
                 else:
                     with_digit = [int(text.translate(t), 2) for t in tables]
                 row, s = cover[depth], safe[i]
-                for ranks_k, wedge, option_kids in zip(with_digit, wedges, kids):
+                for rules_k, wedge, option_kids in zip(with_digit, wedges, kids):
                     for z in wedge:
-                        row[z] |= ranks_k
+                        row[z] |= rules_k
                     for c in option_kids:
-                        safe[c] |= s & ranks_k
+                        safe[c] |= s & rules_k
         return safe, cover
 
 
@@ -138,6 +181,18 @@ def _digit_tables(inner: int, radix: int) -> list:
     k and to "0" otherwise."""
     digit = bytes(v // inner % radix for v in range(256))
     return [digit.translate(b"0" * k + b"1" + b"0" * (255 - k)) for k in range(radix)]
+
+
+def _uniform_bytes(rng, n: int, reject: bytes, reduce: bytes) -> bytes:
+    """n uniform numbers below a radix, one byte each: the rng's bytes,
+    rng.getrandbits(8 * m).to_bytes(m, "little"), less those in ``reject``
+    (at or above the largest multiple of the radix), refilled until n are
+    kept and then translated by ``reduce`` (mod the radix)."""
+    column = b""
+    while len(column) < n:
+        m = n - len(column)
+        column += rng.getrandbits(8 * m).to_bytes(m, "little").translate(None, reject)
+    return column.translate(reduce)
 
 
 def _cone_masks(tree: ExplicitTree) -> dict:
@@ -168,16 +223,18 @@ def lindelof_oracle(
     * whole-tree phrasing: U covers every node of depth >= a exactly when
       level a has no safe node.
 
-    Rules are addressed by rank in a RuleSpace and checked BLOCK ranks at a
-    time: RuleSpace.block_masks gives the block's safe and cover masks with
-    one bit per rank, both phrasings become XOR/AND/OR over those ints, and
-    the first failing rule is the lowest failing bit.  A rule is built and
-    formatted only for a counterexample.  Raises ExplosionGuard when the rule
-    space exceeds ``max_covers``, unless a ``sample`` size (with ``rng``, a
-    random.Random) asks for a seeded sweep instead: one rng.randrange(space)
-    per checked rule, drawn a block at a time, so sampled rules are uniform
-    over the space.  Raises ValueError for a negative sample or a sample
-    without an rng.
+    Rules are checked BLOCK at a time, as the columns of a RuleSpace:
+    RuleSpace.block_masks gives the block's safe and cover masks with one
+    bit per rule, both phrasings become XOR/AND/OR over those ints, and the
+    first failing rule is the lowest failing bit.  Only that rule's rank is
+    read back off the columns, and only it is built and formatted.  The
+    sweep stops there, and ``covers_checked`` counts the rules up to and
+    including it.  Raises ExplosionGuard when the rule space exceeds
+    ``max_covers``, unless a ``sample`` size (with ``rng``, a random.Random)
+    asks for a seeded sweep instead: RuleSpace.draw draws each block's
+    columns, so sampled rules are exactly uniform over the space.  The rng
+    advances by whole blocks, also past a failing rule.  Raises ValueError
+    for a negative sample or a sample without an rng.
     """
     if sample is not None:
         if sample < 0:
@@ -200,15 +257,11 @@ def lindelof_oracle(
     counterexamples = []
     for start in range(0, total, BLOCK):
         n = min(BLOCK, total - start)
-        if sampled:
-            state = rng.getstate()
-            ranks = [rng.randrange(space) for _ in range(n)]
-        else:
-            ranks = range(start, start + n)
-        safe, cover = rules.block_masks(ranks)
+        columns = rules.draw(rng, n) if sampled else rules.columns(start, n)
+        safe, cover = rules.block_masks(columns, n)
         full = (1 << n) - 1
-        covered = [0] * rules.count  # covered[z]: the ranks under which U holds z
-        failures = []  # per level: the ranks failing each phrasing
+        covered = [0] * rules.count  # covered[z]: the rules under which U holds z
+        failures = []  # per level: the rules failing each phrasing
         for a in range(rules.height):
             any_safe = wrong = 0
             for z in levels[a]:
@@ -218,8 +271,8 @@ def lindelof_oracle(
             for z in deep[a]:
                 all_covered &= covered[z]
             failures.append((wrong & full, ~(all_covered ^ any_safe) & full))
-            for z, ranks_z in enumerate(cover[a]):
-                covered[z] |= ranks_z
+            for z, rules_z in enumerate(cover[a]):
+                covered[z] |= rules_z
         failing = 0
         for bad in failures:
             failing |= bad[0] | bad[1]
@@ -228,11 +281,7 @@ def lindelof_oracle(
             continue
         j = (failing & -failing).bit_length() - 1
         checked += j + 1
-        if sampled:  # leave the rng as if no rank past the failing rule was drawn
-            rng.setstate(state)
-            for _ in range(j + 1):
-                rng.randrange(space)
-        shown = _show(rules.rule(rules.digits(ranks[j])))
+        shown = _show(rules.rule(rules.digits(rules.rank(columns, j))))
         counterexamples = [
             {"cover": shown, "kind": kind, "level": a}
             for a, bad in enumerate(failures)

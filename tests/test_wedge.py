@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -389,23 +390,25 @@ class _CountingRandom(random.Random):
         self.draws += 1
         return super().randrange(*args)
 
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
 
 def test_oracle_explosion_guard():
     tree = ExplicitTree.complete(3, 4)
     assert RuleSpace(tree, 2).size == 7**13
     with pytest.raises(ExplosionGuard):
         lindelof_oracle(tree, max_covers=10**6)
-    rng = _CountingRandom(1)
-    report = lindelof_oracle(tree, max_covers=10**6, sample=200, rng=rng)
+    report = lindelof_oracle(tree, max_covers=10**6, sample=200, rng=random.Random(1))
     assert report["sampled"]
     assert report["covers_checked"] == 200
     assert report["counterexamples"] == []
-    assert rng.draws == 200  # one rank per sampled rule
 
 
 def test_oracle_rejects_bad_arguments():
     tree = ExplicitTree.complete(3, 4)
-    # checked before any work: no rule space is built, no rank is drawn
+    # checked before any work: no rule space is built, nothing is drawn
     with pytest.raises(ValueError, match="needs an rng"):
         lindelof_oracle(tree, max_covers=10**6, sample=200)
     rng = _CountingRandom(1)
@@ -471,14 +474,21 @@ def _broken_safe_mask(tree, fmap, fault):
     return sum(1 << i for i, x in enumerate(tree.parent) if safe[x])
 
 
+def _divmod_columns(space, ranks):
+    """The kernel columns of these ranks, by divmod rank by rank: one per
+    group, each rule's rank // place % radix, as bytes or, for a group
+    wider than a byte, a list."""
+    return [(bytes if radix <= 256 else list)(r // place % radix for r in ranks) for place, radix, *_ in space._groups]
+
+
 def _broken_kernel(tree, fault):
-    """RuleSpace.block_masks with one fault in its safe masks: each rank's
+    """RuleSpace.block_masks with one fault in its safe masks: each rule's
     safe mask comes from _broken_safe_mask and is sliced into the block."""
     real = RuleSpace.block_masks
 
-    def block_masks(self, ranks):
-        _, cover = real(self, ranks)
-        broken = [_broken_safe_mask(tree, self.rule(self.digits(r)), fault) for r in ranks]
+    def block_masks(self, columns, n):
+        _, cover = real(self, columns, n)
+        broken = [_broken_safe_mask(tree, self.rule(self.digits(self.rank(columns, j))), fault) for j in range(n)]
         return _transpose(broken, self.count), cover
 
     return block_masks
@@ -504,6 +514,26 @@ def test_oracle_catches_a_broken_dp(monkeypatch):
         assert all(c["cover"] == oracle._show(fmap) for c in report["counterexamples"]), fault
 
 
+@pytest.mark.parametrize("fault", ["forgetful", "unguarded"])
+def test_sampled_sweep_catches_a_broken_dp(monkeypatch, fault):
+    tree = ExplicitTree.complete(3, 4)
+    space = RuleSpace(tree, 2)
+    monkeypatch.setattr(RuleSpace, "block_masks", _broken_kernel(tree, fault))
+    report = lindelof_oracle(tree, max_covers=10**5, sample=100, rng=random.Random(2))
+    monkeypatch.undo()
+    assert report["sampled"]
+    assert report["counterexamples"], fault
+    # replay the draw: the sweep stops at the first drawn rule whose broken
+    # safe mask differs, and formats that rule
+    columns = space.draw(random.Random(2), 100)
+    ranks = [space.rank(columns, j) for j in range(100)]
+    assert _divmod_columns(space, ranks) == columns
+    rules = [space.rule(space.digits(r)) for r in ranks[:report["covers_checked"]]]
+    differs = [_broken_safe_mask(tree, fmap, fault) != _safe_mask(tree, fmap) for fmap in rules]
+    assert differs.index(True) == len(rules) - 1, fault
+    assert all(c["cover"] == oracle._show(rules[-1]) for c in report["counterexamples"]), fault
+
+
 @pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
 def test_fault_in_the_second_block(monkeypatch, sampled):
     # one wrong safe bit, for the rule at sweep position BLOCK + 5 only
@@ -513,13 +543,13 @@ def test_fault_in_the_second_block(monkeypatch, sampled):
     real = RuleSpace.block_masks
     swept, hit = [0], []
 
-    def faulty(self, ranks):
-        safe, cover = real(self, ranks)
+    def faulty(self, columns, n):
+        safe, cover = real(self, columns, n)
         j = target - swept[0]
-        if 0 <= j < len(ranks):
+        if 0 <= j < n:
             safe[leaf] ^= 1 << j
-            hit.append(ranks[j])
-        swept[0] += len(ranks)
+            hit.append(self.rank(columns, j))
+        swept[0] += n
         return safe, cover
 
     monkeypatch.setattr(RuleSpace, "block_masks", faulty)
@@ -527,12 +557,16 @@ def test_fault_in_the_second_block(monkeypatch, sampled):
     report = lindelof_oracle(tree, sample=3 * oracle.BLOCK, rng=rng, max_covers=10**5 if sampled else 10**6)
     assert report["sampled"] == sampled
     assert report["covers_checked"] == target + 1
-    # the rng is left as if no rank past the failing rule had been drawn
-    for _ in range(target + 1 if sampled else 0):
-        replay.randrange(space.size)
-    assert rng.getstate() == replay.getstate()
+    # the rng advances by whole blocks: both blocks up to the failing rule
+    # are drawn, and no more
     rank, = hit
-    assert sampled or rank == target
+    if sampled:
+        for _ in range(2):
+            columns = space.draw(replay, oracle.BLOCK)
+        assert _divmod_columns(space, [rank]) == [column[5:6] for column in columns]
+    else:
+        assert rank == target
+    assert rng.getstate() == replay.getstate()
     fmap = space.rule(space.digits(rank))
     unions = _unions(tree, space, _wedge_table(tree, space), space.digits(rank))
     failures = _reference_failures(tree, _safe_mask(tree, fmap) ^ 1 << leaf, unions)
@@ -622,7 +656,8 @@ def test_kernel_matches_safe_sets(tree, ranks):
     space = RuleSpace(tree, 2)
     for start in range(0, len(ranks), oracle.BLOCK):
         block = ranks[start:start + oracle.BLOCK]
-        _assert_block_matches(tree, space, block, *space.block_masks(block))
+        masks = space.block_masks(_divmod_columns(space, block), len(block))
+        _assert_block_matches(tree, space, block, *masks)
 
 
 B = oracle.BLOCK
@@ -637,27 +672,75 @@ def test_kernel_at_block_boundaries(monkeypatch, tree, count):
     blocks = []
     real = RuleSpace.block_masks
 
-    def recording(self, ranks):
-        safe, cover = real(self, ranks)
-        blocks.append((ranks, safe, cover))
+    def recording(self, columns, n):
+        safe, cover = real(self, columns, n)
+        blocks.append((columns, n, safe, cover))
         return safe, cover
 
     monkeypatch.setattr(RuleSpace, "block_masks", recording)
     report = lindelof_oracle(tree, max_covers=0, sample=count, rng=random.Random(count))
     assert report["covers_checked"] == count
     assert report["counterexamples"] == []
-    assert [len(ranks) for ranks, *_ in blocks] == [min(B, count - s) for s in range(0, count, B)]
+    sizes = [min(B, count - s) for s in range(0, count, B)]
+    assert [n for _, n, *_ in blocks] == sizes
     replay = random.Random(count)
-    assert [r for ranks, *_ in blocks for r in ranks] == [replay.randrange(space.size) for _ in range(count)]
-    for block in blocks:
-        _assert_block_matches(tree, space, *block)
+    assert [columns for columns, *_ in blocks] == [space.draw(replay, n) for n in sizes]
+    for columns, n, safe, cover in blocks:
+        ranks = [space.rank(columns, j) for j in range(n)]
+        assert _divmod_columns(space, ranks) == columns
+        _assert_block_matches(tree, space, ranks, safe, cover)
 
 
 def test_kernel_of_an_empty_block():
     space = RuleSpace(ExplicitTree.complete(2, 3), 2)
-    safe, cover = space.block_masks([])
+    safe, cover = space.block_masks(space.columns(0, 0), 0)
     assert safe == [0] * space.count
     assert cover == [[0] * space.count for _ in range(3)]
+
+
+@pytest.mark.parametrize(
+    "tree", [*RULE_TREES, _star(23, 3), ExplicitTree.complete(3, 4)],
+    ids=["binary", "ternary", "ragged", "wide-star", "ternary-h4"],
+)
+def test_tiled_columns_match_divmod(tree):
+    space = RuleSpace(tree, 2)
+    size = space.size
+    for start in sorted({0, B - 1, B, B + 1, max(0, size - B), size - 1}):
+        if start >= size:
+            continue
+        n = min(B, size - start)
+        columns = space.columns(start, n)
+        assert columns == _divmod_columns(space, range(start, start + n)), start
+        # each rule's rank reads back off the columns
+        assert [space.rank(columns, j) for j in range(n)] == list(range(start, start + n)), start
+
+
+class _ByteSource:
+    """Stands in for an rng: getrandbits(8 * m) gives the next m bytes of
+    ``stream``, read little-endian, and fails past its end."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def getrandbits(self, k):
+        m = k // 8
+        chunk, self.stream = self.stream[:m], self.stream[m:]
+        assert len(chunk) == m, "read past the byte source"
+        return int.from_bytes(chunk, "little")
+
+
+@pytest.mark.parametrize(
+    "tree", [*RULE_TREES, ExplicitTree.complete(3, 4)], ids=["binary", "ternary", "ragged", "ternary-h4"]
+)
+def test_column_draw_is_exactly_uniform(tree):
+    # every byte value once, in a seeded order: a group of radix r keeps the
+    # 256 - 256 % r values below that multiple, each residue as often
+    stream = bytes(random.Random(5).sample(range(256), 256))
+    for _, radix, _, reject, reduce in RuleSpace(tree, 2)._groups:
+        kept = 256 - 256 % radix
+        column = oracle._uniform_bytes(_ByteSource(stream), kept, reject, reduce)
+        assert column == bytes(v % radix for v in stream if v < kept), radix
+        assert Counter(column) == {k: kept // radix for k in range(radix)}, radix
 
 
 def test_oracle_memory_scales_with_the_block():
