@@ -17,7 +17,8 @@ fixtures are seeded draws.
 
 Every property keeps one ``Tally`` of the checks it made, the checks that
 failed and the fixtures it passed over, by reason (an ``ExtensionError``,
-an undecided range test, no limit anchor).  A property passes iff it made
+a key a drawn condition could not include, an undecided range test, no
+limit anchor).  A property passes iff it made
 at least one check and none failed, so a property that checked nothing
 fails, whether a setting (``trials``, ``budget_enum``, ``oracle_sample``)
 or the draws left it nothing.  Its note starts with those counts.
@@ -447,25 +448,29 @@ def suite_sorgenfrey(config: RunConfig) -> list[dict]:
     ]
 
 
-def _random_explicit_condition(rng, family):
+def _random_explicit_condition(rng, family, tally):
+    """A condition built by including up to three drawn keys; a key that
+    cannot be included is skipped in ``tally``."""
     p = {}
     nodes = [x for x in family.parent if family.children[x]]
     for _ in range(rng.randrange(0, 4)):
         try:
             p = extend_to_include(family, p, rng.choice(nodes))
         except ExtensionError:
-            continue
+            tally.skip("ExtensionError drawing a key")
     return p
 
 
-def _random_symbolic_condition(rng, digits, limits):
+def _random_symbolic_condition(rng, digits, limits, tally):
+    """As _random_explicit_condition, with up to two keys below drawn limit
+    anchors."""
     p = {}
     for _ in range(rng.randrange(0, 3)):
         alpha = rand_below(rng, rng.choice(limits))
         try:
             p = extend_to_include(digits, p, rand_digit_node(rng, digits, alpha))
         except ExtensionError:
-            continue
+            tally.skip("ExtensionError drawing a key")
     return p
 
 
@@ -534,9 +539,9 @@ def suite_forcing_density(config: RunConfig) -> list[dict]:
             continue
         family = digits if symbolic else fam
         p = (
-            _random_symbolic_condition(rng, digits, limits)
+            _random_symbolic_condition(rng, digits, limits, extended)
             if symbolic
-            else _random_explicit_condition(rng, fam)
+            else _random_explicit_condition(rng, fam, extended)
         )
         mode = rng.randrange(3)
         reached = True

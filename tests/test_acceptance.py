@@ -28,7 +28,7 @@ DIGESTS = {
     "wedge-oracle": "1b001d9c775fceae122326562951e6d57ed57ad86b56c217c71b3c0340e0358d",
     "sorgenfrey": "75c9b113141d87cae0ecf1859f8b834cb690e7e88c02ddf8d4d9f8d982382ea2",
     "forcing-ccc": "95dd739db3fd7840391329d83d27a163eff0a4989832b46ead8aa431078fe74a",
-    "forcing-density": "8f761fad0ce7fd82546d5c7f43772cc0bbd3968ff9f80f2ffdc94f428f141b71",
+    "forcing-density": "4d0bc5937e9f8e7abcb01c6ba6baf8619cc32e80888da23faff9751e2fa89ee4",
 }
 
 # sha256 of the wedge-oracle report at CONFIG with other seeds: the sampled

@@ -24,7 +24,7 @@ GOLDEN = {
     "wedge-oracle": "ff4852c5a5c0fe452397db771acdbc4b3e122ec78cfeb91db86ccb674f501075",
     "sorgenfrey": "04342faa79b28f9fe8776879c73440b86e9be997da9b4ce174121fe7558fb7ed",
     "forcing-ccc": "5f0dbee98009eda01e4ed6bfa48d473c2727f8b6fe68d9afe25bfdea62c72214",
-    "forcing-density": "292d34aec4d0a7ba1cd62afa460c98465ee5a61386a2b92cc15298bc2895f34c",
+    "forcing-density": "af92399bf75d73ba8930fb1337dc184ffe0c56031f579f4ed21a48b3f12f3b2a",
 }
 
 

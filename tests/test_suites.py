@@ -219,3 +219,37 @@ def test_the_listed_and_built_fixtures_skip_nothing(seed):
     for name in ("delta-x", "sorgenfrey", "forcing-ccc"):
         for prop in run_suite(name, config)["properties"]:
             assert prop["passed"] and "skipped" not in prop["note"], (name, prop)
+
+
+def test_forcing_density_counts_every_key_it_cannot_include(monkeypatch):
+    # every ExtensionError raised while a condition's keys are drawn is a
+    # skip of its own reason, not a silently shorter condition
+    drawing, dropped = [False], [0]
+
+    def counting(extend_to_include):
+        def extend(family, p, x):
+            try:
+                return extend_to_include(family, p, x)
+            except ExtensionError:
+                dropped[0] += drawing[0]
+                raise
+
+        return extend
+
+    def while_drawing(draw):
+        def wrapped(*args):
+            drawing[0] = True
+            try:
+                return draw(*args)
+            finally:
+                drawing[0] = False
+
+        return wrapped
+
+    monkeypatch.setattr(suites, "extend_to_include", counting(suites.extend_to_include))
+    for name in ("_random_explicit_condition", "_random_symbolic_condition"):
+        monkeypatch.setattr(suites, name, while_drawing(getattr(suites, name)))
+    extended = run_suite("forcing-density", RunConfig())["properties"][0]
+    assert extended["name"] == "extensions-valid" and extended["passed"]
+    assert dropped[0] == 69  # 57 explicit and 12 symbolic keys at seed 0
+    assert f"{dropped[0]} skipped (ExtensionError drawing a key)" in extended["note"]
