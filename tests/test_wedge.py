@@ -512,26 +512,22 @@ def test_oracle_catches_a_broken_dp(monkeypatch):
         fmap = space.rule(space.digits(rank))
         assert _broken_safe_mask(tree, fmap, fault) != _safe_mask(tree, fmap), fault
         assert all(c["cover"] == oracle._show(fmap) for c in report["counterexamples"]), fault
-
-
-@pytest.mark.parametrize("fault", ["forgetful", "unguarded"])
-def test_sampled_sweep_catches_a_broken_dp(monkeypatch, fault):
+    # a sampled sweep catches both faults too: replaying its draw, it stops
+    # at the first drawn rule whose broken safe mask differs and formats it
     tree = ExplicitTree.complete(3, 4)
     space = RuleSpace(tree, 2)
-    monkeypatch.setattr(RuleSpace, "block_masks", _broken_kernel(tree, fault))
-    report = lindelof_oracle(tree, max_covers=10**5, sample=100, rng=random.Random(2))
-    monkeypatch.undo()
-    assert report["sampled"]
-    assert report["counterexamples"], fault
-    # replay the draw: the sweep stops at the first drawn rule whose broken
-    # safe mask differs, and formats that rule
     columns = space.draw(random.Random(2), 100)
     ranks = [space.rank(columns, j) for j in range(100)]
     assert _divmod_columns(space, ranks) == columns
-    rules = [space.rule(space.digits(r)) for r in ranks[:report["covers_checked"]]]
-    differs = [_broken_safe_mask(tree, fmap, fault) != _safe_mask(tree, fmap) for fmap in rules]
-    assert differs.index(True) == len(rules) - 1, fault
-    assert all(c["cover"] == oracle._show(rules[-1]) for c in report["counterexamples"]), fault
+    for fault in ("forgetful", "unguarded"):
+        monkeypatch.setattr(RuleSpace, "block_masks", _broken_kernel(tree, fault))
+        report = lindelof_oracle(tree, max_covers=10**5, sample=100, rng=random.Random(2))
+        monkeypatch.undo()
+        assert report["sampled"] and report["counterexamples"], fault
+        rules = [space.rule(space.digits(r)) for r in ranks[:report["covers_checked"]]]
+        differs = [_broken_safe_mask(tree, fmap, fault) != _safe_mask(tree, fmap) for fmap in rules]
+        assert differs.index(True) == len(rules) - 1, fault
+        assert all(c["cover"] == oracle._show(rules[-1]) for c in report["counterexamples"]), fault
 
 
 @pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
