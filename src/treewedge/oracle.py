@@ -6,8 +6,9 @@ safe points of each level must be exactly its points outside every wedge
 from below, and those wedges must cover every deeper point exactly when the
 level has no safe point.  Rules are addressed by rank in a RuleSpace, and a
 bit-sliced kernel checks a block of rules at a time, given as one byte
-column per digit group, with one int per node and one bit per rule.  The module shares no code with the cover rules of
-``wedge``, whose finite shadow it checks by brute force.
+column per digit group, with one int per node and one bit per rule.  The
+module shares no code with the cover rules of ``wedge``, whose finite
+shadow it checks by brute force.
 """
 
 from __future__ import annotations
