@@ -351,9 +351,9 @@ def suite_wedge_safe(config: RunConfig) -> list[dict]:
         t = rand_bit_node(rng, ws.bits, alpha)
         u = digits.embed_bits(t)
         v = digits.assemble(t, {rand_below(rng, alpha): 2 + rng._randbelow(3)}, ())
-        closed.check(S.contains(u) and S.contains(digits.restrict(u, rand_below(rng, alpha))))
+        closed.check(is_safe(S, u) and is_safe(S, digits.restrict(u, rand_below(rng, alpha))))
         promised = sorted(k.trail[-1] for k in S.values(u))
-        filtered.check(S.contains(u) and promised == [0, 1] and not S.contains(v) and S.values(v) == [])
+        filtered.check(is_safe(S, u) and promised == [0, 1] and not is_safe(S, v) and S.values(v) == [])
     context = "members drawn as embedded bit nodes, each with a non-member that has one digit >= 2" if limits else ""
     return props + [closed.result(context), filtered.result(context)]
 

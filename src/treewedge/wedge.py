@@ -14,14 +14,16 @@ all in one CoverRule hierarchy: the subtree rules (SubtreeCover and its
 subtrees: the binary tree inside the digit tree, its truncations, finite
 explicit subtrees, among them the safe set of a finite table over an
 explicit tree (TableCover), and the safe set of another rule) and finite
-patches of a subtree rule (PatchedCover).  Each decides safety exactly, and
-each answers the one level question exactly with one method: safe_above(x,
-alpha) is a safe node of height alpha above the safe node x, or None exactly
-when there is none.  The witness is defined once per rule: a subtree gives
-its canonical node, a table the first safe node in level order, and a patch
-the first safe one of the core witness, the nodes threaded through its rows
-and the node its row search settles on.  A level an explicit tree does not
-have is an error, as a limit level is.
+patches of a subtree rule (PatchedCover).  A rule answers three questions,
+each exactly: values(x) is f(x); first_violation(x) says whether x is safe,
+which for a subtree rule is whether x is in the subtree; and safe_above(x,
+alpha), the one level method, is a safe node of height alpha above the safe
+node x, or None exactly when there is none.  patched(rows) builds the
+patched rule.  The witness is defined once per rule: a subtree gives its
+canonical node, a table the first safe node in level order, and a patch the
+first safe one of the core witness, the nodes threaded through its rows and
+the node its row search settles on.  A level an explicit tree does not have
+is an error, as a limit level is.
 """
 
 from __future__ import annotations
@@ -86,59 +88,21 @@ class CoverRule:
 class SubtreeCover(CoverRule):
     """The rule of a downward-closed subtree S: f(x) = the immediate
     successors of x inside S, so first_violation(x) is the least height b
-    whose (b+1)-prefix of x leaves S.  Each subclass is one subtree: it
-    decides membership, f and the first violation, and gives a canonical
-    safe node above each safe node."""
-
-    def contains(self, x) -> bool:
-        raise NotImplementedError
-
-    def reaches(self, x, alpha: Ordinal) -> bool:
-        """Whether some safe node of height alpha lies above the safe node x,
-        of height <= alpha."""
-        return self.safe_above(x, alpha) is not None
-
-    def reaches_avoiding(self, x, gates: list, alpha: Ordinal):
-        """A child of x in f, or of a node climbed from x, above which some
-        safe node of height alpha lies with no gate strictly below it; None
-        when there is no such safe node.  The gates are a finite antichain of
-        safe nodes strictly above x, below height alpha.  The walk climbs
-        through f from x: a child with no gate at or above it settles the
-        question by ``reaches`` and is returned, and only children with a
-        gate above them are climbed, so a 2-splitting subtree visits
-        O(len(gates)) nodes."""
-        # checked first: when x reaches nothing, no child settles the walk,
-        # which could then climb toward a gate at a limit height forever
-        if not self.reaches(x, alpha):
-            return None
-        fam = self.family
-        stack = [x]
-        while stack:
-            blocked = []
-            for c in self.values(stack.pop()):
-                if c in gates:
-                    continue
-                if any(tree_le(fam, c, q) == "below" for q in gates):
-                    blocked.append(c)
-                elif self.reaches(c, alpha):
-                    return c
-            stack.extend(blocked)
-        return None
+    whose (b+1)-prefix of x leaves S, and x is in S exactly when it is safe.
+    Each subclass is one subtree: it gives f, the first violation and a
+    canonical safe node above each safe node."""
 
     def patched(self, rows: dict) -> CoverRule:
         return PatchedCover(self, rows)
 
 
 class BinaryInsideDigits(SubtreeCover):
-    """The binary family embedded in the digit family: membership is simply
-    'every digit is a bit', read off the finite descriptor."""
+    """The binary family embedded in the digit family: a node is safe
+    exactly when every digit is a bit, read off the finite descriptor."""
 
     def __init__(self, digits: DigitFamily):
         self.digits = digits
         self.family = digits
-
-    def contains(self, x) -> bool:
-        return isinstance(x, DigitNode) and self.first_violation(x) is None
 
     def first_violation(self, x: DigitNode) -> Ordinal | None:
         bad = []
@@ -152,7 +116,7 @@ class BinaryInsideDigits(SubtreeCover):
         return min(bad) if bad else None
 
     def values(self, x) -> list:
-        if not self.contains(x):
+        if self.first_violation(x) is not None:
             return []
         return [DigitNode(x.base, x.patch, x.trail + (b,)) for b in (0, 1)]
 
@@ -160,9 +124,6 @@ class BinaryInsideDigits(SubtreeCover):
         # zero digits and bit stems: the canonical extension of a binary node
         # stays binary
         return self.digits.canonical_extension(x, alpha)
-
-    def reaches(self, x, alpha: Ordinal) -> bool:
-        return True  # every binary node extends to every height
 
 
 class TruncatedSubtree(SubtreeCover):
@@ -172,9 +133,6 @@ class TruncatedSubtree(SubtreeCover):
         self.inner = inner
         self.h = h
         self.family = inner.family
-
-    def contains(self, x) -> bool:
-        return self.family.height(x) < self.h and self.inner.contains(x)
 
     def _onset(self) -> Ordinal:
         """Least b whose (b+1)-prefix is too tall for the truncation."""
@@ -204,9 +162,6 @@ class TruncatedSubtree(SubtreeCover):
     def safe_above(self, x, alpha: Ordinal):
         return self.inner.safe_above(x, alpha) if self._has_level(alpha) else None
 
-    def reaches(self, x, alpha: Ordinal) -> bool:
-        return self._has_level(alpha) and self.inner.reaches(x, alpha)
-
 
 class ExplicitSubtree(SubtreeCover):
     """Finite set of explicit-tree nodes, checked to be downward closed."""
@@ -218,9 +173,6 @@ class ExplicitSubtree(SubtreeCover):
             p = family.parent[x]
             if p is not None and p not in self.members:
                 raise ValueError(f"not downward closed: {x!r} without {p!r}")
-
-    def contains(self, x) -> bool:
-        return x in self.members
 
     def first_violation(self, x) -> Ordinal | None:
         tree = self.family
@@ -346,13 +298,16 @@ class PatchedCover(CoverRule):
         the rows of z that are its immediate successors (no other member
         routes a step); if z is unpatched and outside the core, nowhere;
         otherwise through the core, to a safe node of height alpha with no
-        patched node in between (the core's reaches_avoiding) or to the
-        least patched core nodes above z (the gates).  Branches climb into
-        disjoint cones and every gate is a row, so the search is finite.
-        Returns None when there is no safe node of height alpha above x;
-        otherwise either such a node, reached through the rows, or the core's
-        canonical safe node of height alpha above the node where
-        reaches_avoiding settles, which is safe for the patch too."""
+        patched node in between or to the least patched core nodes above z
+        (the gates).  The core part climbs through f from z: a child with no
+        gate at or above it settles the level by the core's safe_above, and
+        only children with a gate above them are climbed, so a 2-splitting
+        core visits O(len(gates)) nodes.  Branches climb into disjoint cones
+        and every gate is a row, so the search is finite.  Returns None when
+        there is no safe node of height alpha above x; otherwise either such
+        a node, reached through the rows, or the core's canonical safe node
+        of height alpha above the child that settles the climb, which is safe
+        for the patch too."""
         fam, core = self.family, self.core
         patched = [y for y in self.table if fam.height(y) < alpha]
         stack = [x]
@@ -367,9 +322,22 @@ class PatchedCover(CoverRule):
                 continue
             above = [y for y in patched if tree_le(fam, z, y) == "below" and core.first_violation(y) is None]
             gates = [q for q in above if not any(tree_le(fam, p, q) == "below" for p in above)]
-            settled = core.reaches_avoiding(z, gates, alpha)
-            if settled is not None:
-                return core.safe_above(settled, alpha)
+            # checked first: when z reaches nothing, no child settles the
+            # climb, which could then climb toward a gate at a limit height
+            # forever; the gates are searched either way
+            climb = [] if core.safe_above(z, alpha) is None else [z]
+            while climb:
+                blocked = []
+                for c in core.values(climb.pop()):
+                    if c in gates:
+                        continue
+                    if any(tree_le(fam, c, q) == "below" for q in gates):
+                        blocked.append(c)
+                        continue
+                    w = core.safe_above(c, alpha)
+                    if w is not None:
+                        return w
+                climb.extend(blocked)
             stack.extend(gates)
         return None
 
@@ -407,9 +375,6 @@ class SafeSubtree(SubtreeCover):
     def __init__(self, f: CoverRule):
         self.f = f
         self.family = f.family
-
-    def contains(self, x) -> bool:
-        return is_safe(self.f, x)
 
     def first_violation(self, x) -> Ordinal | None:
         return self.f.first_violation(x)

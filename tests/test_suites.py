@@ -13,7 +13,7 @@ from treewedge.coherent import CoherentSystem
 from treewedge.families import DigitFamily
 from treewedge.forcing import ExtensionError
 from treewedge.gen import grid_below
-from treewedge.ordinal import parse_cnf
+from treewedge.ordinal import ZERO, parse_cnf
 from treewedge.sorgenfrey import Box, TaggedPoint
 from treewedge.suites import SUITES, RunConfig, Tally, _points, run_suite
 from treewedge.wedge import SafeSubtree
@@ -48,7 +48,7 @@ def test_zero_oracle_samples_fail_the_sampled_jobs():
 def test_an_empty_safe_set_fails_the_safe_set_properties(monkeypatch):
     # every drawn member is then outside the set, so every check of both
     # properties fails
-    monkeypatch.setattr(SafeSubtree, "contains", lambda self, x: False)
+    monkeypatch.setattr(SafeSubtree, "first_violation", lambda self, x: ZERO)
     report = {p["name"]: p for p in run_suite("wedge-safe", SMALL)["properties"]}
     for name in ("safe-set-downward-closed", "safe-set-filter-is-rule"):
         assert not report[name]["passed"]
@@ -57,7 +57,7 @@ def test_an_empty_safe_set_fails_the_safe_set_properties(monkeypatch):
 
 def test_a_full_safe_set_fails_the_filter_property(monkeypatch):
     # the non-member with a digit >= 2 is then inside the set
-    monkeypatch.setattr(SafeSubtree, "contains", lambda self, x: True)
+    monkeypatch.setattr(SafeSubtree, "first_violation", lambda self, x: None)
     report = {p["name"]: p for p in run_suite("wedge-safe", SMALL)["properties"]}
     assert report["safe-set-downward-closed"]["passed"]
     assert report["safe-set-filter-is-rule"]["note"].startswith("100 checks, 100 failed")
