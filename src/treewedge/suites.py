@@ -18,7 +18,8 @@ fixtures are seeded draws.
 Every property keeps one ``Tally`` of the checks it made, the checks that
 failed and the fixtures it passed over, by reason (an ``ExtensionError``,
 a key a drawn condition could not include, an undecided range test, no
-limit anchor).  A property passes iff it made
+limit anchor); forcing-density then checks each refusal on its explicit
+tree against a brute-force search.  A property passes iff it made
 at least one check and none failed, so a property that checked nothing
 fails, whether a setting (``trials``, ``budget_enum``, ``oracle_sample``)
 or the draws left it nothing.  Its note starts with those counts.
@@ -30,7 +31,7 @@ from __future__ import annotations
 import random
 
 from dataclasses import dataclass, fields
-from itertools import islice, product
+from itertools import combinations, islice, product
 from . import __version__
 from .coherent import CoherentSystem, UndecidedError
 from .families import BitFamily, DigitFamily, InjFamily
@@ -448,17 +449,45 @@ def suite_sorgenfrey(config: RunConfig) -> list[dict]:
     ]
 
 
-def _random_explicit_condition(rng, family, tally):
+def _random_explicit_condition(rng, family, tally, refused):
     """A condition built by including up to three drawn keys; a key that
-    cannot be included is skipped in ``tally``."""
+    cannot be included is skipped in ``tally`` and listed in ``refused`` as
+    the condition and the keys that would have served, [key]."""
     p = {}
     nodes = [x for x in family.parent if family.children[x]]
     for _ in range(rng.randrange(0, 4)):
+        x = rng.choice(nodes)
         try:
-            p = extend_to_include(family, p, rng.choice(nodes))
+            p = extend_to_include(family, p, x)
         except ExtensionError:
             tally.skip("ExtensionError drawing a key")
+            refused.append((p, [x]))
     return p
+
+
+def _extends_by_one_key(tree, p, z) -> bool:
+    """Whether p, or p + {z: S} for some non-empty set S of z's children, is
+    a condition that satisfies the routing law, checked by brute force over
+    S from the tree's parent links alone: every key v and every key u below
+    it need the step from u towards v in u's promise."""
+    if z in p:
+        return True
+    kids = tree.children[z]
+    for size in range(1, len(kids) + 1):
+        for promise in combinations(kids, size):
+            q = {**p, z: promise}
+            if all(step in q[u] for v in q for step, u in _steps_down(tree, v) if u in q):
+                return True
+    return False
+
+
+def _steps_down(tree, v):
+    """(step, u) for each proper predecessor u of v, step being the child of u
+    on the way to v."""
+    step, u = v, tree.parent[v]
+    while u is not None:
+        yield step, u
+        step, u = u, tree.parent[u]
 
 
 def _random_symbolic_condition(rng, digits, limits, tally):
@@ -530,8 +559,10 @@ def suite_forcing_density(config: RunConfig) -> list[dict]:
     fam = ExplicitTree.complete(2, 5)
     limits = [a for a in config.anchor_ordinals() if classify(a) == "limit"]
 
-    # one check per fixture extended
+    # one check per fixture extended; the explicit refusals are listed as
+    # (condition, the keys that would have served) and checked below
     extended = Tally("extensions-valid")
+    refused = []
     while extended.checks < config.trials:
         symbolic = rng.random() < 0.3
         if symbolic and not limits:  # every symbolic fixture draws below a limit anchor
@@ -541,20 +572,23 @@ def suite_forcing_density(config: RunConfig) -> list[dict]:
         p = (
             _random_symbolic_condition(rng, digits, limits, extended)
             if symbolic
-            else _random_explicit_condition(rng, fam, extended)
+            else _random_explicit_condition(rng, fam, extended, refused)
         )
         mode = rng.randrange(3)
         reached = True
+        goal = None  # the node to include; None when a height is to be reached
         try:
             if mode == 0 and p:
                 # include a restriction of an existing key
                 x = rng.choice(sorted(p, key=str))
                 beta = rand_below(rng, family.height(x)) if not family.height(x).is_zero() else ZERO
-                r = extend_to_include(family, p, family.restrict(x, beta))
+                goal = family.restrict(x, beta)
+                r = extend_to_include(family, p, goal)
             elif mode == 1 and p:
                 # include a promised successor
                 succ = sorted((z for s in p.values() for z in s), key=str)
-                r = extend_to_include(family, p, rng.choice(succ))
+                goal = rng.choice(succ)
+                r = extend_to_include(family, p, goal)
             else:
                 alpha = (
                     rand_below(rng, rng.choice(limits))
@@ -565,8 +599,18 @@ def suite_forcing_density(config: RunConfig) -> list[dict]:
                 reached = any(not family.height(x) < alpha for x in r)
         except ExtensionError:
             extended.skip("ExtensionError")
+            if not symbolic:
+                keys = [goal] if goal is not None else [z for z, d in fam.depth.items() if d >= alpha.to_nat()]
+                refused.append((p, keys))
             continue
         extended.check(reached and is_valid_condition(family, r) and cond_leq(family, r, p))
+
+    # every explicit refusal, drawing a key or extending, against a brute
+    # force: the routing law is pairwise, so a valid extension cut down to p
+    # and one key that serves is still valid, and one-key extensions suffice
+    exhausted = Tally("explicit-refusals-exhaustive")
+    for p, keys in refused:
+        exhausted.check(not any(_extends_by_one_key(fam, p, z) for z in keys))
 
     simulated = Tally("simulation-fragments")
     for _ in range(100):
@@ -609,7 +653,8 @@ def suite_forcing_density(config: RunConfig) -> list[dict]:
         for x in order:
             q = spec_extend(tree, q, x)
         totalized.check(len(q) == len(order) and is_valid_spec(tree, q))
-    return [extended.result(), simulated.result(), totalized.result()]
+    context = "each a search of the one-key extensions; symbolic refusals are skips of extensions-valid"
+    return [extended.result(), exhausted.result(context), simulated.result(), totalized.result()]
 
 
 def _random_tree(rng, size):

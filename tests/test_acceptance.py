@@ -28,7 +28,7 @@ DIGESTS = {
     "wedge-oracle": "1b001d9c775fceae122326562951e6d57ed57ad86b56c217c71b3c0340e0358d",
     "sorgenfrey": "75c9b113141d87cae0ecf1859f8b834cb690e7e88c02ddf8d4d9f8d982382ea2",
     "forcing-ccc": "95dd739db3fd7840391329d83d27a163eff0a4989832b46ead8aa431078fe74a",
-    "forcing-density": "4d0bc5937e9f8e7abcb01c6ba6baf8619cc32e80888da23faff9751e2fa89ee4",
+    "forcing-density": "dd4dd213981337d8f02a3c56d5093ab7e78ba54ebb29880f4d7aacf9ec8157a9",
 }
 
 # sha256 of the wedge-oracle report at CONFIG with other seeds (seed 0 is in

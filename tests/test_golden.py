@@ -24,7 +24,7 @@ GOLDEN = {
     "wedge-oracle": "ff4852c5a5c0fe452397db771acdbc4b3e122ec78cfeb91db86ccb674f501075",
     "sorgenfrey": "04342faa79b28f9fe8776879c73440b86e9be997da9b4ce174121fe7558fb7ed",
     "forcing-ccc": "5f0dbee98009eda01e4ed6bfa48d473c2727f8b6fe68d9afe25bfdea62c72214",
-    "forcing-density": "af92399bf75d73ba8930fb1337dc184ffe0c56031f579f4ed21a48b3f12f3b2a",
+    "forcing-density": "68f442177d3aceb6916e48d8bdcdc44cdf372d59493cb08b0b8f4fcf5a52f3b1",
 }
 
 

@@ -33,6 +33,7 @@ def test_zero_trials_fail_the_counted_properties():
         "delta-x::delta-complete-on-grid",
         "forcing-ccc::union-of-delta-system-pairs",
         "forcing-density::extensions-valid",
+        "forcing-density::explicit-refusals-exhaustive",
     ]
 
 
@@ -211,6 +212,23 @@ def test_a_pair_that_does_not_extend_fails_the_union_property(monkeypatch):
     union = report["union-of-delta-system-pairs"]
     assert not union["passed"] and "skipped" not in union["note"]
     assert report["union-symbolic-pairs"]["passed"]
+
+
+def test_a_wrong_refusal_fails_the_refusal_search(monkeypatch):
+    # node 00 of the explicit tree has children, so refusing it outright
+    # refuses extensions that exist
+    def make(extend_to_include):
+        def refuse(family, p, x):
+            if x == "00":
+                raise ExtensionError("planted")
+            return extend_to_include(family, p, x)
+
+        return refuse
+
+    monkeypatch.setattr(suites, "extend_to_include", make(suites.extend_to_include))
+    report = {p["name"]: p for p in run_suite("forcing-density", SMALL)["properties"]}
+    assert not report["explicit-refusals-exhaustive"]["passed"]
+    assert report["extensions-valid"]["passed"]
 
 
 @pytest.mark.parametrize("seed", [0, 7])
