@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .literals import format_node
 from .ordinal import Ordinal, ZERO, add_ord, from_nat
-from .trees import TreeFamily, is_immediate_successor, tree_le
+from .trees import TreeFamily
 
 
 class ExtensionError(ValueError):
@@ -36,7 +36,7 @@ def is_valid_condition(family: TreeFamily, p: Condition) -> bool:
     for x, succ in p.items():
         if not succ:
             return False
-        if not all(is_immediate_successor(family, x, z) for z in succ):
+        if not all(family.is_child(x, z) for z in succ):
             return False
     return all(_unrouted(family, p, y) is None for y in p)
 
@@ -45,7 +45,7 @@ def _unrouted(family: TreeFamily, p: Condition, x):
     """The first domain node u below x whose promise misses x's step at
     height(u)+1 (the routing law), or None."""
     for u in p:
-        if tree_le(family, u, x) == "below":
+        if family.order(u, x) == "below":
             if family.restrict(x, add_ord(family.height(u), from_nat(1))) not in p[u]:
                 return u
     return None
@@ -77,7 +77,7 @@ def extend_to_include(family: TreeFamily, p: Condition, x) -> Condition:
     if x in p:
         return dict(p)
     up_one = add_ord(family.height(x), from_nat(1))
-    above = [t for t in p if tree_le(family, x, t) == "below"]
+    above = [t for t in p if family.order(x, t) == "below"]
     if above:
         promise = frozenset(family.restrict(t, up_one) for t in above)
     else:
@@ -147,7 +147,7 @@ def incomparable_pair(family: TreeFamily, sets):
     (None when every pair meets); the finite search behind ccc arguments."""
     sets = [list(s) for s in sets]
     for a, b in combinations(sets, 2):
-        if all(tree_le(family, x, y) == "incomparable" for x in a for y in b):
+        if all(family.order(x, y) == "incomparable" for x in a for y in b):
             return a, b
     return None
 
@@ -178,7 +178,7 @@ def simplest_between(lo, hi) -> Fraction:
 def is_valid_spec(family: TreeFamily, q: dict) -> bool:
     for x in q:
         for y in q:
-            if tree_le(family, x, y) == "below" and not q[x] < q[y]:
+            if family.order(x, y) == "below" and not q[x] < q[y]:
                 return False
     return True
 
@@ -190,7 +190,7 @@ def spec_extend(family: TreeFamily, q: dict, x) -> dict:
         return dict(q)
     lo = hi = None
     for y, v in q.items():
-        rel = tree_le(family, y, x)
+        rel = family.order(y, x)
         if rel == "below" and (lo is None or v > lo):
             lo = v
         if rel == "above" and (hi is None or v < hi):
@@ -244,7 +244,7 @@ def simulate_filter(family: TreeFamily, targets, budget: int = 1000):
         z in succ
         for x, succ in p.items()
         for z in fragment
-        if is_immediate_successor(family, x, z)
+        if family.is_child(x, z)
     )
     report = {
         "condition": serialize_condition(family, p),

@@ -2,13 +2,17 @@
 
 Symbolic nodes are immutable values interpreted by a family object.  An
 explicit tree is itself a family: a small in-memory tree whose nodes are
-their string ids, used as a brute-force oracle.  A family has no stream of
-a whole level: the wedge engine reaches levels through canonical extensions
-and decides them exactly, so ``wedge.find_safe_point`` takes no budget.  The
-``successors`` stream is a single-consumer generator that may be infinite;
-each caller bounds what it draws.  The budgets live there:
-``forcing.simulate_filter`` runs at most ``budget`` extension steps, and
-``InjFamily`` decodes each range test within ``budget_range`` steps.
+their string ids, used as a brute-force oracle.  Each family answers the
+tree order, ``order(x, y)``, and immediate succession, ``is_child(parent,
+child)``, as methods: the symbolic families keep the generic bodies, read
+off heights and restrictions, and explicit trees answer both in ints.  A
+family has no stream of a whole level: the wedge engine reaches levels
+through canonical extensions and decides them exactly, so
+``wedge.find_safe_point`` takes no budget.  The ``successors`` stream is a
+single-consumer generator that may be infinite; each caller bounds what it
+draws.  The budgets live there: ``forcing.simulate_filter`` runs at most
+``budget`` extension steps, and ``InjFamily`` decodes each range test within
+``budget_range`` steps.
 """
 
 from __future__ import annotations
@@ -19,45 +23,27 @@ from .ordinal import Ordinal, add_ord, cmp_ord, from_nat
 
 
 class TreeFamily:
-    """Interface shared by the symbolic families and explicit trees."""
+    """A tree family gives ``root()``, ``height(x)``, ``restrict(x, beta)``,
+    the ``successors(x)`` stream and ``canonical_extension(x, alpha)``; the
+    symbolic families also read a node's values (``query(x, xi)``) and test
+    its normal form (``contains(x)``).  The order questions are answered
+    here from heights and restrictions; a family may answer them faster."""
 
-    def root(self):
-        raise NotImplementedError
+    def order(self, x, y) -> str:
+        """'below', 'equal', 'above' or 'incomparable' in the tree order."""
+        c = cmp_ord(self.height(x), self.height(y))
+        if c == 0:
+            return "equal" if x == y else "incomparable"
+        if c < 0:
+            return "below" if self.restrict(y, self.height(x)) == x else "incomparable"
+        return "above" if self.restrict(x, self.height(y)) == y else "incomparable"
 
-    def height(self, x) -> Ordinal:
-        raise NotImplementedError
-
-    def query(self, x, xi: Ordinal):
-        raise NotImplementedError
-
-    def restrict(self, x, beta: Ordinal):
-        raise NotImplementedError
-
-    def contains(self, x) -> bool:
-        raise NotImplementedError
-
-    def successors(self, x) -> Iterator:
-        raise NotImplementedError
-
-    def canonical_extension(self, x, alpha: Ordinal):
-        raise NotImplementedError
-
-
-def tree_le(family: TreeFamily, x, y) -> str:
-    """'below', 'equal', 'above' or 'incomparable' in the tree order."""
-    c = cmp_ord(family.height(x), family.height(y))
-    if c == 0:
-        return "equal" if x == y else "incomparable"
-    if c < 0:
-        return "below" if family.restrict(y, family.height(x)) == x else "incomparable"
-    return "above" if family.restrict(x, family.height(y)) == y else "incomparable"
-
-
-def is_immediate_successor(family: TreeFamily, parent, child) -> bool:
-    return (
-        family.height(child) == add_ord(family.height(parent), from_nat(1))
-        and family.restrict(child, family.height(parent)) == parent
-    )
+    def is_child(self, parent, child) -> bool:
+        """Is child an immediate successor of parent?"""
+        return (
+            self.height(child) == add_ord(self.height(parent), from_nat(1))
+            and self.restrict(child, self.height(parent)) == parent
+        )
 
 
 # --- explicit finite trees ----------------------------------------------------
@@ -65,7 +51,8 @@ def is_immediate_successor(family: TreeFamily, parent, child) -> bool:
 class ExplicitTree(TreeFamily):
     """Finite tree with string node ids, ordered child lists and int depths.
     It is a tree family whose nodes are their ids; ``root`` needs a single
-    root, so that levels are genuine tree levels.
+    root, so that levels are genuine tree levels, and the order questions
+    are answered on the int depths.
 
     Text format: one node per line, ``id parent_id``; roots use ``-``.
     """
@@ -115,14 +102,8 @@ class ExplicitTree(TreeFamily):
     def height(self, x: str) -> Ordinal:
         return from_nat(self.depth[x])
 
-    def query(self, x, xi):
-        raise TypeError("explicit nodes do not denote sequences")
-
     def restrict(self, x: str, beta: Ordinal) -> str:
         return self.ancestor_at(x, beta.to_nat())
-
-    def contains(self, x) -> bool:
-        return isinstance(x, str) and x in self.parent
 
     def successors(self, x: str) -> Iterator[str]:
         return iter(self.children[x])
@@ -138,9 +119,16 @@ class ExplicitTree(TreeFamily):
             x = kids[0]
         return x
 
-    def le(self, x: str, y: str) -> bool:
-        """x <= y in the tree order."""
-        return self.depth[x] <= self.depth[y] and self.ancestor_at(y, self.depth[x]) == x
+    def order(self, x: str, y: str) -> str:
+        dx, dy = self.depth[x], self.depth[y]
+        if dx == dy:
+            return "equal" if x == y else "incomparable"
+        if dx < dy:
+            return "below" if self.ancestor_at(y, dx) == x else "incomparable"
+        return "above" if self.ancestor_at(x, dy) == y else "incomparable"
+
+    def is_child(self, parent: str, child: str) -> bool:
+        return self.parent[child] == parent
 
     @classmethod
     def from_text(cls, text: str) -> "ExplicitTree":
@@ -185,7 +173,7 @@ def branch_to_antichain(tree: ExplicitTree, chain: list[str]) -> set[str]:
     members = set(chain)
     for x in chain:
         for y in chain:
-            if not (tree.le(x, y) or tree.le(y, x)):
+            if tree.order(x, y) == "incomparable":
                 raise ValueError(f"not a chain: {x!r} and {y!r} are incomparable")
     picks = set()
     for x in chain:

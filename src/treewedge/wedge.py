@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .families import DigitFamily, DigitNode
 from .ordinal import Ordinal, ZERO, add_ord, classify, from_nat, pred
-from .trees import ExplicitTree, TreeFamily, is_immediate_successor, tree_le
+from .trees import ExplicitTree, TreeFamily
 
 # the benchmark's tracer (perfbench/tracing.py) wraps the oracle under this name
 from .oracle import lindelof_oracle  # noqa: F401
@@ -55,9 +55,9 @@ class Wedge:
 
 
 def wedge_contains(family: TreeFamily, w: Wedge, y) -> bool:
-    if tree_le(family, w.apex, y) not in ("below", "equal"):
+    if family.order(w.apex, y) not in ("below", "equal"):
         return False
-    return all(tree_le(family, z, y) not in ("below", "equal") for z in w.excluded)
+    return all(family.order(z, y) not in ("below", "equal") for z in w.excluded)
 
 
 # --- cover rules -------------------------------------------------------------------
@@ -187,7 +187,7 @@ class ExplicitSubtree(SubtreeCover):
     def safe_above(self, x, alpha: Ordinal):
         tree = self.family
         for y in tree.level_nodes(alpha.to_nat()):
-            if y in self.members and tree.le(x, y):
+            if y in self.members and tree.order(x, y) in ("below", "equal"):
                 return y
         return None
 
@@ -245,7 +245,7 @@ class PatchedCover(CoverRule):
         patched = {}
         best = None
         for y, succ in self.table.items():
-            if tree_le(fam, y, x) != "below":
+            if fam.order(y, x) != "below":
                 continue
             b = fam.height(y)
             patched[b] = True
@@ -288,7 +288,7 @@ class PatchedCover(CoverRule):
                         w = fam.canonical_extension(z, alpha)
                     except ValueError:
                         continue
-                    if tree_le(fam, x, w) in ("below", "equal"):
+                    if fam.order(x, w) in ("below", "equal"):
                         yield w
 
     def _search(self, x, alpha: Ordinal):
@@ -316,12 +316,12 @@ class PatchedCover(CoverRule):
             if fam.height(z) == alpha:
                 return z
             if z in self.table:
-                stack.extend(c for c in self.table[z] if is_immediate_successor(fam, z, c))
+                stack.extend(c for c in self.table[z] if fam.is_child(z, c))
                 continue
             if core.first_violation(z) is not None:
                 continue
-            above = [y for y in patched if tree_le(fam, z, y) == "below" and core.first_violation(y) is None]
-            gates = [q for q in above if not any(tree_le(fam, p, q) == "below" for p in above)]
+            above = [y for y in patched if fam.order(z, y) == "below" and core.first_violation(y) is None]
+            gates = [q for q in above if not any(fam.order(p, q) == "below" for p in above)]
             # checked first: when z reaches nothing, no child settles the
             # climb, which could then climb toward a gate at a limit height
             # forever; the gates are searched either way
@@ -331,7 +331,7 @@ class PatchedCover(CoverRule):
                 for c in core.values(climb.pop()):
                     if c in gates:
                         continue
-                    if any(tree_le(fam, c, q) == "below" for q in gates):
+                    if any(fam.order(c, q) == "below" for q in gates):
                         blocked.append(c)
                         continue
                     w = core.safe_above(c, alpha)

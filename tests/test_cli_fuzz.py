@@ -162,7 +162,7 @@ subtree_patches = st.tuples(
 
 @settings(derandomize=True, max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cover=subtree_patches, level=ordinals)
-def test_patched_subtree_levels_are_decided(cover, level):
+def test_patched_subtree_decides_every_level(cover, level):
     config = RunConfig()
     try:
         parse_cover(cover, Workspace(config).digits)

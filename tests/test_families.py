@@ -13,7 +13,6 @@ from treewedge.families import (
 )
 from treewedge.gen import rand_below, rand_bit_node, rand_digit_node, rand_inj_node
 from treewedge.ordinal import OMEGA, ZERO, add_ord, block_decompose, from_nat, parse_cnf
-from treewedge.trees import tree_le
 
 W2 = parse_cnf("w^2")
 ANCHORS = [parse_cnf(s) for s in ("w", "w*2", "w^2", "w^2+w", "w^3")]
@@ -71,7 +70,7 @@ def test_inj_successors_split(injs, coh):
     assert len(kids) == 5
     assert len(set(kids)) == 5
     for child in kids:
-        assert tree_le(injs, x, child) == "below"
+        assert injs.order(x, child) == "below"
     # stem child comes first: empty override set
     assert kids[0].over == ()
 
@@ -99,7 +98,7 @@ def test_inj_canonical_extension_above(injs):
         x = rand_inj_node(rng, injs, beta)
         ext = injs.canonical_extension(x, alpha)
         assert injs.contains(ext)
-        assert tree_le(injs, x, ext) in ("below", "equal")
+        assert injs.order(x, ext) in ("below", "equal")
 
 
 # --- binary family ---------------------------------------------------------------
@@ -150,7 +149,7 @@ def test_bit_two_successors(bits):
         assert len(kids) == 2
         for child in kids:
             assert bits.contains(child)
-            assert tree_le(bits, x, child) == "below"
+            assert bits.order(x, child) == "below"
 
 
 def test_bit_downward_closed(bits):
@@ -270,7 +269,7 @@ def test_glue_closure_random(digits, bits):
         glued = digits.glue(u, t)
         assert digits.contains(glued)
         assert digits.height(glued) == alpha
-        assert tree_le(digits, u, glued) in ("below", "equal")
+        assert digits.order(u, glued) in ("below", "equal")
         # u's values survive below the join, t's take over above it
         for _ in range(10):
             if beta.is_zero():
@@ -307,14 +306,14 @@ def test_digit_canonical_extension(digits):
         x = rand_digit_node(rng, digits, beta)
         ext = digits.canonical_extension(x, alpha)
         assert digits.height(ext) == alpha
-        assert tree_le(digits, x, ext) in ("below", "equal")
+        assert digits.order(x, ext) in ("below", "equal")
 
 
-def test_tree_le_equal_height_incomparable(digits):
+def test_order_equal_height_incomparable(digits):
     a = digits.node([("d", 1), ("d", 2)])
     b = digits.node([("d", 1), ("d", 3)])
-    assert tree_le(digits, a, b) == "incomparable"
-    assert tree_le(digits, a, a) == "equal"
+    assert digits.order(a, b) == "incomparable"
+    assert digits.order(a, a) == "equal"
 
 
 def test_restrict_idempotent_compatible(digits, bits, injs):
@@ -342,7 +341,7 @@ def test_downward_sets_are_chains(digits):
         prefixes = [digits.restrict(x, b) for b in cuts]
         for i, a in enumerate(prefixes):
             for b in prefixes[i + 1 :]:
-                assert tree_le(digits, a, b) in ("below", "equal")
+                assert digits.order(a, b) in ("below", "equal")
 
 
 def test_symbolic_matches_explicit_oracle(bits):
@@ -368,5 +367,4 @@ def test_symbolic_matches_explicit_oracle(bits):
                 assert sorted(sym_kids) == sorted(tree.children[as_id(x)])
         for x in sym:
             for y in sym:
-                expl = tree.le(as_id(x), as_id(y))
-                assert expl == (tree_le(bits, x, y) in ("below", "equal"))
+                assert tree.order(as_id(x), as_id(y)) == bits.order(x, y)

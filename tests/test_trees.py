@@ -1,14 +1,11 @@
+import random
 from itertools import islice
 
 import pytest
 
 from treewedge.ordinal import from_nat
-from treewedge.trees import (
-    ExplicitTree,
-    branch_to_antichain,
-    is_immediate_successor,
-    tree_le,
-)
+from treewedge.suites import _random_tree
+from treewedge.trees import ExplicitTree, TreeFamily, branch_to_antichain
 
 
 @pytest.fixture
@@ -30,10 +27,10 @@ def test_text_round_trip(binary3):
 
 
 def test_explicit_family_order(binary3):
-    assert tree_le(binary3, "0", "01") == "below"
-    assert tree_le(binary3, "01", "0") == "above"
-    assert tree_le(binary3, "0", "0") == "equal"
-    assert tree_le(binary3, "0", "10") == "incomparable"
+    assert binary3.order("0", "01") == "below"
+    assert binary3.order("01", "0") == "above"
+    assert binary3.order("0", "0") == "equal"
+    assert binary3.order("0", "10") == "incomparable"
     assert binary3.restrict("010", from_nat(1)) == "0"
 
 
@@ -44,9 +41,9 @@ def test_explicit_family_streams(binary3):
 
 
 def test_immediate_successor(binary3):
-    assert is_immediate_successor(binary3, "0", "01")
-    assert not is_immediate_successor(binary3, "0", "011")
-    assert not is_immediate_successor(binary3, "0", "10")
+    assert binary3.is_child("0", "01")
+    assert not binary3.is_child("0", "011")
+    assert not binary3.is_child("0", "10")
 
 
 def test_canonical_extension_first_children(binary3):
@@ -81,8 +78,6 @@ def test_branch_to_antichain_rejects_leaf(binary3):
 
 
 def test_branch_to_antichain_random_chains():
-    import random
-
     rng = random.Random(9)
     for _ in range(50):
         arity = rng.choice([2, 3])
@@ -102,9 +97,19 @@ def test_branch_to_antichain_random_chains():
         picks = sorted(picks)
         for i, a in enumerate(picks):
             for b in picks[i + 1 :]:
-                assert not tree.le(a, b) and not tree.le(b, a)
+                assert tree.order(a, b) == "incomparable"
 
 
-def test_query_not_supported_on_explicit(binary3):
-    with pytest.raises(TypeError):
-        binary3.query("0", from_nat(0))
+@pytest.mark.parametrize(
+    "tree",
+    [ExplicitTree.complete(2, 4), ExplicitTree.complete(3, 3)]
+    + [_random_tree(random.Random(seed), 15) for seed in (0, 1, 2)],
+    ids=["binary-h4", "ternary-h3", "ragged-0", "ragged-1", "ragged-2"],
+)
+def test_int_order_matches_the_generic_bodies(tree):
+    # the generic bodies, read off Ordinal heights and restrictions, are the
+    # reference for the int-depth overrides of an explicit tree
+    for x in tree.parent:
+        for y in tree.parent:
+            assert tree.order(x, y) == TreeFamily.order(tree, x, y), (x, y)
+            assert tree.is_child(x, y) == TreeFamily.is_child(tree, x, y), (x, y)

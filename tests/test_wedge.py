@@ -11,7 +11,7 @@ from treewedge.gen import rand_below, rand_digit_node
 from treewedge.literals import format_node, parse_cover
 from treewedge.ordinal import OMEGA, ZERO, add_ord, from_nat, parse_cnf
 from treewedge.suites import _random_tree
-from treewedge.trees import ExplicitTree, tree_le
+from treewedge.trees import ExplicitTree
 from treewedge import oracle
 from treewedge.oracle import ExplosionGuard, RuleSpace, lindelof_oracle
 from treewedge.wedge import (
@@ -241,15 +241,15 @@ def _subtree_rules(tinu):
     fmap = {"r": {"0", "2"}, "0": {"00", "01"}, "2": {"21"}, "00": {"000"}, "21": {"210", "212"}}
     members = {x for x in tree.parent if is_safe(TableCover(tree, fmap), x)}
     explicit = ExplicitSubtree(tree, members)
-    tree_levels = list(map(from_nat, range(1, tree.tree_height())))
+    explicit_levels = list(map(from_nat, range(1, tree.tree_height())))
     return [
         (tinu, DIGIT_LEVELS),
         *((TruncatedSubtree(tinu, parse_cnf(h)), DIGIT_LEVELS) for h in ("3", "w", "w+2", "w^2")),
         (SafeSubtree(tinu), DIGIT_LEVELS),
         (SafeSubtree(patch), DIGIT_LEVELS),
-        (explicit, tree_levels),
-        *((TruncatedSubtree(explicit, from_nat(h)), tree_levels) for h in (1, 2, 3)),
-        (SafeSubtree(TableCover(tree, fmap)), tree_levels),
+        (explicit, explicit_levels),
+        *((TruncatedSubtree(explicit, from_nat(h)), explicit_levels) for h in (1, 2, 3)),
+        (SafeSubtree(TableCover(tree, fmap)), explicit_levels),
     ]
 
 
@@ -276,7 +276,7 @@ def test_subtree_witnesses_are_safe(tinu):
                         if z is not None:
                             returned += 1
                             assert fam.height(z) == alpha and is_safe(rule, z), (rule, y, alpha)
-                            assert tree_le(fam, y, z) in ("below", "equal")
+                            assert fam.order(y, z) in ("below", "equal")
     assert returned >= 100
 
 
