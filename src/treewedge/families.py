@@ -245,7 +245,12 @@ class BitFamily(TreeFamily):
         return BitNode(beta, tuple(sorted(flips)), tail)
 
     def contains(self, x) -> bool:
-        return isinstance(x, BitNode)
+        if not isinstance(x, BitNode):
+            return False
+        try:
+            return self.node(x.height, x.flips, x.tail) == x
+        except ValueError:
+            return False
 
     def successors(self, x: BitNode) -> Iterator[BitNode]:
         up = add_ord(x.height, from_nat(1))

@@ -167,6 +167,24 @@ def test_bit_downward_closed(bits):
             assert bits.query(y, xi) == bits.query(x, xi)
 
 
+def test_bit_contains_checks_the_normal_form(bits):
+    w1, w2 = parse_cnf("w+1"), parse_cnf("w+2")
+    assert bits.contains(bits.node(w2, [from_nat(3), from_nat(1)], [0, 1]))
+    assert bits.contains(BitNode(from_nat(2), (), (1, 0)))
+    non_canonical = [
+        BitNode(w2, (OMEGA,), (0, 1)),  # a flip at the block limit
+        BitNode(w2, (w1,), (0, 1)),  # a flip above it
+        BitNode(from_nat(2), (ZERO,), (0, 1)),  # a finite node has no flips
+        BitNode(OMEGA, (from_nat(3), from_nat(1)), ()),  # unsorted flips
+        BitNode(OMEGA, (from_nat(1), from_nat(1)), ()),  # a repeated flip
+        BitNode(w2, (), (0,)),  # a tail shorter than the finite part
+        BitNode(OMEGA, (), (1,)),  # a tail at a limit height
+        BitNode(w1, (), (2,)),  # a tail digit that is not a bit
+    ]
+    for x in non_canonical:
+        assert not bits.contains(x), x
+    assert not bits.contains(from_nat(2))
+
 def test_bit_node_block_limit(bits, digits):
     # a node reads its block limit as its height when its tail is empty, so
     # every way to build a node must keep the tail as long as the height's
