@@ -49,7 +49,7 @@ from .forcing import (
 )
 from .gen import grid_below, rand_below, rand_bit_node, rand_digit_node, rand_inj_node
 from .oracle import lindelof_oracle
-from .ordinal import ONE, Ordinal, ZERO, add_ord, block_decompose, classify, from_nat, parse_cnf
+from .ordinal import ONE, Ordinal, ZERO, add_ord, block_decompose, classify, from_nat, parse_cnf, pred
 from .sorgenfrey import (
     HalfOpenInterval,
     TaggedPoint,
@@ -356,7 +356,17 @@ def suite_wedge_safe(config: RunConfig) -> list[dict]:
         promised = sorted(k.trail[-1] for k in S.values(u))
         filtered.check(is_safe(S, u) and promised == [0, 1] and not is_safe(S, v) and S.values(v) == [])
     context = "members drawn as embedded bit nodes, each with a non-member that has one digit >= 2" if limits else ""
-    return props + [closed.result(context), filtered.result(context)]
+
+    # finite and successor cuts, which the limit cut above never reaches: an
+    # embedded bit node is safe exactly when it lies below the cut
+    below_cut = Tally("truncated-safe-iff-below-cut")
+    for h in (from_nat(3), parse_cnf("w+1"), parse_cnf("w*2+2")):
+        rule = TruncatedSubtree(tinu, h)
+        for level in (pred(h), h, add_ord(h, ONE)):
+            for _ in range(5):
+                u = digits.embed_bits(rand_bit_node(rng, ws.bits, level))
+                below_cut.check(is_safe(rule, u) == (level < h))
+    return props + [closed.result(context), filtered.result(context), below_cut.result()]
 
 
 def suite_wedge_oracle(config: RunConfig) -> list[dict]:

@@ -24,7 +24,7 @@ DIGESTS = {
     "coherence": "93252ed6e21fa1d20af7b79b8c7de3b3695c46a7b4c50ec28525790f90c1185d",
     "delta-x": "66aacefc16bce18bef7e1d14b438f425ee0719bf7c2959bf9ca06f7365453f2f",
     "tree-closure": "94f0078d0004771a92fdbb67a3fbf282a9b87926aaed1ac6b7679fa26552afac",
-    "wedge-safe": "e3a2c3beccee841f27fc53768a84c8a5d04faf2cd99f6f4f2340e81c25bc9323",
+    "wedge-safe": "686cc984224c6aca835c7bf23ab225b1bcb6522e11fa385030ed58d02b37d5fb",
     "wedge-oracle": "1b001d9c775fceae122326562951e6d57ed57ad86b56c217c71b3c0340e0358d",
     "sorgenfrey": "75c9b113141d87cae0ecf1859f8b834cb690e7e88c02ddf8d4d9f8d982382ea2",
     "forcing-ccc": "95dd739db3fd7840391329d83d27a163eff0a4989832b46ead8aa431078fe74a",

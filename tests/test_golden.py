@@ -20,7 +20,7 @@ GOLDEN = {
     "coherence": "cef272437966df145c8790b95b122f1c48d5eff4538e7d30a8e6591319be03d9",
     "delta-x": "e704f3102ef04a2eecd92b69f0542430009b366d9a0f3859f63a9b54f770b2af",
     "tree-closure": "089994a39989c60c11c5133e08a2397b3f64a818debddd7f44f1e27c32343893",
-    "wedge-safe": "e53c0e2a680af9fa353141e7e4f5a253fe7aec4240feba1298f3f55c33a757b4",
+    "wedge-safe": "67eb8c5be6fa6f8c0ea2c4e2c689275ec1c5b425a6dda646057bb2958c48d13c",
     "wedge-oracle": "ff4852c5a5c0fe452397db771acdbc4b3e122ec78cfeb91db86ccb674f501075",
     "sorgenfrey": "04342faa79b28f9fe8776879c73440b86e9be997da9b4ce174121fe7558fb7ed",
     "forcing-ccc": "5f0dbee98009eda01e4ed6bfa48d473c2727f8b6fe68d9afe25bfdea62c72214",
