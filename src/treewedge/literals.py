@@ -19,6 +19,8 @@ Cover literals:
                              nested patches flatten, outer rows winning;
                              a patched table is a table
   table(<tree-file>; <id>=>{<id>,...}, ...)
+                             a table is a patch over its tree's root: nodes
+                             without a row get the empty set
 
 Forcing targets:
   include(<u-literal>)       the filter must contain this digit node
@@ -30,7 +32,7 @@ from __future__ import annotations
 from .families import BitFamily, BitNode, DigitFamily, DigitNode
 from .ordinal import MAX_NESTING, Ordinal, is_nat, parse_cnf, read_nat, to_cnf
 from .trees import ExplicitTree
-from .wedge import BinaryInsideDigits, CoverRule, TableCover, TruncatedSubtree
+from .wedge import BinaryInsideDigits, CoverRule, ExplicitSubtree, TruncatedSubtree
 
 
 class UsageError(ValueError):
@@ -166,7 +168,8 @@ def parse_cover(text: str, digits: DigitFamily, load_tree=None) -> CoverRule:
 
 def _rows(family, text: str, kind: str) -> dict:
     """{node: successor nodes} from '<key>=>{<succ>,...}' rows, every node
-    read with parse_node."""
+    read with parse_node.  Over an explicit tree each successor must be an
+    immediate successor of its key."""
     table = {}
     for row in split_top(text, ","):
         key, _, succ = row.partition("=>")
@@ -174,6 +177,11 @@ def _rows(family, text: str, kind: str) -> dict:
         if not (succ.startswith("{") and succ.endswith("}")):
             raise ValueError(f"bad {kind} row {row!r}")
         table[parse_node(family, key)] = tuple(parse_node(family, v) for v in split_top(succ[1:-1], ","))
+    if isinstance(family, ExplicitTree):
+        for x, succ in table.items():
+            for z in succ:
+                if not family.is_child(x, z):
+                    raise ValueError(f"{z!r} is not an immediate successor of {x!r}")
     return table
 
 
@@ -191,6 +199,6 @@ def _parse_base_cover(text: str, digits: DigitFamily, load_tree) -> CoverRule:
         if load_tree is None:
             raise ValueError("table covers need a tree loader")
         tree = load_tree(path.strip())
-        tree.root()  # a table needs a single-rooted tree; check it before any row
-        return TableCover(tree, _rows(tree, rows, "table"))
+        root = tree.root()  # a table needs a single-rooted tree; check it before any row
+        return ExplicitSubtree(tree, {root}).patched(_rows(tree, rows, "table"))
     raise ValueError(f"cannot parse cover literal {text!r}")

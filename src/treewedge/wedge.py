@@ -12,18 +12,18 @@ reduce to the existence of safe points there.
 Only structured rules are admitted over symbolic (infinite-level) families,
 all in one CoverRule hierarchy: the subtree rules (SubtreeCover and its
 subtrees: the binary tree inside the digit tree, its truncations, finite
-explicit subtrees, among them the safe set of a finite table over an
-explicit tree (TableCover), and the safe set of another rule) and finite
-patches of a subtree rule (PatchedCover).  A rule answers three questions,
-each exactly: values(x) is f(x); first_violation(x) says whether x is safe,
-which for a subtree rule is whether x is in the subtree; and safe_above(x,
-alpha), the one level method, is a safe node of height alpha above the safe
-node x, or None exactly when there is none.  patched(rows) builds the
-patched rule.  The witness is defined once per rule: a subtree gives its
-canonical node, a table the first safe node in level order, and a patch the
-first safe one of the core witness, the nodes threaded through its rows and
-the node its row search settles on.  A level an explicit tree does not have
-is an error, as a limit level is.
+explicit subtrees, and the safe set of another rule) and finite patches of
+a subtree rule (PatchedCover), which are the one rule for finite overrides:
+a finite table over an explicit tree is the patch of the root-only subtree.
+A rule answers three questions, each exactly: values(x) is f(x);
+first_violation(x) says whether x is safe, which for a subtree rule is
+whether x is in the subtree; and safe_above(x, alpha), the one level method,
+is a safe node of height alpha above the safe node x, or None exactly when
+there is none.  patched(rows) builds the patched rule.  The witness is
+defined once per rule: a subtree gives its canonical node, and a patch the
+core's canonical node if that is safe, otherwise the first node its row
+search reaches.  A level an explicit tree does not have is an error, as a
+limit level is.
 """
 
 from __future__ import annotations
@@ -192,41 +192,17 @@ class ExplicitSubtree(SubtreeCover):
         return None
 
 
-class TableCover(ExplicitSubtree):
-    """Explicit finite assignment over an explicit tree; nodes missing from
-    the table get the empty set.  A node is safe exactly when every step down
-    to it is in its parent's row, so for safety and levels the table is the
-    subtree of its safe set, built in one top-down pass, and values reads f
-    inside that set.  Only patching differs: rows merge into the table, so a
-    patched table stays a table.  Patching the safe set would drop the rows
-    off it: with r=>{0}, 1=>{10} patched by r=>{1}, node 10 is safe for the
-    merged table but not for a patch of the safe set {r, 0}."""
-
-    def __init__(self, family: ExplicitTree, table: dict):
-        for x, succ in table.items():
-            for z in succ:
-                if family.parent[z] != x:
-                    raise ValueError(f"{z!r} is not an immediate successor of {x!r}")
-        self.table = {x: frozenset(s) for x, s in table.items()}
-        safe = set()
-        for x, p in family.parent.items():  # insertion order puts every parent first
-            if p is None or (p in safe and x in self.table.get(p, ())):
-                safe.add(x)
-        super().__init__(family, safe)
-
-    def patched(self, rows: dict) -> CoverRule:
-        return TableCover(self.family, {**self.table, **rows})
-
-
 class PatchedCover(CoverRule):
-    """A subtree rule overridden on finitely many nodes.  Patching again
+    """A subtree rule overridden on finitely many nodes; a table over an
+    explicit tree is the patch of its root-only subtree.  Patching again
     merges the rows into one table, outer rows winning, so the rule is
     always one layer over its core.  Safety stays exactly decidable: the
     core's violations form an upward-closed set, and only finitely many
     steps are patched.  Levels are decidable too: a safe node leaves the
     core only through patched nodes, so one search over the rows above a
-    safe node decides the level there and gives safe_above its last
-    candidate."""
+    safe node decides the level there.  The witness has two stages: the
+    core's canonical node if it is safe for the patch, otherwise the first
+    node the search reaches."""
 
     def __init__(self, core: SubtreeCover, table: dict):
         if not isinstance(core, SubtreeCover):
@@ -265,80 +241,71 @@ class PatchedCover(CoverRule):
         return best
 
     def safe_above(self, x, alpha: Ordinal):
-        # the candidates in order; the search runs only when no earlier one
-        # is safe
+        # the core's node when the rows leave it safe; the search otherwise
         w = self.core.safe_above(x, alpha)
         if w is not None and is_safe(self, w):
             return w
-        for w in self._threaded_candidates(x, alpha):
-            if is_safe(self, w):
-                return w
         return self._search(x, alpha)
-
-    def _threaded_candidates(self, x, alpha: Ordinal):
-        """Candidates above x routed through the allowed successors of
-        patched nodes."""
-        fam = self.family
-        for y, succ in self.table.items():
-            if not fam.height(y) < alpha:
-                continue
-            for z in succ:
-                if not alpha < fam.height(z):
-                    try:
-                        w = fam.canonical_extension(z, alpha)
-                    except ValueError:
-                        continue
-                    if fam.order(x, w) in ("below", "equal"):
-                        yield w
 
     def _search(self, x, alpha: Ordinal):
         """Exact search for a safe node of height alpha, up from the safe
         node x.
         A safe node z below alpha goes on as follows: if z is patched, through
         the rows of z that are its immediate successors (no other member
-        routes a step); if z is unpatched and outside the core, nowhere;
-        otherwise through the core, to a safe node of height alpha with no
-        patched node in between or to the least patched core nodes above z
-        (the gates).  The core part climbs through f from z: a child with no
-        gate at or above it settles the level by the core's safe_above, and
-        only children with a gate above them are climbed, so a 2-splitting
-        core visits O(len(gates)) nodes.  Branches climb into disjoint cones
-        and every gate is a row, so the search is finite.  Returns None when
-        there is no safe node of height alpha above x; otherwise either such
-        a node, reached through the rows, or the core's canonical safe node
-        of height alpha above the child that settles the climb, which is safe
-        for the patch too."""
+        routes a step), in the order written; if z is unpatched and outside
+        the core, nowhere; otherwise through the core, to a safe node of
+        height alpha with no patched node in between or to the least patched
+        core nodes above z (the gates).  With no gate above z, the core's
+        canonical safe node of height alpha above z settles it.  Otherwise the
+        gates are searched first, in table order, and only then does the
+        search climb through f from z: a child with no gate at or above it
+        settles the level by the core's safe_above, and only children with a
+        gate above them are climbed, so a 2-splitting core visits
+        O(len(gates)) nodes.  Branches climb into disjoint cones and every
+        gate is a row, so the search is finite; its stack is explicit, so a
+        long chain of rows nests no calls.  Returns None when there is no
+        safe node of height alpha above x, and otherwise the first such node
+        the search reaches."""
         fam, core = self.family, self.core
         patched = [y for y in self.table if fam.height(y) < alpha]
-        stack = [x]
+        # an entry (z, None) visits z; (z, gates) climbs the core from z
+        stack = [(x, None)]
         while stack:
-            z = stack.pop()
+            z, gates = stack.pop()
+            if gates is not None:
+                # checked first: when z reaches nothing, no child settles the
+                # climb, which could then climb toward a gate at a limit
+                # height forever
+                climb = [] if core.safe_above(z, alpha) is None else [z]
+                while climb:
+                    blocked = []
+                    for c in core.values(climb.pop()):
+                        if c in gates:
+                            continue
+                        if any(fam.order(c, q) == "below" for q in gates):
+                            blocked.append(c)
+                            continue
+                        w = core.safe_above(c, alpha)
+                        if w is not None:
+                            return w
+                    climb.extend(blocked)
+                continue
             if fam.height(z) == alpha:
                 return z
             if z in self.table:
-                stack.extend(c for c in self.table[z] if fam.is_child(z, c))
+                stack.extend((c, None) for c in reversed(self.table[z]) if fam.is_child(z, c))
                 continue
             if core.first_violation(z) is not None:
                 continue
             above = [y for y in patched if fam.order(z, y) == "below" and core.first_violation(y) is None]
             gates = [q for q in above if not any(fam.order(p, q) == "below" for p in above)]
-            # checked first: when z reaches nothing, no child settles the
-            # climb, which could then climb toward a gate at a limit height
-            # forever; the gates are searched either way
-            climb = [] if core.safe_above(z, alpha) is None else [z]
-            while climb:
-                blocked = []
-                for c in core.values(climb.pop()):
-                    if c in gates:
-                        continue
-                    if any(fam.order(c, q) == "below" for q in gates):
-                        blocked.append(c)
-                        continue
-                    w = core.safe_above(c, alpha)
-                    if w is not None:
-                        return w
-                climb.extend(blocked)
-            stack.extend(gates)
+            if not gates:
+                w = core.safe_above(z, alpha)
+                if w is not None:
+                    return w
+                continue
+            stack.append((z, gates))
+            stack.extend((q, None) for q in reversed(gates))
         return None
 
     def patched(self, rows: dict) -> CoverRule:

@@ -2,12 +2,15 @@ import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from treewedge.cli import build_parser, main, run_query
 from treewedge.literals import split_top
 from treewedge.suites import RunConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args, **kw):
@@ -38,8 +41,9 @@ def test_find_safe_query():
 
 
 def test_find_safe_answers_what_covers_within_finds_without_a_budget(capsys):
-    # the core witness and the row's thread both leave the rule; the level
-    # search settles at u:[d1], and the enumeration budget plays no part
+    # the core witness leaves the rule; the row's only member leaves the
+    # binary subtree, so the level search settles at u:[d1], and the
+    # enumeration budget plays no part
     cover = "patched(subtree(T-in-U); u:[d0]=>{u:[d0,d2]})"
     assert main(["--query", f"covers-within {cover} 5"]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == {"covered": False}
@@ -260,6 +264,33 @@ def test_level_past_the_tree_is_an_error_answer(tmp_path, capsys, command):
         error = json.loads(capsys.readouterr().out)["result"]["error"]
         assert error == f"ValueError: the tree has no level {level}: its height is 3"
     assert main(["--query", f"{command} table({path}; r=>{{0}}, 0=>{{00}}) 2"]) == 0
+
+
+def test_table_witness_follows_its_rows_in_the_order_written(monkeypatch, capsys):
+    # a table is a patch over its root, so its witness is the first node the
+    # row search reaches: r=>{1,0} reaches 1 before 0
+    monkeypatch.chdir(ROOT)  # table(perfbench/...) names a file from the repo root
+    assert main(["--query", "find-safe table(perfbench/tree3x4.txt; r=>{1,0}) 1"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"node": "1"}
+
+
+def test_rows_patched_onto_a_table_are_checked(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert main(["--query", "find-safe patched(table(perfbench/tree3x4.txt; r=>{0}); r=>{00}) 1"]) == 1
+    error = json.loads(capsys.readouterr().out)["result"]["error"]
+    assert error == "ValueError: '00' is not an immediate successor of 'r'"
+
+
+def test_a_long_chain_of_table_rows_answers(tmp_path, capsys):
+    # the row search keeps its own stack, so 2,000 chained rows nest no calls
+    n = 2000
+    path = tmp_path / "chain.txt"
+    path.write_text("r -\nc1 r\n" + "".join(f"c{i} c{i - 1}\n" for i in range(2, n + 1)))
+    rows = ", ".join(["r=>{c1}", *(f"c{i}=>{{c{i + 1}}}" for i in range(1, n))])
+    assert main(["--query", f"find-safe table({path}; {rows}) {n}"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"node": f"c{n}"}
+    assert main(["--query", f"covers-within table({path}; {rows}) {n}"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"covered": False}
 
 
 def test_config_file(tmp_path):

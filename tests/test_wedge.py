@@ -19,7 +19,6 @@ from treewedge.wedge import (
     ExplicitSubtree,
     PatchedCover,
     SafeSubtree,
-    TableCover,
     TruncatedSubtree,
     Wedge,
     covers_within,
@@ -41,10 +40,15 @@ def tinu(digits):
     return BinaryInsideDigits(digits)
 
 
+def _table(tree, rows):
+    """A table as its literal builds it: a patch over the root-only subtree."""
+    return ExplicitSubtree(tree, {tree.root()}).patched(rows)
+
+
 @pytest.fixture
 def table_fixture():
     tree = ExplicitTree.complete(2, 3)
-    return tree, TableCover(tree, {"r": {"0"}})
+    return tree, _table(tree, {"r": {"0"}})
 
 
 # --- wedges ------------------------------------------------------------------
@@ -188,9 +192,9 @@ def test_patched_search_climbs_the_gates_above_a_core_without_the_level(digits):
 
 
 def test_find_safe_on_a_patch_over_a_safe_set_answers_exactly(digits, tinu):
-    # the row leaves the binary subtree, so neither the core witness nor the
-    # threaded candidate is safe, and the level search asks the safe set what
-    # it reaches above u:[d1]: its rule's canonical node there
+    # the row leaves the binary subtree, so the core witness is not safe, and
+    # the level search asks the safe set what it reaches above u:[d1]: its
+    # rule's canonical node there
     f = SafeSubtree(tinu).patched({digits.node([("d", 0)]): (digits.node([("d", 0), ("d", 5)]),)})
     assert covers_within(f, OMEGA) is False
     w = find_safe_point(f, OMEGA)
@@ -239,7 +243,7 @@ def _subtree_rules(tinu):
     patch = parse_cover("patched(subtree(T-in-U); u:[d1]=>{u:[d1,d0], u:[d1,d2]}, u:[d1,d2]=>{u:[d1,d2,d3]})", digits)
     tree = ExplicitTree.complete(3, 4)
     fmap = {"r": {"0", "2"}, "0": {"00", "01"}, "2": {"21"}, "00": {"000"}, "21": {"210", "212"}}
-    members = {x for x in tree.parent if is_safe(TableCover(tree, fmap), x)}
+    members = {x for x in tree.parent if is_safe(_table(tree, fmap), x)}
     explicit = ExplicitSubtree(tree, members)
     explicit_levels = list(map(from_nat, range(1, tree.tree_height())))
     return [
@@ -249,7 +253,7 @@ def _subtree_rules(tinu):
         (SafeSubtree(patch), DIGIT_LEVELS),
         (explicit, explicit_levels),
         *((TruncatedSubtree(explicit, from_nat(h)), explicit_levels) for h in (1, 2, 3)),
-        (SafeSubtree(TableCover(tree, fmap)), explicit_levels),
+        (SafeSubtree(_table(tree, fmap)), explicit_levels),
     ]
 
 
@@ -820,11 +824,11 @@ def _rule_cases():
 @pytest.mark.parametrize("tree, rules", _rule_cases(), ids=["binary-all", "ternary", "ragged"])
 def test_engine_matches_wedges(tree, rules):
     for fmap in rules:
-        _assert_engine_matches_wedges(tree, TableCover(tree, fmap), fmap)
+        _assert_engine_matches_wedges(tree, _table(tree, fmap), fmap)
     rng = random.Random(5)
     for fmap, patch in zip(rules[:5], _seeded_rules(tree, 5, rng)):
         rows = dict(rng.sample(sorted(patch.items()), 2))
-        patched = TableCover(tree, fmap).patched(rows)
+        patched = _table(tree, fmap).patched(rows)
         _assert_engine_matches_wedges(tree, patched, {**fmap, **rows})
     # subtree rules over explicit trees: the safe set S of each rule, cut at a
     # seeded height h, promises the children that stay inside it
@@ -836,7 +840,7 @@ def test_engine_matches_wedges(tree, rules):
         subtree = ExplicitSubtree(tree, S)
         _assert_engine_matches_wedges(tree, subtree, inside)
         _assert_engine_matches_wedges(tree, TruncatedSubtree(subtree, from_nat(h)), cut)
-        _assert_engine_matches_wedges(tree, SafeSubtree(TableCover(tree, fmap)), inside)
+        _assert_engine_matches_wedges(tree, SafeSubtree(_table(tree, fmap)), inside)
 
 
 # --- patched covers decide their levels -------------------------------------------------
