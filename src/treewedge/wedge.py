@@ -149,18 +149,12 @@ class TruncatedSubtree(SubtreeCover):
         return bad
 
     def values(self, x) -> list:
-        up = add_ord(self.family.height(x), from_nat(1))
-        if not up < self.h:
-            return []
-        return self.inner.values(x)
+        return [] if not self.family.height(x) < self._onset() else self.inner.values(x)
 
-    def _has_level(self, alpha: Ordinal) -> bool:
-        # at a limit truncation height the level itself still has safe points:
-        # every tested prefix sits strictly below h
-        return alpha < self.h or (alpha == self.h and classify(self.h) == "limit")
-
+    # a level past the onset is covered; at a limit cut the level h itself
+    # still has safe points, since every tested prefix sits strictly below h
     def safe_above(self, x, alpha: Ordinal):
-        return self.inner.safe_above(x, alpha) if self._has_level(alpha) else None
+        return None if self._onset() < alpha else self.inner.safe_above(x, alpha)
 
 
 class ExplicitSubtree(SubtreeCover):

@@ -9,7 +9,7 @@ from treewedge.coherent import CoherentSystem
 from treewedge.families import BitFamily, DigitFamily, DigitNode
 from treewedge.gen import rand_below, rand_digit_node
 from treewedge.literals import format_node, parse_cover
-from treewedge.ordinal import OMEGA, ZERO, add_ord, from_nat, parse_cnf
+from treewedge.ordinal import OMEGA, ZERO, add_ord, from_nat, parse_cnf, pred
 from treewedge.suites import _random_tree
 from treewedge.trees import ExplicitTree
 from treewedge import oracle
@@ -141,6 +141,19 @@ def test_truncated_subtree(digits, tinu):
     # at and below the (limit) cut there are still safe points
     assert not covers_within(trunc, OMEGA)
     assert not covers_within(trunc, from_nat(3))
+
+
+@pytest.mark.parametrize("cut", ["3", "w+1", "w*2+2"])
+def test_truncated_successor_cut_covers_from_its_height(tinu, cut):
+    # members have height < h = b+1, so level b keeps its safe points and the
+    # levels h and h+1 are covered
+    h = parse_cnf(cut)
+    trunc = TruncatedSubtree(tinu, h)
+    assert not covers_within(trunc, pred(h))
+    assert find_safe_point(trunc, pred(h)) is not None
+    for alpha in (h, add_ord(h, from_nat(1))):
+        assert covers_within(trunc, alpha)
+        assert find_safe_point(trunc, alpha) is None
 
 
 def test_truncated_finite_height(digits, tinu):
