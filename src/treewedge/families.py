@@ -106,7 +106,7 @@ class InjFamily(TreeFamily):
             return False
         try:
             return self.node(x.height, dict(x.over)) == x
-        except InjectivityError:
+        except ValueError:  # InjectivityError among them
             return False
 
     def in_range(self, x: InjNode, v: int) -> bool:
@@ -375,14 +375,17 @@ class DigitFamily(TreeFamily):
         return tuple(patch[p] if p in patch else stem(hb, p) ^ (p in flips) for p in positions)
 
     def contains(self, x) -> bool:
-        if not isinstance(x, DigitNode):
+        if not isinstance(x, DigitNode) or not all(type(d) is int and d >= 0 for d in x.trail):
             return False
         if x.base is None:
             return not x.patch
-        if classify(x.base.height) != "limit" or x.base.tail:
+        if classify(x.base.height) != "limit" or not self.bits.contains(x.base):
             return False
         flips = set(x.base.flips)
-        return all(p < x.base.height and d >= 2 and p not in flips for p, d in x.patch)
+        positions = [p for p, _ in x.patch]
+        return all(p < q for p, q in zip(positions, positions[1:])) and all(
+            p < x.base.height and type(d) is int and d >= 2 and p not in flips for p, d in x.patch
+        )
 
     def glue(self, u: DigitNode, t: BitNode) -> DigitNode:
         """The node agreeing with u below height(u) and with t up to height(t).

@@ -8,7 +8,9 @@ from treewedge.families import (
     BitFamily,
     BitNode,
     DigitFamily,
+    DigitNode,
     InjFamily,
+    InjNode,
     InjectivityError,
 )
 from treewedge.gen import rand_below, rand_bit_node, rand_digit_node, rand_inj_node
@@ -184,6 +186,27 @@ def test_bit_contains_checks_the_normal_form(bits):
     for x in non_canonical:
         assert not bits.contains(x), x
     assert not bits.contains(from_nat(2))
+
+def test_inj_contains_answers_false_on_an_override_above_the_height(injs):
+    # node() raises a plain ValueError here, not an InjectivityError
+    assert not injs.contains(InjNode(from_nat(2), ((from_nat(5), 3),)))
+
+
+def test_digit_contains_checks_the_normal_form(bits, digits):
+    base = bits.node(OMEGA, [from_nat(1), from_nat(3)], [])
+    assert digits.contains(DigitNode(base, ((from_nat(2), 5),), (0, 7)))
+    non_canonical = [
+        DigitNode(None, (), (-1,)),  # a negative trail digit
+        DigitNode(None, (), (True,)),  # a trail digit that is no int
+        DigitNode(BitNode(OMEGA, (from_nat(3), from_nat(1)), ()), (), ()),  # a base with unsorted flips
+        DigitNode(base, ((from_nat(4), 5), (from_nat(2), 5)), ()),  # an unsorted patch
+        DigitNode(base, ((from_nat(2), 5), (from_nat(2), 6)), ()),  # a repeated patch position
+        DigitNode(base, ((from_nat(1), 5),), ()),  # a patch on a flip
+        DigitNode(base, ((from_nat(2), 1),), ()),  # a binary patch
+    ]
+    for x in non_canonical:
+        assert not digits.contains(x), x
+
 
 def test_bit_node_block_limit(bits, digits):
     # a node reads its block limit as its height when its tail is empty, so
