@@ -149,7 +149,7 @@ class TruncatedSubtree(SubtreeCover):
         return bad
 
     def values(self, x) -> list:
-        return [] if not self.family.height(x) < self._onset() else self.inner.values(x)
+        return self.inner.values(x) if self.family.height(x) < self._onset() else []
 
     # a level past the onset is covered; at a limit cut the level h itself
     # still has safe points, since every tested prefix sits strictly below h
