@@ -27,7 +27,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .forcing import BudgetExceeded, simulate_filter, serialize_condition
+from .forcing import BudgetExceeded, simulate_filter
 from .literals import UsageError, format_node, parse_cover, parse_node, parse_target, split_top
 from .ordinal import parse_cnf, to_cnf
 from .sorgenfrey import format_interval, format_point, isolating_box, neg, parse_point
@@ -171,14 +171,10 @@ def _dispatch(ws: Workspace, cmd: str, args: list[str]) -> dict:
             "box": [format_interval(box.first), format_interval(box.second)],
             "checks": {"contains_own_pair": box.contains((x, neg(x)))},
         }
-    if cmd == "simulate":
+    if cmd in ("simulate", "extend"):
         targets = [parse_target(ws.digits, t) for t in args]
         _, report = simulate_filter(ws.digits, targets, budget=ws.config.budget_enum)
-        return report
-    if cmd == "extend":
-        targets = [parse_target(ws.digits, t) for t in args]
-        p, _ = simulate_filter(ws.digits, targets, budget=ws.config.budget_enum)
-        return {"condition": serialize_condition(ws.digits, p)}
+        return report if cmd == "simulate" else {"condition": report["condition"]}
     raise UsageError(f"unknown query command {cmd!r}")
 
 

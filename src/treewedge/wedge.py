@@ -16,14 +16,13 @@ explicit subtrees, and the safe set of another rule) and finite patches of
 a subtree rule (PatchedCover), which are the one rule for finite overrides:
 a finite table over an explicit tree is the patch of the root-only subtree.
 A rule answers three questions, each exactly: values(x) is f(x);
-first_violation(x) says whether x is safe, which for a subtree rule is
-whether x is in the subtree; and safe_above(x, alpha), the one level method,
-is a safe node of height alpha above the safe node x, or None exactly when
-there is none.  patched(rows) builds the patched rule.  The witness is
-defined once per rule: a subtree gives its canonical node, and a patch the
-core's canonical node if that is safe, otherwise the first node its row
-search reaches.  A level an explicit tree does not have is an error, as a
-limit level is.
+safe(x) is whether x is safe, which for a subtree rule is whether x is in
+the subtree; and safe_above(x, alpha), the one level method, is a safe node
+of height alpha above the safe node x, or None exactly when there is none.
+patched(rows) builds the patched rule.  The witness is defined once per
+rule: a subtree gives its canonical node, and a patch the core's canonical
+node if that is safe, otherwise the first node its row search reaches.  A
+level an explicit tree does not have is an error, as a limit level is.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .families import DigitFamily, DigitNode
-from .ordinal import Ordinal, ZERO, add_ord, classify, from_nat, pred
+from .ordinal import Ordinal, add_ord, classify, from_nat, pred
 from .trees import ExplicitTree, TreeFamily
 
 # the benchmark's tracer (perfbench/tracing.py) wraps the oracle under this name
@@ -69,9 +68,10 @@ class CoverRule:
         """f(x): the finite successor set the rule assigns to x."""
         raise NotImplementedError
 
-    def first_violation(self, x) -> Ordinal | None:
-        """Least b < height(x) whose step leaves the rule: the (b+1)-prefix of
-        x is not in f(b-prefix).  None means x is safe."""
+    def safe(self, x) -> bool:
+        """Whether every step of x is in the rule: for each b < height(x),
+        the (b+1)-prefix of x is in f(b-prefix).  The safe nodes are
+        downward closed."""
         raise NotImplementedError
 
     def safe_above(self, x, alpha: Ordinal):
@@ -87,9 +87,8 @@ class CoverRule:
 
 class SubtreeCover(CoverRule):
     """The rule of a downward-closed subtree S: f(x) = the immediate
-    successors of x inside S, so first_violation(x) is the least height b
-    whose (b+1)-prefix of x leaves S, and x is in S exactly when it is safe.
-    Each subclass is one subtree: it gives f, the first violation and a
+    successors of x inside S, and empty outside S, so x is safe exactly when
+    it is in S.  Each subclass is one subtree: it gives f, membership and a
     canonical safe node above each safe node."""
 
     def patched(self, rows: dict) -> CoverRule:
@@ -104,19 +103,11 @@ class BinaryInsideDigits(SubtreeCover):
         self.digits = digits
         self.family = digits
 
-    def first_violation(self, x: DigitNode) -> Ordinal | None:
-        bad = []
-        base_h = ZERO if x.base is None else x.base.height
-        for p, d in x.patch:
-            if d > 1:
-                bad.append(p)
-        for i, d in enumerate(x.trail):
-            if d > 1:
-                bad.append(add_ord(base_h, from_nat(i)))
-        return min(bad) if bad else None
+    def safe(self, x: DigitNode) -> bool:
+        return all(d < 2 for _, d in x.patch) and all(d < 2 for d in x.trail)
 
     def values(self, x) -> list:
-        if self.first_violation(x) is not None:
+        if not self.safe(x):
             return []
         return [DigitNode(x.base, x.patch, x.trail + (b,)) for b in (0, 1)]
 
@@ -140,13 +131,8 @@ class TruncatedSubtree(SubtreeCover):
             return pred(self.h)
         return self.h
 
-    def first_violation(self, x) -> Ordinal | None:
-        bad = self.inner.first_violation(x)
-        cut = self._onset()
-        hx = self.family.height(x)
-        if not hx < add_ord(cut, from_nat(1)):  # some prefix of x is too tall
-            bad = cut if bad is None or cut < bad else bad
-        return bad
+    def safe(self, x) -> bool:
+        return not self._onset() < self.family.height(x) and self.inner.safe(x)
 
     def values(self, x) -> list:
         return self.inner.values(x) if self.family.height(x) < self._onset() else []
@@ -168,12 +154,9 @@ class ExplicitSubtree(SubtreeCover):
             if p is not None and p not in self.members:
                 raise ValueError(f"not downward closed: {x!r} without {p!r}")
 
-    def first_violation(self, x) -> Ordinal | None:
-        tree = self.family
-        for b in range(tree.depth[x]):
-            if tree.ancestor_at(x, b + 1) not in self.members:
-                return from_nat(b)
-        return None
+    # the root is safe for every rule, also for an empty member set
+    def safe(self, x) -> bool:
+        return x in self.members or self.family.parent[x] is None
 
     def values(self, x) -> list:
         return [c for c in self.family.children[x] if c in self.members]
@@ -190,13 +173,14 @@ class PatchedCover(CoverRule):
     """A subtree rule overridden on finitely many nodes; a table over an
     explicit tree is the patch of its root-only subtree.  Patching again
     merges the rows into one table, outer rows winning, so the rule is
-    always one layer over its core.  Safety stays exactly decidable: the
-    core's violations form an upward-closed set, and only finitely many
-    steps are patched.  Levels are decidable too: a safe node leaves the
-    core only through patched nodes, so one search over the rows above a
-    safe node decides the level there.  The witness has two stages: the
-    core's canonical node if it is safe for the patch, otherwise the first
-    node the search reaches."""
+    always one layer over its core.  Safety stays exactly decidable: an
+    unpatched node outside the core routes no step, so a safe node outside
+    the core hangs from a core node by a finite chain of rows, each listing
+    the next, and the rows below that core node must route it.  Levels are
+    decidable too: a safe node leaves the core only through patched nodes,
+    so one search over the rows above a safe node decides the level there.
+    The witness has two stages: the core's canonical node if it is safe for
+    the patch, otherwise the first node the search reaches."""
 
     def __init__(self, core: SubtreeCover, table: dict):
         if not isinstance(core, SubtreeCover):
@@ -210,29 +194,23 @@ class PatchedCover(CoverRule):
             return list(self.table[x])
         return self.core.values(x)
 
-    def first_violation(self, x) -> Ordinal | None:
+    def safe(self, x) -> bool:
         fam = self.family
-        patched = {}
-        best = None
-        for y, succ in self.table.items():
-            if fam.order(y, x) != "below":
-                continue
-            b = fam.height(y)
-            patched[b] = True
-            step = fam.restrict(x, add_ord(b, from_nat(1)))
-            if step not in succ and (best is None or b < best):
-                best = b
-        onset = self.core.first_violation(x)
-        if onset is not None:
-            hx = fam.height(x)
-            b = onset
-            while b < hx:
-                if b not in patched:
-                    if best is None or b < best:
-                        best = b
-                    break
-                b = add_ord(b, from_nat(1))
-        return best
+        # down the chain of rows to the core
+        while not self.core.safe(x):
+            h = fam.height(x)
+            if classify(h) != "successor":
+                return False
+            parent = fam.restrict(x, pred(h))
+            if x not in self.table.get(parent, ()):
+                return False
+            x = parent
+        h = fam.height(x)
+        return all(
+            fam.restrict(x, add_ord(fam.height(y), from_nat(1))) in succ
+            for y, succ in self.table.items()
+            if fam.height(y) < h and fam.order(y, x) == "below"
+        )
 
     def safe_above(self, x, alpha: Ordinal):
         # the core's node when the rows leave it safe; the search otherwise
@@ -261,7 +239,7 @@ class PatchedCover(CoverRule):
         safe node of height alpha above x, and otherwise the first such node
         the search reaches."""
         fam, core = self.family, self.core
-        patched = [y for y in self.table if fam.height(y) < alpha]
+        patched = [y for y in self.table if fam.height(y) < alpha and core.safe(y)]
         # an entry (z, None) visits z; (z, gates) climbs the core from z
         stack = [(x, None)]
         while stack:
@@ -289,9 +267,9 @@ class PatchedCover(CoverRule):
             if z in self.table:
                 stack.extend((c, None) for c in reversed(self.table[z]) if fam.is_child(z, c))
                 continue
-            if core.first_violation(z) is not None:
+            if not core.safe(z):
                 continue
-            above = [y for y in patched if fam.order(z, y) == "below" and core.first_violation(y) is None]
+            above = [y for y in patched if fam.order(z, y) == "below"]
             gates = [q for q in above if not any(fam.order(p, q) == "below" for p in above)]
             if not gates:
                 w = core.safe_above(z, alpha)
@@ -310,7 +288,7 @@ class PatchedCover(CoverRule):
 
 def is_safe(f: CoverRule, x) -> bool:
     """Safe means: every predecessor y of x has x above some member of f(y)."""
-    return f.first_violation(x) is None
+    return f.safe(x)
 
 
 def find_safe_point(f: CoverRule, alpha: Ordinal):
@@ -337,8 +315,8 @@ class SafeSubtree(SubtreeCover):
         self.f = f
         self.family = f.family
 
-    def first_violation(self, x) -> Ordinal | None:
-        return self.f.first_violation(x)
+    def safe(self, x) -> bool:
+        return self.f.safe(x)
 
     def values(self, x) -> list:
         if not is_safe(self.f, x):

@@ -97,7 +97,6 @@ def test_root_safe_for_every_cover(digits, tinu, table_fixture):
 def test_nonbinary_digit_unsafe(digits, tinu):
     u = digits.node([("d", 7), ("d", 0)])
     assert not is_safe(tinu, u)
-    assert tinu.first_violation(u) == ZERO
 
 
 def test_embedded_node_safe(digits, tinu):
@@ -793,9 +792,6 @@ def _wedge_covered(tree, fmap, x):
 def _assert_engine_matches_wedges(tree, rule, fmap):
     for x in tree.parent:
         assert is_safe(rule, x) == (not _wedge_covered(tree, fmap, x)), x
-        # a violation is a step below x: PatchedCover relies on it
-        bad = rule.first_violation(x)
-        assert bad is None or bad < tree.height(x), x
     for d in range(1, tree.tree_height()):
         covered = all(_wedge_covered(tree, fmap, x) for x in tree.level_nodes(d))
         assert covers_within(rule, from_nat(d)) == covered, d
@@ -898,9 +894,9 @@ def test_patched_explicit_cores_match_wedges():
 
 
 def test_patched_explicit_answers_above_every_safe_node():
-    # safe_above(y, a) against a scan of level a by is_safe, which reads only
-    # first_violation: None exactly when no safe node of the level lies above
-    # y, and otherwise one of them
+    # safe_above(y, a) against a scan of level a by is_safe, which never
+    # calls the row search: None exactly when no safe node of the level lies
+    # above y, and otherwise one of them
     rng = random.Random(11)
     answers = {True: 0, False: 0}
     for _ in range(300):
@@ -986,3 +982,51 @@ def test_patched_limit_levels_agree_with_find_safe(tinu):
                 found += 1
                 assert covers_within(f, alpha) is False, (rows, alpha)
     assert found >= 100
+
+
+# --- patched covers decide safety down their chains of rows -----------------------------
+
+def test_safety_walks_a_chain_of_rows_once(monkeypatch):
+    # a node outside the core is checked down its chain of rows, one parent
+    # step per row, not by a walk up to it from every row below it
+    n = 1000
+    tree = ExplicitTree().add("r", None).add("c1", "r")
+    for i in range(2, n + 1):
+        tree.add(f"c{i}", f"c{i - 1}")
+    table = _table(tree, {"r": ("c1",), **{f"c{i}": (f"c{i + 1}",) for i in range(1, n)}})
+    steps = []
+    walk = ExplicitTree.ancestor_at
+
+    def counted(self, x, d):
+        steps.append(self.depth[x] - d)
+        return walk(self, x, d)
+
+    monkeypatch.setattr(ExplicitTree, "ancestor_at", counted)
+    assert is_safe(table, f"c{n}")
+    assert sum(steps) <= 2 * n, sum(steps)
+
+
+def test_patched_digit_safety_matches_a_prefix_oracle(digits, tinu):
+    # is_safe on finite digit nodes against the definition, step by step:
+    # every (b+1)-prefix of x is in f of its b-prefix
+    rng = random.Random(14)
+    cores = [tinu, *(TruncatedSubtree(tinu, h) for h in (*map(from_nat, range(1, 5)), OMEGA))]
+    nodes = [DigitNode(None, (), t) for n in range(5) for t in product(range(4), repeat=n)]
+    outside = 0
+    for _ in range(200):
+        core = rng.choice(cores)
+        f = core.patched(_random_digit_rows(rng, rng.randrange(2, 4)))
+        for x in nodes:
+            prefixes = [digits.restrict(x, from_nat(b)) for b in range(len(x.trail) + 1)]
+            safe = all(z in f.values(y) for y, z in zip(prefixes, prefixes[1:]))
+            assert is_safe(f, x) == safe, (f.table, x)
+            outside += safe and not is_safe(core, x)
+    assert outside >= 200, outside
+    # a row at the stem of height w routes one step out of the core
+    stem = tinu.safe_above(digits.root(), OMEGA)
+    two = DigitNode(stem.base, stem.patch, (2,))
+    f = tinu.patched({stem: (two,)})
+    assert is_safe(f, two)
+    assert not is_safe(f, DigitNode(stem.base, stem.patch, (2, 0)))
+    # a node of limit height outside the core has no parent row to hang from
+    assert not is_safe(f, digits.assemble(stem.base, {from_nat(3): 2}, ()))
