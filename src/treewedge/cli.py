@@ -7,8 +7,8 @@ carry no timestamps, and all randomness comes from the seed, so identical
 Exit codes: 0 all properties pass (or the query was answered), 1 a property
 failed (or the query answered an error, including an unreadable tree file),
 2 usage error: a bad flag, command or target, an unreadable config file, a
-config value that does not parse, a negative int setting, or a --json path
-that cannot be written.
+config key that names no setting, a config value that does not parse, a
+negative int setting, or a --json path that cannot be written.
 
 ``main`` may be called many times in one process, as the benchmark and the
 tests do.  It builds its argument parser once, on the first call, and reuses
@@ -66,16 +66,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--suite", help=f"one of: {', '.join(sorted(SUITES))}")
     parser.add_argument("--query", help="single operation, e.g. 'eval-e w 3'")
     parser.add_argument("--budget-enum", type=int, help="enumeration budget")
-    parser.add_argument("--budget-range", type=int, help="range search budget")
     parser.add_argument("--trials", type=int, help="randomized trial count")
     return parser
 
 
+_FILE_KEYS = frozenset([f.name.replace("_", "-") for f in fields(RunConfig)] + ["suite", "query", "json"])
+
+
 def merge_config(args) -> tuple[RunConfig, dict]:
     """RunConfig from the flags, then the config file, then the field
-    defaults.  A file key is the field name with '-' for '_'.  No int
-    setting may be negative."""
+    defaults.  A file key is the field name with '-' for '_', or suite,
+    query or json; any other key is an error.  No int setting may be
+    negative."""
     file_cfg = load_config_file(args.config) if args.config else {}
+    unknown = sorted(file_cfg.keys() - _FILE_KEYS)
+    if unknown:
+        raise UsageError(f"{args.config}: unknown key {', '.join(unknown)}")
     values = {}
     for field in fields(RunConfig):
         flag_value = getattr(args, field.name, None)

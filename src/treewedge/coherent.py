@@ -38,7 +38,6 @@ miss is validated as before.
 from __future__ import annotations
 
 from .ordinal import (
-    DecodeBudgetExceeded,
     ONE,
     Ordinal,
     ZERO,
@@ -50,10 +49,6 @@ from .ordinal import (
     fund_seq,
     ladder_index,
 )
-
-
-class UndecidedError(RuntimeError):
-    """A certification ran out of budget; the honest answer is 'unknown'."""
 
 
 def _birth_value(xi: Ordinal) -> int:
@@ -149,12 +144,12 @@ class CoherentSystem:
         self._delta[key] = result
         return result
 
-    def position_of_value(self, alpha: Ordinal, v: int, budget: int = 10_000):
+    def position_of_value(self, alpha: Ordinal, v: int):
         """The unique xi < alpha with e_alpha(xi) == v, or None if absent.
 
         Even numbers are never produced.  Odd values are keyed to a unique
-        candidate position, so the test decodes and re-evaluates; it raises
-        UndecidedError when decoding exceeds the budget.
+        candidate position, so the test decodes and re-evaluates; decoding
+        ends within the size of v.
         """
         if v < 0 or v % 2 == 0:
             return None
@@ -162,10 +157,7 @@ class CoherentSystem:
             xi = from_nat((v - 1) // 4)
             return xi if xi < alpha else None
         code = (v - 3) // 8 if v % 8 == 3 else (v - 7) // 8
-        try:
-            xi = decode_structural(code, fuel=budget)
-        except DecodeBudgetExceeded as err:
-            raise UndecidedError(f"range membership of {v} not decided within {budget} steps") from err
+        xi = decode_structural(code)
         if xi is None or xi.is_nat() or not xi < alpha:
             return None
         return xi if self.eval_e(alpha, xi) == v else None

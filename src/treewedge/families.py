@@ -48,9 +48,8 @@ class InjNode:
 
 
 class InjFamily(TreeFamily):
-    def __init__(self, coh: CoherentSystem, budget: int = 10_000):
+    def __init__(self, coh: CoherentSystem):
         self.coh = coh
-        self.budget = budget
 
     def root(self) -> InjNode:
         return InjNode(ZERO, ())
@@ -70,7 +69,7 @@ class InjFamily(TreeFamily):
         for v in values:
             if v % 2 == 0:
                 continue  # the base system never takes even values
-            p = self.coh.position_of_value(alpha, v, self.budget)
+            p = self.coh.position_of_value(alpha, v)
             if p is not None and p not in cleaned:
                 raise InjectivityError(f"value {v} collides with base position {p}")
         return InjNode(alpha, tuple(sorted(cleaned.items())))
@@ -113,18 +112,19 @@ class InjFamily(TreeFamily):
         """Does v occur among x's values?  Exact thanks to reserved streams."""
         if v in dict(x.over).values():
             return True
-        p = self.coh.position_of_value(x.height, v, self.budget)
+        p = self.coh.position_of_value(x.height, v)
         return p is not None and p not in dict(x.over)
 
     def successors(self, x: InjNode) -> Iterator[InjNode]:
         alpha = x.height
         up = add_ord(alpha, from_nat(1))
         stem_value = self.coh.eval_e(up, alpha)
+        rebased = self._rebase(x, up)
         if not self.in_range(x, stem_value):
-            yield InjNode(up, self._rebase(x, up))
+            yield InjNode(up, rebased)
         for v in count(0):
             if v != stem_value and not self.in_range(x, v):
-                over = dict(self._rebase(x, up))
+                over = dict(rebased)
                 over[alpha] = v
                 yield InjNode(up, tuple(sorted(over.items())))
 
@@ -137,7 +137,7 @@ class InjFamily(TreeFamily):
         used = set(over.values())
         fresh = (v for v in count(0, 2) if v not in used)
         for v in sorted(used):
-            p = self.coh.position_of_value(alpha, v, self.budget)
+            p = self.coh.position_of_value(alpha, v)
             if p is not None and not p < x.height and p not in over:
                 over[p] = next(fresh)
         return InjNode(alpha, tuple(sorted(over.items())))

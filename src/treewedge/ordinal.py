@@ -42,10 +42,6 @@ class CNFSyntaxError(ValueError):
         self.pos = pos
 
 
-class DecodeBudgetExceeded(Exception):
-    """Structural decoding ran out of fuel before finishing."""
-
-
 @total_ordering
 class Ordinal:
     """Immutable CNF ordinal.  ``terms`` is a tuple of (exponent, coefficient)
@@ -333,49 +329,27 @@ def structural_key(a: Ordinal) -> int:
     return 2 * _encode_terms(a) + 1
 
 
-def decode_structural(code: int, fuel: int | None = None) -> Ordinal | None:
+def decode_structural(code: int) -> Ordinal | None:
     """Inverse of _encode_terms; None when the integer codes no canonical
-    ordinal.  ``fuel`` bounds the number of unpair steps and raises
-    DecodeBudgetExceeded when spent.
+    ordinal.  Each step replaces the code by a part of
+    ``cantor_unpair(code - 1)``, which is smaller, so decoding ends within
+    the size of its input.
     """
-    tank = [fuel] if fuel is not None else None
-    return _decode_terms(code, tank)
-
-
-def _decode_terms(code: int, tank) -> Ordinal | None:
     terms = []
-    guard = 0
     while code > 0:
-        _spend(tank)
         head, code = cantor_unpair(code - 1)
         key, cm1 = cantor_unpair(head)
-        exp = _decode_key(key, tank)
-        if exp is None:
-            return None
+        if key % 2 == 0:
+            exp = from_nat(key // 2)
+        else:
+            exp = decode_structural((key - 1) // 2)
+            if exp is None or exp.is_nat():
+                return None
         terms.append((exp, cm1 + 1))
-        guard += 1
-        if guard > 64:
-            return None
     for (e1, _), (e2, _) in zip(terms, terms[1:]):
         if not e2 < e1:
             return None
     return Ordinal(terms)
-
-
-def _decode_key(key: int, tank=None) -> Ordinal | None:
-    if key % 2 == 0:
-        return from_nat(key // 2)
-    a = _decode_terms((key - 1) // 2, tank)
-    if a is None or a.is_nat():
-        return None
-    return a
-
-
-def _spend(tank):
-    if tank is not None:
-        if tank[0] <= 0:
-            raise DecodeBudgetExceeded
-        tank[0] -= 1
 
 
 # --- text format ------------------------------------------------------------

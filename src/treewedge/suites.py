@@ -17,8 +17,8 @@ fixtures are seeded draws.
 
 Every property keeps one ``Tally`` of the checks it made, the checks that
 failed and the fixtures it passed over, by reason (an ``ExtensionError``,
-a key a drawn condition could not include, an undecided range test, no
-limit anchor); forcing-density then checks each refusal on its explicit
+a key a drawn condition could not include, no limit anchor); then
+forcing-density checks each refusal on its explicit
 tree against a brute-force search.  A property passes iff it made
 at least one check and none failed, so a property that checked nothing
 fails, whether a setting (``trials``, ``budget_enum``, ``oracle_sample``)
@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass, fields
 from itertools import combinations, islice, product
 from . import __version__
-from .coherent import CoherentSystem, UndecidedError
+from .coherent import CoherentSystem
 from .families import BitFamily, DigitFamily, InjFamily
 from .forcing import (
     ExtensionError,
@@ -85,7 +85,6 @@ class RunConfig:
     seed: int = 0
     trials: int = 1000
     budget_enum: int = 64
-    budget_range: int = 10_000
     oracle_max: int = 100_000
     oracle_sample: int = 20_000
 
@@ -103,7 +102,7 @@ class Workspace:
     def __init__(self, config: RunConfig):
         self.config = config
         self.coh = CoherentSystem()
-        self.injs = InjFamily(self.coh, budget=config.budget_range)
+        self.injs = InjFamily(self.coh)
         self.bits = BitFamily(self.coh)
         self.digits = DigitFamily(self.bits)
 
@@ -162,10 +161,7 @@ def suite_coherence(config: RunConfig) -> list[dict]:
             odd.check(v % 2)
             # decoding shares no code with eval_e, so a value two points
             # share decodes to at most one of them
-            try:
-                injective.check(coh.position_of_value(alpha, v, config.budget_range) == xi)
-            except UndecidedError:
-                injective.skip("undecided")
+            injective.check(coh.position_of_value(alpha, v) == xi)
         if not alpha.is_nat():
             named_points += len(own)
         for beta in anchors[i + 1 :]:
@@ -302,13 +298,10 @@ def suite_tree_closure(config: RunConfig) -> list[dict]:
             x = rand_inj_node(rng, injs, alpha)
             beta = rand_below(rng, alpha)
             xis = [] if beta.is_zero() else [rand_below(rng, beta) for _ in range(5)]
-            try:
-                y = injs.restrict(x, beta)
-                inj.check(injs.contains(y) and all(injs.query(y, xi) == injs.query(x, xi) for xi in xis))
-                kids = list(islice(injs.successors(x), 4))
-                inj.check(len(set(kids)) == 4 and all(injs.restrict(k, alpha) == x for k in kids))
-            except UndecidedError:  # a range test ran past --budget-range
-                inj.skip("undecided")
+            y = injs.restrict(x, beta)
+            inj.check(injs.contains(y) and all(injs.query(y, xi) == injs.query(x, xi) for xi in xis))
+            kids = list(islice(injs.successors(x), 4))
+            inj.check(len(set(kids)) == 4 and all(injs.restrict(k, alpha) == x for k in kids))
     props.append(inj.result())
     return props
 

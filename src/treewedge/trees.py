@@ -10,9 +10,8 @@ family has no stream of a whole level: the wedge engine reaches levels
 through canonical extensions and decides them exactly, so
 ``wedge.find_safe_point`` takes no budget.  The ``successors`` stream is a
 single-consumer generator that may be infinite; each caller bounds what it
-draws.  The budgets live there: ``forcing.simulate_filter`` runs at most
-``budget`` extension steps, and ``InjFamily`` decodes each range test within
-``budget_range`` steps.
+draws.  The one budget lives there: ``forcing.simulate_filter`` runs at
+most ``budget`` extension steps.
 """
 
 from __future__ import annotations

@@ -21,23 +21,23 @@ CONFIG = RunConfig()  # anchors w, w*2, w^2, w^2+w, w^3 and naturals <= 64
 # the benchmark runs the suites at this config, so a speed-up must keep
 # these bytes as well as test_golden's small-config ones
 DIGESTS = {
-    "coherence": "93252ed6e21fa1d20af7b79b8c7de3b3695c46a7b4c50ec28525790f90c1185d",
-    "delta-x": "66aacefc16bce18bef7e1d14b438f425ee0719bf7c2959bf9ca06f7365453f2f",
-    "tree-closure": "94f0078d0004771a92fdbb67a3fbf282a9b87926aaed1ac6b7679fa26552afac",
-    "wedge-safe": "686cc984224c6aca835c7bf23ab225b1bcb6522e11fa385030ed58d02b37d5fb",
-    "wedge-oracle": "1b001d9c775fceae122326562951e6d57ed57ad86b56c217c71b3c0340e0358d",
-    "sorgenfrey": "75c9b113141d87cae0ecf1859f8b834cb690e7e88c02ddf8d4d9f8d982382ea2",
-    "forcing-ccc": "95dd739db3fd7840391329d83d27a163eff0a4989832b46ead8aa431078fe74a",
-    "forcing-density": "dd4dd213981337d8f02a3c56d5093ab7e78ba54ebb29880f4d7aacf9ec8157a9",
+    "coherence": "e0fa4142cfb72dcdfcc710e610362554ad3e005b1f1d6ec1e7fa294180848985",
+    "delta-x": "323882c82cb4df1fc74439af9dd8d68f26b38bc46091e4269d915df7d756e922",
+    "tree-closure": "5d839d9161f6b412dbab7c3539c732b5a2a2a3bd744db04f391bb2502dc55799",
+    "wedge-safe": "61d064d6675d5aa6a0b8c71be558023fc6f1444a0395d07e89ef664636534441",
+    "wedge-oracle": "2a9fe95d66a752701ef428de566dd85f6a498ec8be8b56c7ef91c04454c6b4c3",
+    "sorgenfrey": "9d86c8b53ee4445bbab9176a586ee7365df53b6c6c1e414b25af7f0306f03bb3",
+    "forcing-ccc": "63babf184ad45145e9dfc170ae3fb7bb93683873d1d12b5d8e373efac5da7cda",
+    "forcing-density": "1304ff6dc08f5a0b410b19b8b4b12b62b4338a85a0d265b83e508aa49b801b38",
 }
 
 # sha256 of the wedge-oracle report at CONFIG with other seeds (seed 0 is in
 # DIGESTS): while every rule passes, the report holds counts, not the drawn
 # rules, so these digests differ only by the report's config.seed
 ORACLE_SEED_DIGESTS = {
-    1: "08c0c497ae0d062f4590189b5eb73b27c99a4ce45f7e29b91b1e9e24201c669a",
-    7: "46b80a44a558aed8be0b3fa282c560776332756b2786121479d36b71afae8104",
-    123: "e2de4a0a6386fce55bd3e9f94138b264176ee195252601b850da977c5c315547",
+    1: "393afb72c96c8930e21c75da083fc94f7f891ef264ae00ff6731d9fa9f4f2263",
+    7: "b11cb4c39ab91c038f5eb41b0eb275b5db64a5ceab3f4ac290ce5c1e47aaacb4",
+    123: "7526c550c17f6c97d869bd8606d36d60a92937dc7bc53244d7d92a86756a006a",
 }
 
 

@@ -160,9 +160,10 @@ def _write_config(tmp_path, text):
         (lambda tmp: ["--config", str(tmp), "--suite", "delta-x"], 2),
         (lambda tmp: ["--config", _write_config(tmp, "suite=delta-x\ntrials=abc\n")], 2),
         (lambda tmp: ["--config", _write_config(tmp, "suite=delta-x\nanchors=w,,w^\n")], 2),
+        (lambda tmp: ["--config", _write_config(tmp, "suite=delta-x\ntrails=5\nbudget-range=10000\n")], 2),
         (lambda tmp: ["--query", "eval-e w 3", "--json", str(tmp / "missing" / "r.json")], 2),
     ],
-    ids=["missing-tree", "tree-is-directory", "config-is-directory", "bad-cast", "bad-anchors", "unwritable-json"],
+    ids=["missing-tree", "tree-is-directory", "config-is-directory", "bad-cast", "bad-anchors", "unknown-key", "unwritable-json"],
 )
 def test_io_and_config_errors_exit_cleanly(tmp_path, capsys, make_argv, code):
     assert main(make_argv(tmp_path)) == code

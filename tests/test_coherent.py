@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from treewedge.coherent import CoherentSystem, UndecidedError
+from treewedge.coherent import CoherentSystem
 from treewedge.ordinal import OMEGA, ZERO, from_nat, parse_cnf
 
 from test_cli_fuzz import deadline
@@ -118,11 +118,18 @@ def test_triangle_bound(coh):
 def test_range_test_examples(coh):
     assert coh.position_of_value(OMEGA, 2) is None
     assert coh.position_of_value(from_nat(3), 5) == from_nat(1)
-    with pytest.raises(UndecidedError):
-        coh.position_of_value(from_nat(3), 531, 3)
     assert coh.position_of_value(from_nat(3), 531) is None
-    assert coh.position_of_value(from_nat(3), 9999, 3) is None
     assert coh.position_of_value(from_nat(3), 9999) is None
+
+
+def test_range_test_decodes_a_long_composite_position(coh):
+    # a 12-term position below w^13: its value has thousands of bits, and
+    # the range test decodes it without a step budget
+    xi = parse_cnf("w^12+w^11+w^10+w^9+w^8+w^7+w^6+w^5+w^4+w^3+w^2+w")
+    alpha = parse_cnf("w^13")
+    v = coh.eval_e(alpha, xi)
+    assert len(xi.terms) == 12 and v.bit_length() == 6681
+    assert coh.position_of_value(alpha, v) == xi
 
 
 def test_range_test_round_trip(coh):

@@ -17,14 +17,14 @@ from treewedge.suites import SUITES, RunConfig, run_suite
 CONFIG = RunConfig(trials=60, nat_anchors=16, oracle_max=3000, oracle_sample=500)
 
 GOLDEN = {
-    "coherence": "cef272437966df145c8790b95b122f1c48d5eff4538e7d30a8e6591319be03d9",
-    "delta-x": "e704f3102ef04a2eecd92b69f0542430009b366d9a0f3859f63a9b54f770b2af",
-    "tree-closure": "089994a39989c60c11c5133e08a2397b3f64a818debddd7f44f1e27c32343893",
-    "wedge-safe": "67eb8c5be6fa6f8c0ea2c4e2c689275ec1c5b425a6dda646057bb2958c48d13c",
-    "wedge-oracle": "ff4852c5a5c0fe452397db771acdbc4b3e122ec78cfeb91db86ccb674f501075",
-    "sorgenfrey": "04342faa79b28f9fe8776879c73440b86e9be997da9b4ce174121fe7558fb7ed",
-    "forcing-ccc": "5f0dbee98009eda01e4ed6bfa48d473c2727f8b6fe68d9afe25bfdea62c72214",
-    "forcing-density": "68f442177d3aceb6916e48d8bdcdc44cdf372d59493cb08b0b8f4fcf5a52f3b1",
+    "coherence": "29df536ee2338abdf3dcc0557128df49542485e76b48ce928773d527d84c1ee1",
+    "delta-x": "f6676b41076c3f57fc5f2ea6abf4f63b0a80d2e43e0b4990d413b9e8965fcef4",
+    "tree-closure": "78d1c406b3cd24e63b3e3c534a08e62ab3c887eab32d7b5ee5b3e726d38c1f54",
+    "wedge-safe": "498663a632dde64af08c9bc99125682e973e492874a2c0a304cbcdee26db7204",
+    "wedge-oracle": "0abec03f09ee496afee270b283f406d60094b21a01ecc39145b6a49c6b7a0404",
+    "sorgenfrey": "33573fb9af19f0b28d72a8a98b4f7728989f3498c34011b45aaa52aa64dbfa1c",
+    "forcing-ccc": "5023bfa9bc054059fce4c2eef9618201a5473d27d66c44a5f4ff6913294a5234",
+    "forcing-density": "22317a32fd2dfcccca90370c6fc6f080f7160439ade1a94031e4a918e0d39d19",
 }
 
 

@@ -502,6 +502,20 @@ def test_structural_key_round_trip():
         assert decode_structural((code - 1) // 2) == a
 
 
+def test_decode_structural_needs_no_budget():
+    # decoding needs no step budget: each step shrinks the code, so random
+    # codes of up to 10,000 bits end, each as None or as its own ordinal
+    rng = random.Random(12)
+    codes = list(range(2000)) + [rng.getrandbits(rng.randint(1, 10_000)) for _ in range(300)]
+    decoded = 0
+    for code in codes:
+        a = decode_structural(code)
+        if a is not None:
+            decoded += 1
+            assert ordinal._encode_terms(a) == code
+    assert decoded > 100
+
+
 def test_code_collision_scan():
     rng = random.Random(5)
     seen = {}
