@@ -27,12 +27,11 @@ instead of walking the descent one step at a time.  On a limit anchor,
 the target.
 
 All operations are pure; memo tables are idempotent fills, so concurrent use
-needs no coordination.  ``eval_e``'s memo is keyed by the pair of the
-ordinals' ``_key`` tuples, so a lookup hashes and compares in C and never
-calls ``Ordinal.__hash__``; a key's order is its ordinal's order.  It reads
-the memo before it checks that the position lies below the anchor: every
-stored pair passed that check, so a hit skips an ordinal comparison and a
-miss is validated as before.
+needs no coordination.  ``eval_e``'s memo is keyed by the pair
+``(alpha, xi)``; an ordinal is the tuple of its terms, so a lookup hashes
+and compares in C.  It reads the memo before it checks that the position
+lies below the anchor: every stored pair passed that check, so a hit skips
+an ordinal comparison and a miss is validated as before.
 """
 
 from __future__ import annotations
@@ -70,12 +69,12 @@ class CoherentSystem:
         parameter only so that ``perfbench/tracing.py`` can swap in a
         counting wrapper through its default."""
         self.ladder = ladder
-        self._eval: dict[tuple[tuple, tuple], int] = {}
+        self._eval: dict[tuple[Ordinal, Ordinal], int] = {}
         self._delta: dict[tuple[Ordinal, Ordinal], frozenset] = {}
 
     def eval_e(self, alpha: Ordinal, xi: Ordinal) -> int:
         """Value of e_alpha at xi < alpha."""
-        key = (alpha._key, xi._key)
+        key = (alpha, xi)
         cached = self._eval.get(key)
         if cached is not None:
             return cached

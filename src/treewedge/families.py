@@ -163,7 +163,7 @@ class BitNode:
 class BitFamily(TreeFamily):
     def __init__(self, coh: CoherentSystem):
         self.coh = coh
-        self._stem: dict[tuple[tuple, tuple], int] = {}  # stem_query memo, keyed by _key
+        self._stem: dict[tuple[Ordinal, Ordinal], int] = {}  # stem_query memo, keyed by (gamma, eta)
 
     def root(self) -> BitNode:
         return BitNode(ZERO, (), ())
@@ -179,7 +179,7 @@ class BitFamily(TreeFamily):
         return BitNode(alpha, (), ())
 
     def stem_query(self, gamma: Ordinal, eta: Ordinal) -> int:
-        key = (gamma._key, eta._key)
+        key = (gamma, eta)
         bit = self._stem.get(key)
         if bit is None:
             xi, n = unpair_f(eta)

@@ -42,17 +42,16 @@ def rand_below(rng: random.Random, bound: Ordinal, coeff_cap: int = 5) -> Ordina
     """Uniform-ish ordinal strictly below ``bound``.  The result is canonical
     by construction: a prefix of bound's terms, then distinct exponents
     below the next one, in descending order."""
-    terms = bound.terms
-    if not terms:
+    if not bound:
         raise ValueError("no ordinal below zero")
     below = rng._randbelow
-    i = below(len(terms))  # drawn even from one term: it consumes bits
-    e, c = terms[i]
-    if not i and not e.terms:  # a natural bound: the same two draws
+    i = below(len(bound))  # drawn even from one term: it consumes bits
+    e, c = bound[i]
+    if not i and not e:  # a natural bound: the same two draws
         return from_nat(below(c))
     c2 = below(c)
-    prefix = terms[:i] + ((e, c2),) if c2 else terms[:i]
-    if not e.terms:
+    prefix = bound[:i] + ((e, c2),) if c2 else bound[:i]
+    if not e:
         return from_canonical(prefix)
     exps = []
     for _ in range(below(3)):
@@ -75,7 +74,7 @@ def rand_positions(rng: random.Random, bound: Ordinal, k: int) -> list[Ordinal]:
 def rand_bit_node(rng: random.Random, bits: BitFamily, alpha: Ordinal) -> BitNode:
     below = rng._randbelow
     gamma, m = block_decompose(alpha)
-    flips = tuple(rand_positions(rng, gamma, below(4))) if gamma.terms else ()
+    flips = tuple(rand_positions(rng, gamma, below(4))) if gamma else ()
     tail = tuple([below(2) for _ in range(m)])
     return bits.node(alpha, flips, tail)
 
@@ -84,7 +83,7 @@ def rand_digit_node(rng: random.Random, digits: DigitFamily, alpha: Ordinal) -> 
     below = rng._randbelow
     gamma, m = block_decompose(alpha)
     trail = tuple([below(5) for _ in range(m)])
-    if not gamma.terms:
+    if not gamma:
         return DigitNode(None, (), trail)
     base = rand_bit_node(rng, digits.bits, gamma)
     overrides = {p: below(5) for p in rand_positions(rng, gamma, below(4))}
@@ -111,11 +110,11 @@ def grid_below(bound: Ordinal, limit: int | None = None, coeff_cap: int = 8) -> 
     coefficients are 1..coeff_cap and whose exponents come from the grid
     below that term's exponent.  Points are built as they are taken, so a
     huge grid (below ``w^(w^2)``, say) costs only its first ``limit``.
-    Naturals come from ``from_nat``, so memo keys share their key tuples.
+    Naturals come from ``from_nat``, so memo keys share their instances.
     """
     if bound.is_nat():
         return islice(map(from_nat, range(bound.to_nat())), limit)
-    return islice(map(from_canonical, _grid_terms(bound.terms, coeff_cap)), limit)
+    return islice(map(from_canonical, _grid_terms(bound, coeff_cap)), limit)
 
 
 def _grid_terms(terms: tuple, cap: int) -> Iterator[tuple]:
@@ -123,7 +122,7 @@ def _grid_terms(terms: tuple, cap: int) -> Iterator[tuple]:
     if not terms:
         return
     (e, c), rest = terms[0], terms[1:]
-    if not e.terms:  # a natural last term: every n below it
+    if not e:  # a natural last term: every n below it
         yield ()
         yield from (((e, n),) for n in range(1, c))
         return

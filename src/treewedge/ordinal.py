@@ -6,19 +6,22 @@ is structural and every downstream construction is deterministic.  The
 universe is capped below epsilon_0 by construction: only finite CNF terms
 exist and no exponentiation is provided.
 
-Each ordinal carries a comparison key, ``_key = ((e._key, c), ...)`` over
-its terms: a nested tuple of plain ints, so ordering, equality and hashing
-run natively on it.  Lexicographic tuple order is the term-by-term CNF
-order by induction on nesting, and ``hash(_key) == hash(terms)`` by the
-same induction from ``hash(())``.
+An ``Ordinal`` is a tuple whose items are its terms, the pairs
+``(exponent, coefficient)``.  Tuple order on them is the term-by-term CNF
+order, by induction on nesting, so the ordinal is its own sort and memo
+key: ``<``, ``==``, ``hash`` and ``sorted`` run in C.  The tuple base shows
+only where it is meant to: ``len``, indexing, slicing (to a plain tuple of
+terms) and iteration read the terms, ``bool`` is False only on ``ZERO``,
+and an ordinal equals the plain tuple of its terms.  ``+`` is ordinal
+addition (an int operand is read as a natural), and ``*`` raises
+TypeError rather than repeat the terms.
 
-``Ordinal(terms)`` checks its terms and is the constructor for parsed,
-decoded and outside input.  ``from_canonical`` skips the checks; it is used
-only where the result is canonical by construction: ``from_nat``,
-``add_ord``, ``block_decompose``, ``pred``, ``fund_seq``, ``descent_floor``
-and ``gen.rand_below``, which builds its term tuples directly.  Hot memos
-(``CoherentSystem._eval``, ``BitFamily``'s stem memo) key on ``_key``
-rather than on the Ordinal, so a lookup hashes in C.
+``Ordinal(terms)`` keeps tuple's own ``__new__`` and checks the result in
+``__init__``; it is the constructor for parsed, decoded and outside input.
+``from_canonical`` is ``tuple.__new__`` alone; it is used only where the
+result is canonical by construction: ``from_nat``, ``add_ord``,
+``block_decompose``, ``pred``, ``fund_seq``, ``descent_floor`` and
+``gen.rand_below``, which builds its term tuples directly.
 
 Small naturals are shared: ``from_nat(n)`` returns one instance per
 ``n < SHARED_NATS`` (``ZERO`` and ``ONE`` among them), filled in on first
@@ -29,7 +32,6 @@ dict lookups keyed by naturals succeed on the identity check.
 
 from __future__ import annotations
 
-from functools import total_ordering
 from math import isqrt
 from typing import NamedTuple
 
@@ -42,39 +44,26 @@ class CNFSyntaxError(ValueError):
         self.pos = pos
 
 
-@total_ordering
-class Ordinal:
-    """Immutable CNF ordinal.  ``terms`` is a tuple of (exponent, coefficient)
-    and ``_key`` the same tuple with each exponent replaced by its key."""
+class Ordinal(tuple):
+    """Immutable CNF ordinal: the tuple of its (exponent, coefficient) terms."""
 
-    __slots__ = ("terms", "_key", "_hash")
+    __slots__ = ()
+
+    # tuple's own comparison, named here so that perfbench/tracing.py can
+    # wrap it; unwrapped, the type keeps tuple's C slot
+    __lt__ = tuple.__lt__
 
     def __init__(self, terms=()):
-        terms = tuple((e, int(c)) for e, c in terms)
-        for e, c in terms:
-            if not isinstance(e, Ordinal):
-                raise TypeError("exponent must be an Ordinal")
+        """Check the terms that tuple's own ``__new__`` has stored."""
+        for term in self:
+            e, c = term if type(term) is tuple and len(term) == 2 else (None, None)
+            if not isinstance(e, Ordinal) or type(c) is not int:  # no bool, float or str
+                raise TypeError("a term must be an (Ordinal, int) tuple")
             if c < 1:
                 raise ValueError("coefficient must be >= 1")
-        for (e1, _), (e2, _) in zip(terms, terms[1:]):
+        for (e1, _), (e2, _) in zip(self, self[1:]):
             if not e2 < e1:
                 raise ValueError("exponents must be strictly descending")
-        self.terms = terms
-        self._key = key = tuple([(e._key, c) for e, c in terms])
-        self._hash = hash(key)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._key == other._key
-
-    def __lt__(self, other):
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._key < other._key
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -83,19 +72,22 @@ class Ordinal:
             return NotImplemented
         return add_ord(self, other)
 
+    def __mul__(self, other):
+        return NotImplemented  # there is no product: refuse rather than repeat the terms
+
+    __rmul__ = __mul__
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def is_nat(self) -> bool:
         """True when the ordinal is a natural number (possibly zero)."""
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0].is_zero())
+        return not self or (len(self) == 1 and not self[0][0])
 
     def to_nat(self) -> int:
-        if self.is_zero():
-            return 0
         if not self.is_nat():
             raise ValueError(f"{self} is not a natural number")
-        return self.terms[0][1]
+        return self[0][1] if self else 0
 
     def __str__(self):
         return to_cnf(self)
@@ -104,18 +96,14 @@ class Ordinal:
         return f"Ordinal[{to_cnf(self)}]"
 
 
-_new = object.__new__
+_new = tuple.__new__
 
 
 def from_canonical(terms: tuple) -> Ordinal:
     """The ordinal of a term tuple that is canonical by construction:
     Ordinal instances as strictly descending exponents, int coefficients
     >= 1.  Nothing is checked; input from outside goes through Ordinal."""
-    a = _new(Ordinal)
-    a.terms = terms
-    a._key = key = tuple([(e._key, c) for e, c in terms])
-    a._hash = hash(key)
-    return a
+    return _new(Ordinal, terms)
 
 
 ZERO = Ordinal()
@@ -140,31 +128,30 @@ def from_nat(n: int) -> Ordinal:
 
 
 def cmp_ord(a: Ordinal, b: Ordinal) -> int:
-    """-1, 0 or 1; keys compare lexicographically, realizing ordinal order."""
-    return (a._key > b._key) - (a._key < b._key)
+    """-1, 0 or 1, by the ordinals' own tuple order."""
+    return (a > b) - (a < b)
 
 
 def add_ord(a: Ordinal, b: Ordinal) -> Ordinal:
     """CNF addition: terms of ``a`` below b's leading exponent are absorbed."""
-    if not b.terms:
+    if not b:
         return a
-    if not a.terms:
+    if not a:
         return b
-    akey, lead = a._key, b._key[0][0]
+    lead = b[0][0]
     i = 0
-    while i < len(akey) and akey[i][0] > lead:
+    while i < len(a) and a[i][0] > lead:
         i += 1
-    if i < len(akey) and akey[i][0] == lead:
-        merged = (b.terms[0][0], a.terms[i][1] + b.terms[0][1])
-        return from_canonical((*a.terms[:i], merged, *b.terms[1:]))
-    return from_canonical(a.terms[:i] + b.terms)
+    if i < len(a) and a[i][0] == lead:
+        return from_canonical((*a[:i], (lead, a[i][1] + b[0][1]), *b[1:]))
+    return from_canonical(a[:i] + b)
 
 
 def classify(a: Ordinal) -> str:
     """'zero', 'successor' (least exponent 0) or 'limit'."""
-    if a.is_zero():
+    if not a:
         return "zero"
-    if a.terms[-1][0].is_zero():
+    if not a[-1][0]:
         return "successor"
     return "limit"
 
@@ -174,26 +161,22 @@ class BlockDecomposition(NamedTuple):
     finite_part: int
 
 
-_tuple_new = tuple.__new__
-
-
 def block_decompose(a: Ordinal) -> BlockDecomposition:
     """Split ``a`` as (limit-or-zero part, finite remainder).  The pair is
     built with ``tuple.__new__``, which skips the namedtuple's Python-level
     ``__new__``."""
-    terms = a.terms
-    if terms and not terms[-1][0].terms:
-        rest = terms[:-1]
-        return _tuple_new(BlockDecomposition, (from_canonical(rest) if rest else ZERO, terms[-1][1]))
-    return _tuple_new(BlockDecomposition, (a, 0))
+    if a and not a[-1][0]:
+        rest = a[:-1]
+        return _new(BlockDecomposition, (from_canonical(rest) if rest else ZERO, a[-1][1]))
+    return _new(BlockDecomposition, (a, 0))
 
 
 def pred(a: Ordinal) -> Ordinal:
     """Predecessor of a successor ordinal."""
     if classify(a) != "successor":
         raise ValueError(f"{a} is not a successor")
-    e, c = a.terms[-1]
-    rest = a.terms[:-1]
+    e, c = a[-1]
+    rest = a[:-1]
     return from_canonical(rest if c == 1 else (*rest, (e, c - 1)))
 
 
@@ -207,8 +190,8 @@ def fund_seq(lam: Ordinal, n: int) -> Ordinal:
         raise ValueError(f"{lam} is not a limit ordinal")
     if n < 0:
         raise ValueError("ladder index must be >= 0")
-    e, c = lam.terms[-1]
-    delta = lam.terms[:-1] if c == 1 else (*lam.terms[:-1], (e, c - 1))
+    e, c = lam[-1]
+    delta = lam[:-1] if c == 1 else (*lam[:-1], (e, c - 1))
     if classify(e) == "successor":
         return from_canonical((*delta, (pred(e), n + 1)))
     return from_canonical((*delta, (fund_seq(e, n), 1)))
@@ -226,28 +209,27 @@ def ladder_index(lam: Ordinal, xi: Ordinal) -> int:
     """
     if classify(lam) != "limit":
         raise ValueError(f"{lam} is not a limit ordinal")
-    if not xi._key < lam._key:
+    if not xi < lam:
         raise ValueError(f"{xi} is not below {lam}")
     while True:
-        lt, k = lam.terms, len(lam.terms) - 1
-        e, c = lt[k]
-        xt = xi.terms
-        if len(xt) <= k or xi._key[:k] != lam._key[:k]:
+        k = len(lam) - 1
+        e, c = lam[k]
+        if len(xi) <= k or xi[:k] != lam[:k]:
             return 0  # xi lies below lam's terms before the last: below d
-        a, ca = xt[k]
-        if a._key == e._key:
+        a, ca = xi[k]
+        if a == e:
             if ca < c - 1:
                 return 0  # xi < d = ... + w^e*(c-1)
-            r = xt[k + 1 :]
+            r = xi[k + 1 :]
         elif c > 1:
             return 0  # d ends in w^e*(c-1), above xi's lower term
         else:
-            r = xt[k:]
+            r = xi[k:]
         if not r:
             return 0  # xi is d itself
         lead, q = r[0]
-        if not e.terms[-1][0].terms:  # successor e: rungs d + w^(e-1)*(n+1)
-            return q if lead._key == pred(e)._key else 0
+        if not e[-1][0]:  # successor e: rungs d + w^(e-1)*(n+1)
+            return q if lead == pred(e) else 0
         lam, xi = e, lead  # limit e: rungs d + w^(e[n]), and xi < rung n iff lead < e[n]
 
 
@@ -264,21 +246,20 @@ def descent_floor(beta: Ordinal, alpha: Ordinal) -> Ordinal:
     """
     if beta < alpha:
         raise ValueError(f"{alpha} is above {beta}")
-    bt, at = beta.terms, alpha.terms
     i = 0
-    while i < len(at) and at[i] == bt[i]:
+    while i < len(alpha) and alpha[i] == beta[i]:
         i += 1
-    if i == len(at):
+    if i == len(alpha):
         return alpha  # alpha is beta or a prefix of beta's terms
-    (a, ca), (e, _) = at[i], bt[i]
+    (a, ca), (e, _) = alpha[i], beta[i]
     # alpha = head + tail lies between the descent members head and head + w^e,
     # and the members between those two are head + w^j for j on e's descent
     if a == e:
-        head, tail = bt[:i] + ((e, ca),), at[i + 1 :]
+        head, tail = beta[:i] + ((e, ca),), alpha[i + 1 :]
         if not tail:
             return alpha
     else:
-        head, tail = bt[:i], at[i:]
+        head, tail = beta[:i], alpha[i:]
     a2, c2 = tail[0]
     # head + w^j >= alpha exactly when j > a2, or j == a2 and tail is w^a2 alone
     low = a2 if c2 == 1 and len(tail) == 1 else add_ord(a2, ONE)
@@ -317,7 +298,7 @@ def unpair_f(eta: Ordinal) -> tuple[Ordinal, int]:
 
 def _encode_terms(a: Ordinal) -> int:
     code = 0
-    for e, c in reversed(a.terms):
+    for e, c in reversed(a):
         code = cantor_pair(cantor_pair(structural_key(e), c - 1), code) + 1
     return code
 
@@ -473,7 +454,7 @@ def to_cnf(a: Ordinal) -> str:
     if a.is_zero():
         return "0"
     parts = []
-    for e, c in a.terms:
+    for e, c in a:
         if e.is_zero():
             parts.append(str(c))
             continue

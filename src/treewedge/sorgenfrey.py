@@ -11,7 +11,15 @@ A point's sequence is stored trimmed (no trailing zeros) as a tuple of
 naturals.  On such tuples the lexicographic order of the zero-padded
 sequences is Python's tuple order: where one tuple is a proper prefix of the
 other, the longer one ends in a positive digit, so it is the larger either
-way.  ``point_cmp`` therefore compares the tuples natively.
+way.
+
+A point is its own sort key: the tuple ``(rank, key, side, seq)``, so
+``<``, ``==``, ``hash`` and ``sorted`` run in C.  An L point is
+``(0, seq, "L", seq)``.  An R point is ``(1, (-d1, ..., -dk, 1), "R", seq)``:
+negated digits reverse the order where two sequences differ, and the
+closing 1, above every negated digit, puts a proper prefix after its
+extensions, as the reversed order of the padded sequences does.  Rank and
+key fix side and seq, which ride along for reading.
 
 ``TaggedPoint(side, seq)`` checks its fields and is the constructor for
 parsed and outside input.  ``_point`` skips the checks, as
@@ -23,6 +31,7 @@ canonical by construction: ``neg``, ``find_between``, ``point_below``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter, neg as minus
 
 from .ordinal import read_nat
 
@@ -38,48 +47,46 @@ def trim(seq) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, order=False)
-class TaggedPoint:
-    side: str  # "L" or "R"
-    seq: tuple
+class TaggedPoint(tuple):
+    """A side, "L" or "R", and a trimmed nonzero tuple of naturals, stored
+    as ``(rank, key, side, seq)``."""
 
-    def __post_init__(self):
-        if self.side not in ("L", "R"):
+    __slots__ = ()
+
+    def __new__(cls, side: str, seq: tuple):
+        if side not in ("L", "R"):
             raise ValueError("side must be 'L' or 'R'")
-        seq = self.seq
         if type(seq) is not tuple:
             raise ValueError("sequence must be a tuple")
+        if not all(type(d) is int and d >= 0 for d in seq):  # no bool, float or str
+            raise ValueError("digits must be naturals")
         if not seq or seq[-1] == 0:
             raise ValueError("sequence must be nonzero and trimmed")
-        if min(seq) < 0:
-            raise ValueError("digits must be naturals")
+        return _point(side, seq)
 
-    def __lt__(self, other):
-        return point_cmp(self, other) < 0
+    side = property(itemgetter(2))
+    seq = property(itemgetter(3))
 
-    def __le__(self, other):
-        return point_cmp(self, other) <= 0
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return self[2:]
+
+    def __repr__(self):
+        return f"TaggedPoint(side={self.side!r}, seq={self.seq!r})"
 
 
-_new = object.__new__
+_new = tuple.__new__
 
 
 def _point(side: str, seq: tuple) -> TaggedPoint:
     """The point of a side and a trimmed, nonzero tuple of naturals.
     Nothing is checked; input from outside goes through TaggedPoint."""
-    p = _new(TaggedPoint)
-    d = p.__dict__
-    d["side"] = side
-    d["seq"] = seq
-    return p
+    if side == "L":
+        return _new(TaggedPoint, (0, seq, side, seq))
+    return _new(TaggedPoint, (1, (*map(minus, seq), 1), side, seq))
 
 
 def point_cmp(p: TaggedPoint, q: TaggedPoint) -> int:
-    if p.side != q.side:
-        return -1 if p.side == "L" else 1
-    s, t = p.seq, q.seq
-    c = (s > t) - (s < t)
-    return c if p.side == "L" else -c
+    return (p > q) - (p < q)
 
 
 def neg(p: TaggedPoint) -> TaggedPoint:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from treewedge.coherent import CoherentSystem
-from treewedge.ordinal import OMEGA, ZERO, from_nat, parse_cnf
+from treewedge.ordinal import OMEGA, ZERO, Ordinal, from_nat, parse_cnf
 
 from test_cli_fuzz import deadline
 from test_ordinal import rand_below
@@ -35,8 +35,8 @@ def test_eval_domain_guard():
     for alpha, xi in ((from_nat(3), from_nat(3)), (from_nat(3), from_nat(4)), (from_nat(4), OMEGA), (OMEGA, OMEGA)):
         with pytest.raises(ValueError, match="not below anchor"):
             coh.eval_e(alpha, xi)
-    # the memo is keyed by the ordinals' _key tuples, whose order is ordinal order
-    assert all(xi_key < alpha_key for alpha_key, xi_key in coh._eval)
+    # the memo is keyed by the (anchor, position) pairs themselves
+    assert all(type(alpha) is type(xi) is Ordinal and xi < alpha for alpha, xi in coh._eval)
 
 
 def test_omega_block_is_plain(coh):
@@ -128,7 +128,7 @@ def test_range_test_decodes_a_long_composite_position(coh):
     xi = parse_cnf("w^12+w^11+w^10+w^9+w^8+w^7+w^6+w^5+w^4+w^3+w^2+w")
     alpha = parse_cnf("w^13")
     v = coh.eval_e(alpha, xi)
-    assert len(xi.terms) == 12 and v.bit_length() == 6681
+    assert len(xi) == 12 and v.bit_length() == 6681
     assert coh.position_of_value(alpha, v) == xi
 
 

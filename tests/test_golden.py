@@ -45,6 +45,7 @@ def test_wedge_oracle_builds_no_ordinals(monkeypatch):
     # the benchmark's oracle workload is defined to bypass the ordinal layer;
     # both construction paths are counted: the checked Ordinal(...) and the
     # trusted from_canonical, whose every call allocates through ordinal._new
+    # (tuple.__new__, which block_decompose's pairs go through as well)
     calls = []
     init, new = Ordinal.__init__, ordinal._new
 
@@ -52,9 +53,9 @@ def test_wedge_oracle_builds_no_ordinals(monkeypatch):
         calls.append(1)
         init(self, *args, **kwargs)
 
-    def counting_new(cls):
+    def counting_new(cls, items):
         calls.append(1)
-        return new(cls)
+        return new(cls, items)
 
     monkeypatch.setattr(Ordinal, "__init__", counting)
     monkeypatch.setattr(ordinal, "_new", counting_new)

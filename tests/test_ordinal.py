@@ -1,3 +1,4 @@
+import pickle
 import random
 from bisect import bisect_left
 
@@ -66,7 +67,7 @@ def test_parse_zero():
 
 def test_parse_direct_reading():
     a = parse_cnf("w^2*3+w+4")
-    assert a.terms == ((from_nat(2), 3), (ONE, 1), (ZERO, 4))
+    assert tuple(a) == ((from_nat(2), 3), (ONE, 1), (ZERO, 4))
 
 
 def test_parse_rejects_non_canonical():
@@ -154,13 +155,13 @@ def test_cmp_trichotomy_transitive(a, b, c):
 def ref_cmp(a, b) -> int:
     """The term-by-term CNF comparison, recursing into the exponents itself,
     so that it shares no code with the comparison keys."""
-    for (e1, c1), (e2, c2) in zip(a.terms, b.terms):
+    for (e1, c1), (e2, c2) in zip(a, b):
         sign = ref_cmp(e1, e2)
         if sign:
             return sign
         if c1 != c2:
             return -1 if c1 < c2 else 1
-    return (len(a.terms) > len(b.terms)) - (len(a.terms) < len(b.terms))
+    return (len(a) > len(b)) - (len(a) < len(b))
 
 
 class Hashed:
@@ -176,7 +177,7 @@ class Hashed:
 def ref_hash(a) -> int:
     """hash(terms) with each exponent hashed the same way: what the keys'
     hash must equal, so that set and dict orders stay as they were."""
-    return hash(tuple((Hashed(ref_hash(e)), c) for e, c in a.terms))
+    return hash(tuple((Hashed(ref_hash(e)), c) for e, c in a))
 
 
 def key_pairs(seed, count):
@@ -203,7 +204,7 @@ def test_keys_match_recursive_comparison():
         assert cmp_ord(a, b) == sign, (a, b)
         assert (a < b, a == b, a > b, a <= b, a != b) == (sign < 0, sign == 0, sign > 0, sign <= 0, sign != 0)
         for x in (a, b):
-            assert hash(x) == hash(x.terms) == ref_hash(x)
+            assert hash(x) == ref_hash(x)
     assert min(signs.values()) > 1000
 
 
@@ -228,9 +229,9 @@ def test_trusted_results_are_canonical():
     kinds = set()
     for a, b in key_pairs(41, 6000):
         for r in trusted_results(a, b, rng):
-            checked = Ordinal(r.terms)  # the full validation
-            assert r == checked and r._key == checked._key and hash(r) == hash(checked)
-            assert all(type(c) is int for _, c in r.terms)
+            checked = Ordinal(r)  # the full validation
+            assert type(r) is Ordinal and r == checked and hash(r) == hash(checked)
+            assert all(type(c) is int for _, c in r)
             kinds.add(classify(r))
     assert kinds == {"zero", "successor", "limit"}
 
@@ -244,6 +245,11 @@ def test_trusted_results_are_canonical():
         ([(ONE, 1), (ZERO, -3)], ValueError),
         ([(1, 1)], TypeError),  # exponent not an Ordinal
         ([((), 2)], TypeError),
+        ([(ZERO, 2.7)], TypeError),  # coefficients are ints, never coerced
+        ([(ONE, "3")], TypeError),
+        ([(ONE, True)], TypeError),
+        ([[ONE, 2]], TypeError),  # a term is a tuple
+        ([(ONE, 2, 1)], TypeError),
     ],
 )
 def test_public_constructor_checks_terms(terms, error):
@@ -251,12 +257,29 @@ def test_public_constructor_checks_terms(terms, error):
         Ordinal(terms)
 
 
+def test_tuple_base_does_not_leak():
+    # an Ordinal is the tuple of its terms; of tuple's operators only the
+    # comparisons and truth are kept, + is ordinal addition, and * is refused
+    a = parse_cnf("w^2+3")
+    assert a + 1 == parse_cnf("w^2+4") and type(a + 1) is Ordinal
+    assert OMEGA + OMEGA == parse_cnf("w*2") and ONE + OMEGA == OMEGA
+    for op in (lambda: a * 2, lambda: 2 * a, lambda: a * a, lambda: 1 + a, lambda: a + ((ZERO, 1),)):
+        with pytest.raises(TypeError):
+            op()
+    assert not ZERO and not from_nat(0) and not parse_cnf("0")
+    twin = pickle.loads(pickle.dumps(a))
+    assert type(twin) is Ordinal and twin == a
+    sample = [x for pair in key_pairs(43, 600) for x in pair] + [ONE, OMEGA, from_nat(10**6)]
+    assert all(bool(x) == (x != ZERO) for x in sample)
+    assert sum(not x for x in sample) > 10
+
+
 # --- addition -----------------------------------------------------------------
 
 def oracle_add(a, b):
     """Right fold of single-term sums; independent of add_ord's list splice."""
     acc = []
-    for term in reversed(a.terms + b.terms):
+    for term in reversed((*a, *b)):
         e, c = term
         if not acc:
             acc = [term]
@@ -552,7 +575,7 @@ def prefix_rand_below(rng, bound, coeff_cap=5):
     verbatim as the oracle for the short cut it takes on natural bounds."""
     if bound.is_zero():
         raise ValueError("no ordinal below zero")
-    terms = bound.terms
+    terms = tuple(bound)
     i = rng.randrange(len(terms))
     prefix = list(terms[:i])
     e, c = terms[i]
@@ -578,7 +601,7 @@ def test_rand_below_keeps_the_draw_stream():
     for i in range(6000):
         bound = bounds[i % len(bounds)]
         a, b = gen.rand_below(fast, bound), prefix_rand_below(slow, bound)
-        assert a == b and a._key == b._key, (bound, a, b)
+        assert a == b, (bound, a, b)
         nats += a.is_nat()
     assert fast.getstate() == slow.getstate()
     assert nats > 2000

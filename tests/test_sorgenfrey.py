@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +23,7 @@ from treewedge.sorgenfrey import (
     trim,
     uncovered_left_endpoints,
 )
+from treewedge.suites import _points
 
 
 def seqs():
@@ -83,11 +87,58 @@ def test_point_cmp_matches_padded_lex_order():
         ([1, 2], "must be a tuple"),
         ((), "nonzero and trimmed"),
         ((1, 0), "nonzero and trimmed"),
+        ((1.5,), "digits must be naturals"),  # would format as L:1.5
+        ((True,), "digits must be naturals"),
+        (("a",), "digits must be naturals"),
+        ((2, 1.0), "digits must be naturals"),
     ],
 )
 def test_point_rejects_bad_sequences(seq, message):
     with pytest.raises(ValueError, match=message):
         TaggedPoint("L", seq)
+
+
+def ref_point_cmp(p, q) -> int:
+    """The doubled order from its definition: L below R, then the padded
+    lexicographic order of the digits, reversed on R."""
+    if p.side != q.side:
+        return -1 if p.side == "L" else 1
+    sign = lex_cmp(p.seq, q.seq)
+    return sign if p.side == "L" else -sign
+
+
+def test_points_are_their_own_sort_keys():
+    # the tuple's C order, equality, hash and sort against the oracle, over
+    # the suite's listed space, seeded draws and equal points built apart
+    rng = random.Random(30)
+    drawn = [rand_point(rng) for _ in range(600)]
+    pool = _points() + drawn + [TaggedPoint(p.side, p.seq) for p in drawn[:200]]
+    signs = {-1: 0, 0: 0, 1: 0}
+    for _ in range(20000):
+        p, q = rng.choice(pool), rng.choice(pool)
+        if rng.random() < 0.1:
+            q = TaggedPoint(p.side, p.seq)
+        sign = ref_point_cmp(p, q)
+        signs[sign] += 1
+        assert (p < q, p <= q, p == q, p != q, p > q, p >= q) == (
+            sign < 0, sign <= 0, sign == 0, sign != 0, sign > 0, sign >= 0
+        ), (p, q)
+        assert point_cmp(p, q) == sign
+        assert (hash(p) == hash(q)) >= (sign == 0)
+    assert min(signs.values()) > 1000
+    rng.shuffle(pool)
+    text = [format_point(p) for p in sorted(pool)]
+    assert text == [format_point(p) for p in sorted(pool, key=cmp_to_key(ref_point_cmp))]
+    assert len(set(pool)) == len(set(text)) < len(pool)
+
+
+def test_point_reads_as_side_and_sequence():
+    p = R(2, 0, 1)
+    assert (p.side, p.seq) == ("R", (2, 0, 1))
+    assert repr(p) == "TaggedPoint(side='R', seq=(2, 0, 1))"
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(twin) is TaggedPoint and twin == p
+    assert R(1, 1) < R(1) and L(1, 1) < R(2, 0, 1) < R(2) and not R(1) < R(1)
 
 
 def test_lex_prefix_rule():
