@@ -23,7 +23,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -70,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FILE_KEYS = frozenset([f.name.replace("_", "-") for f in fields(RunConfig)] + ["suite", "query", "json"])
+_FILE_KEYS = frozenset([name.replace("_", "-") for name in RunConfig._fields] + ["suite", "query", "json"])
 
 
 def merge_config(args) -> tuple[RunConfig, dict]:
@@ -83,17 +82,17 @@ def merge_config(args) -> tuple[RunConfig, dict]:
     if unknown:
         raise UsageError(f"{args.config}: unknown key {', '.join(unknown)}")
     values = {}
-    for field in fields(RunConfig):
-        flag_value = getattr(args, field.name, None)
-        key = field.name.replace("_", "-")
+    for name, default in RunConfig._field_defaults.items():
+        flag_value = getattr(args, name, None)
+        key = name.replace("_", "-")
         if flag_value is not None:
-            values[field.name] = flag_value
+            values[name] = flag_value
         elif key in file_cfg:
             try:
-                values[field.name] = _cast(field.default, file_cfg[key])
+                values[name] = _cast(default, file_cfg[key])
             except ValueError as err:
                 raise UsageError(f"{key}={file_cfg[key]}: {err}") from err
-        value = values.get(field.name)
+        value = values.get(name)
         if isinstance(value, int) and value < 0:
             raise UsageError(f"{key}={value}: must not be negative")
     config = RunConfig(**values)
@@ -133,7 +132,7 @@ def run_query(expr: str, config: RunConfig) -> dict:
         result = {"error": f"{type(err).__name__}: {err}"}
     return {
         "version": __version__,
-        "config": config.as_dict(),
+        "config": config._asdict(),
         "query": expr,
         "result": result,
     }

@@ -9,15 +9,15 @@
   finite digit string is a node, every node sprouts one child per digit,
   and at limit heights nodes are bit nodes patched on a finite set.
 
-Nodes are immutable and hashable; equality is decidable because each family
+Nodes are immutable NamedTuple records, so a node hashes and compares as
+the tuple of its fields, in C; equality is decidable because each family
 keeps a canonical normal form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .coherent import CoherentSystem
 from .ordinal import (
@@ -39,8 +39,7 @@ class InjectivityError(ValueError):
 
 # --- injective-sequence family ---------------------------------------------------
 
-@dataclass(frozen=True)
-class InjNode:
+class InjNode(NamedTuple):
     """Injective sequence of height ``height``: the coherent base overridden
     at the finitely many positions in ``over``."""
     height: Ordinal
@@ -145,8 +144,7 @@ class InjFamily(TreeFamily):
 
 # --- binary family -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BitNode:
+class BitNode(NamedTuple):
     """Binary sequence: the characteristic stem of its block, toggled at
     ``flips`` (below the block limit) plus an explicit finite ``tail``."""
     height: Ordinal
@@ -279,8 +277,7 @@ def _segment(start: Ordinal, length: int):
 
 # --- digit family -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DigitNode:
+class DigitNode(NamedTuple):
     """Digit sequence: either a plain finite string (base None) or a bit node
     of limit height patched at finitely many positions, plus a finite trail.
 

@@ -13,7 +13,6 @@ values are the Stern-Brocot simplest rationals in the forced interval.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .literals import format_node
@@ -154,9 +153,13 @@ def incomparable_pair(family: TreeFamily, sets):
 
 # --- specializing poset -----------------------------------------------------------
 
-def simplest_between(lo, hi) -> Fraction:
-    """Stern-Brocot first hit in the open interval (lo, hi); None bounds mean
-    the interval is unbounded on that side."""
+def simplest_between(lo, hi):
+    """Stern-Brocot first hit in the open interval (lo, hi), as a Fraction;
+    None bounds mean the interval is unbounded on that side.  Only the
+    specializer needs ``fractions``, which pulls in ``decimal``, so it is
+    imported here rather than at start-up."""
+    from fractions import Fraction
+
     if lo is not None and hi is not None and not lo < hi:
         raise ExtensionError(f"empty interval ({lo}, {hi})")
     if (lo is None or lo < 0) and (hi is None or 0 < hi):

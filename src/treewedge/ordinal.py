@@ -116,13 +116,20 @@ _nats: dict[int, Ordinal] = {0: ZERO, 1: ONE}
 
 
 def from_nat(n: int) -> Ordinal:
+    """The natural ``n``; a float or any other non-int raises TypeError, even
+    where it equals a shared key (``2.0 == 2``).  A bool is an int."""
     a = _nats.get(n)
-    if a is not None:
+    if a is not None and type(n) is int:
+        return a
+    if not isinstance(n, int):
+        raise TypeError(f"naturals only, not {type(n).__name__}")
+    if a is not None:  # an int subclass, such as True
         return a
     if n < 0:
         raise ValueError("naturals only")
-    a = ZERO if n == 0 else from_canonical(((ZERO, int(n)),))
-    if type(n) is int and n < SHARED_NATS:  # no float or bool keys
+    n = int(n)  # plain int keys only
+    a = from_canonical(((ZERO, n),))
+    if n < SHARED_NATS:
         _nats[n] = a
     return a
 

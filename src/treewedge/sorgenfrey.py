@@ -30,8 +30,8 @@ canonical by construction: ``neg``, ``find_between``, ``point_below``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter, neg as minus
+from typing import NamedTuple
 
 from .ordinal import read_nat
 
@@ -83,10 +83,6 @@ def _point(side: str, seq: tuple) -> TaggedPoint:
     if side == "L":
         return _new(TaggedPoint, (0, seq, side, seq))
     return _new(TaggedPoint, (1, (*map(minus, seq), 1), side, seq))
-
-
-def point_cmp(p: TaggedPoint, q: TaggedPoint) -> int:
-    return (p > q) - (p < q)
 
 
 def neg(p: TaggedPoint) -> TaggedPoint:
@@ -153,14 +149,20 @@ def point_above(p: TaggedPoint) -> TaggedPoint:
     return _point(p.side, seq)
 
 
-@dataclass(frozen=True)
-class HalfOpenInterval:
+class _Interval(NamedTuple):
     lo: TaggedPoint
     hi: TaggedPoint
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
+
+class HalfOpenInterval(_Interval):
+    """[lo, hi): the record, with ``lo < hi`` checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: TaggedPoint, hi: TaggedPoint):
+        if not lo < hi:
             raise ValueError("interval needs lo < hi")
+        return _new(cls, (lo, hi))
 
     def contains(self, p: TaggedPoint) -> bool:
         return self.lo <= p and p < self.hi
@@ -169,8 +171,7 @@ class HalfOpenInterval:
         return self.lo < p and p < self.hi
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     first: HalfOpenInterval
     second: HalfOpenInterval
 

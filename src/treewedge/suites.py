@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import random
 
-from dataclasses import dataclass, fields
 from itertools import combinations, islice, product
+from typing import NamedTuple
+
 from . import __version__
 from .coherent import CoherentSystem
 from .families import BitFamily, DigitFamily, InjFamily
@@ -78,8 +79,7 @@ LADDER_STAGES = 8
 NODE_GRID_COEFF = 3
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     anchors: tuple = DEFAULT_ANCHORS
     nat_anchors: int = 64
     seed: int = 0
@@ -90,10 +90,6 @@ class RunConfig:
 
     def anchor_ordinals(self) -> list[Ordinal]:
         return [parse_cnf(a) for a in self.anchors]
-
-    def as_dict(self) -> dict:
-        # flat: every field is an int or a tuple of strings, so no deep copy
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class Workspace:
@@ -690,7 +686,7 @@ def run_suite(name: str, config: RunConfig) -> dict:
     return {
         "version": __version__,
         "suite": name,
-        "config": config.as_dict(),
+        "config": config._asdict(),
         "properties": props,
         "pass": all(p["passed"] for p in props),
     }

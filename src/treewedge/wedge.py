@@ -27,8 +27,6 @@ level an explicit tree does not have is an error, as a limit level is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .families import DigitFamily, DigitNode
 from .ordinal import Ordinal, add_ord, classify, from_nat, pred
 from .trees import ExplicitTree, TreeFamily
@@ -41,22 +39,6 @@ class CoverUndecided(RuntimeError):
     """An undecided cover question.  No rule raises it: every level answer is
     exact.  It stays because the benchmark's tracer (perfbench/tracing.py)
     tests each covers_within call for it."""
-
-
-# --- wedges --------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Wedge:
-    """Basic open set: everything above ``apex`` except the cones over
-    ``excluded`` immediate successors."""
-    apex: object
-    excluded: tuple
-
-
-def wedge_contains(family: TreeFamily, w: Wedge, y) -> bool:
-    if family.order(w.apex, y) not in ("below", "equal"):
-        return False
-    return all(family.order(z, y) not in ("below", "equal") for z in w.excluded)
 
 
 # --- cover rules -------------------------------------------------------------------

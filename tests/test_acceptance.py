@@ -9,7 +9,6 @@ import json
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -88,7 +87,7 @@ def test_criterion_5_finite_oracle():
 
 @pytest.mark.parametrize("seed", sorted(ORACLE_SEED_DIGESTS))
 def test_wedge_oracle_digest_at_other_seeds(seed):
-    report = run_suite("wedge-oracle", replace(CONFIG, seed=seed))
+    report = run_suite("wedge-oracle", CONFIG._replace(seed=seed))
     text = json.dumps(report, sort_keys=True, indent=2)
     assert report["pass"]
     assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_SEED_DIGESTS[seed]

@@ -564,7 +564,10 @@ def test_small_naturals_are_shared():
 
 
 def test_shared_natural_table_stays_small_and_int_keyed():
-    assert from_nat(2.5) == from_nat(2)
+    from_nat(2)  # shared: 2.0 finds it in the table, and must still raise
+    for n in (2.5, 1024.7, 2.0, 0.0, -1.0, "3", None):
+        with pytest.raises(TypeError):
+            from_nat(n)
     assert from_nat(True) is ONE
     assert from_nat(10**6) == Ordinal([(ZERO, 10**6)])
     assert all(type(n) is int and 0 <= n < ordinal.SHARED_NATS for n in ordinal._nats)

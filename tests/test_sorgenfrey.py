@@ -19,7 +19,6 @@ from treewedge.sorgenfrey import (
     parse_point,
     point_above,
     point_below,
-    point_cmp,
     trim,
     uncovered_left_endpoints,
 )
@@ -47,6 +46,11 @@ def R(*digits):
 def rand_point(rng):
     seq = trim([rng.randrange(0, 5) for _ in range(rng.randrange(0, 4))] + [rng.randrange(1, 5)])
     return TaggedPoint(rng.choice("LR"), seq)
+
+
+def point_cmp(p: TaggedPoint, q: TaggedPoint) -> int:
+    """-1, 0 or 1 by the points' native tuple order."""
+    return (p > q) - (p < q)
 
 
 def lex_cmp(a, b) -> int:

@@ -3,12 +3,11 @@ cannot pass, whether a setting or a fault left it nothing to check; and the
 enumerated properties fail on a fault planted at a single point."""
 
 import json
-from dataclasses import asdict, replace
 
 import pytest
 
 from treewedge import suites
-from treewedge.cli import build_parser, merge_config
+from treewedge.cli import build_parser, merge_config, run_query
 from treewedge.coherent import CoherentSystem
 from treewedge.families import DigitFamily
 from treewedge.forcing import ExtensionError
@@ -26,7 +25,7 @@ def _failed(name, config):
 
 
 def test_zero_trials_fail_the_counted_properties():
-    config = replace(SMALL, trials=0)
+    config = SMALL._replace(trials=0)
     failed = [prop for name in SUITES for prop in _failed(name, config)]
     assert failed == [
         "coherence::injectivity-per-anchor",
@@ -38,11 +37,11 @@ def test_zero_trials_fail_the_counted_properties():
 
 
 def test_zero_enumeration_budget_fails_splitting_degrees():
-    assert _failed("tree-closure", replace(SMALL, budget_enum=0)) == ["tree-closure::splitting-degrees"]
+    assert _failed("tree-closure", SMALL._replace(budget_enum=0)) == ["tree-closure::splitting-degrees"]
 
 
 def test_zero_oracle_samples_fail_the_sampled_jobs():
-    failed = _failed("wedge-oracle", replace(SMALL, oracle_sample=0))
+    failed = _failed("wedge-oracle", SMALL._replace(oracle_sample=0))
     assert failed == ["wedge-oracle::oracle-binary-h4", "wedge-oracle::oracle-ternary-h4"]
 
 
@@ -97,7 +96,14 @@ def test_a_tally_with_no_check_fails():
     assert batch.result()["passed"]
 
 
-# --- RunConfig.as_dict is the flat form of dataclasses.asdict ---
+# --- a report's "config" block is RunConfig._asdict(): flat, in field order ---
+
+# the block of the default config, byte for byte as reports have always had it
+DEFAULT_CONFIG_JSON = (
+    '{"anchors": ["w", "w*2", "w^2", "w^2+w", "w^3"], "nat_anchors": 64, "seed": 0, '
+    '"trials": 1000, "budget_enum": 64, "oracle_max": 100000, "oracle_sample": 20000}'
+)
+
 
 def _file_config(tmp_path):
     path = tmp_path / "run.cfg"
@@ -106,19 +112,21 @@ def _file_config(tmp_path):
     return config
 
 
-def test_as_dict_matches_asdict(tmp_path):
+def test_config_block_is_flat_asdict(tmp_path):
+    assert json.dumps(RunConfig()._asdict()) == DEFAULT_CONFIG_JSON
     configs = [
         RunConfig(),
         RunConfig(anchors=("w^2", "w*5"), seed=3),
-        replace(SMALL, trials=20),
+        SMALL._replace(trials=20),
         _file_config(tmp_path),
     ]
     assert configs[3].anchors == ("w", "w*3", "w^(w)")
     for config in configs:
-        assert config.as_dict() == asdict(config)
-        # a report's "config" entry: the same bytes, not only equal values
-        flat, deep = (json.dumps(d, sort_keys=True, indent=2) for d in (config.as_dict(), asdict(config)))
-        assert flat == deep
+        block = config._asdict()
+        assert type(block) is dict and list(block) == list(RunConfig._fields)
+        # flat: every value is an int or a tuple of strings
+        assert all(type(v) is int or all(type(a) is str for a in v) for v in block.values())
+        assert run_query("eval-e w 3", config)["config"] == block
 
 
 # --- the enumerated properties catch a fault at a single grid point ---

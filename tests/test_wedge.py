@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations, product
+from typing import NamedTuple
 
 import pytest
 
@@ -20,11 +21,9 @@ from treewedge.wedge import (
     PatchedCover,
     SafeSubtree,
     TruncatedSubtree,
-    Wedge,
     covers_within,
     find_safe_point,
     is_safe,
-    wedge_contains,
 )
 
 LIMITS = [parse_cnf(s) for s in ("w", "w*2", "w^2", "w^2+w", "w^3")]
@@ -52,6 +51,21 @@ def table_fixture():
 
 
 # --- wedges ------------------------------------------------------------------
+
+class Wedge(NamedTuple):
+    """Basic open set: everything above ``apex`` except the cones over
+    ``excluded`` immediate successors.  With ``wedge_contains`` it is the
+    reference that RuleSpace.wedge_masks and the cover engine are checked
+    against."""
+    apex: object
+    excluded: tuple
+
+
+def wedge_contains(family, w: Wedge, y) -> bool:
+    if family.order(w.apex, y) not in ("below", "equal"):
+        return False
+    return all(family.order(z, y) not in ("below", "equal") for z in w.excluded)
+
 
 def test_wedge_contains(digits):
     x = digits.node([("d", 1)])
