@@ -46,11 +46,17 @@ class RuleSpace:
 
     The kernel reads a block of rules as columns, one per group, holding
     each rule's group number: bytes, or a list of ints for a lone wide
-    step.  ``columns`` tiles the columns of consecutive ranks, ``draw``
-    draws uniform ones from an rng, and ``rank`` reads one rule's rank back
-    off them."""
+    step.  Each step of a byte group keeps one translation table per bit
+    plane of its digit, ceil(log2 radix) of them, and the kernel parses
+    one int per plane and forms the rules of each option by AND, so a
+    radix-7 step parses 3 ints per block, not 7.  ``columns`` tiles the
+    columns of consecutive ranks, ``draw`` draws uniform ones from an rng,
+    and ``rank`` reads one rule's rank back off them.  A negative size
+    bound raises ValueError."""
 
     def __init__(self, tree: ExplicitTree, size_bound: int):
+        if size_bound < 0:
+            raise ValueError(f"size_bound must not be negative, got {size_bound}")
         self.nodes = [x for x in tree.parent if tree.children[x]]
         self.options = [
             [frozenset(c) for size in range(size_bound + 1) for c in combinations(tree.children[x], size)]
@@ -70,18 +76,18 @@ class RuleSpace:
                 groups.append([place, 1, []])
             group = groups[-1]
             group[0], group[1] = place, group[1] * radix
-            members = [[i for i in range(self.count) if w >> i & 1] for w in wedges]
+            # bin(w) backward, less its "0b": bit i of w is character i
+            members = [[i for i, b in enumerate(bin(w)[:1:-1]) if b == "1"] for w in wedges]
             kids = [[number[c] for c in option] for option in opts]
             group[2].append((place, radix, tree.depth[x], number[x], members, kids))
-        # each step's tables translate its group's number to its option
-        # indicators, and each byte group's tables turn random bytes into its
-        # numbers; a lone step with more options than byte values has none
+        # each step's tables translate its group's number to the bit planes
+        # of its digit, and each byte group's tables turn random bytes into
+        # its numbers; a lone step with more options than byte values has none
         self._groups = []  # (place value, radix, steps, reject, reduce) of each group
         for place, radix, steps in groups:
             wide = radix > 256
             steps = [(*step, None if wide else _digit_tables(step[0] // place, step[1])) for step in steps]
-            reject = None if wide else bytes(range(256 - 256 % radix, 256))
-            reduce = None if wide else bytes(v % radix for v in range(256))
+            reject, reduce = (None, None) if wide else _byte_tables(radix)
             self._groups.append((place, radix, steps, reject, reduce))
 
     def digits(self, rank: int) -> list:
@@ -146,27 +152,41 @@ class RuleSpace:
         under which node i lies in the wedge of some node of depth d.
 
         One top-down pass over the step table makes one update per option,
-        not per rule.  The rules whose digit at node y is k are one int,
-        read off the column of y's group by a translation table; under
-        them, option k's wedge joins the cover of y's depth, and its
-        children join safe where y is safe: a child is safe iff its parent
-        is safe and promises it."""
+        not per rule.  The rules whose digit at node y is k are one int:
+        each bit plane of y's digit, the rules whose digit has bit j set,
+        is read off the column of y's group by a translation table, so a
+        step of radix r parses ceil(log2 r) ints, and the rules with digit
+        k are the AND, over the bits j of k, of plane j where k has bit j
+        and of its complement where it has not.  Under them, option k's
+        wedge joins the cover of y's depth, and its children join safe
+        where y is safe: a child is safe iff its parent is safe and
+        promises it."""
         safe = [0] * self.count
         cover = [[0] * self.count for _ in range(self.height)]
         if not n:
             return safe, cover
+        full = (1 << n) - 1
         for i in self._roots:
-            safe[i] = (1 << n) - 1
-        for (_, radix, steps, *_), column in zip(self._groups, columns):
+            safe[i] = full
+        for (_, _, steps, *_), column in zip(self._groups, columns):
             # backward, as int(text, 2) reads its first character as the highest bit
             text = column[::-1]
-            for _, _, depth, i, wedges, kids, tables in steps:
-                if tables is None:  # more options than byte values: one rule at a time
+            for _, radix, depth, i, wedges, kids, planes in steps:
+                if planes is None:  # more options than byte values: one rule at a time
                     with_digit = [0] * radix
                     for j, k in enumerate(column):
                         with_digit[k] |= 1 << j
                 else:
-                    with_digit = [int(text.translate(t), 2) for t in tables]
+                    # lowest plane first: after plane j, with_digit[k] holds the
+                    # rules whose digit agrees with k in bits 0..j, for every
+                    # k below both the radix and 2 ** (j + 1)
+                    with_digit = [full]
+                    for plane in planes:
+                        ones = int(text.translate(plane), 2)
+                        zeros = full ^ ones
+                        with_digit = [m & zeros for m in with_digit] + [
+                            m & ones for m in with_digit[:radix - len(with_digit)]
+                        ]
                 row, s = cover[depth], safe[i]
                 for rules_k, wedge, option_kids in zip(with_digit, wedges, kids):
                     for z in wedge:
@@ -177,11 +197,30 @@ class RuleSpace:
 
 
 def _digit_tables(inner: int, radix: int) -> list:
-    """For each option k of a step whose digit is v // inner % radix of its
-    group's number v: the table that translates v to "1" when that digit is
-    k and to "0" otherwise."""
-    digit = bytes(v // inner % radix for v in range(256))
-    return [digit.translate(b"0" * k + b"1" + b"0" * (255 - k)) for k in range(radix)]
+    """The bit planes of a step whose digit is v // inner % radix of its
+    group's number v, for inner * radix <= 256: for each bit j of a digit
+    below the radix, (radix - 1).bit_length() of them and lowest first, the
+    table that translates v to "1" when bit j of v's digit is set and to
+    "0" otherwise.  Bit j of the digit runs in alternate runs of 0s and 1s,
+    each inner << j values long, which are cut at inner * radix values, the
+    period of the digit, and that piece is tiled to 256 values."""
+    tables = []
+    for j in range((radix - 1).bit_length()):
+        run = inner << j
+        tables.append(_tile(_tile(b"0" * run + b"1" * run, inner * radix), 256))
+    return tables
+
+
+def _byte_tables(radix: int) -> tuple[bytes, bytes]:
+    """(reject, reduce) for a group of radix <= 256: the byte values at or
+    above the largest multiple of the radix, and the table that translates
+    v to v % radix, the radix's values tiled to 256."""
+    return bytes(range(256 - 256 % radix, 256)), _tile(bytes(range(radix)), 256)
+
+
+def _tile(piece: bytes, length: int) -> bytes:
+    """piece repeated, and cut to ``length`` bytes."""
+    return (piece * -(-length // len(piece)))[:length]
 
 
 def _uniform_bytes(rng, n: int, reject: bytes, reduce: bytes) -> bytes:
@@ -234,8 +273,9 @@ def lindelof_oracle(
     ``max_covers``, unless a ``sample`` size (with ``rng``, a random.Random)
     asks for a seeded sweep instead: RuleSpace.draw draws each block's
     columns, so sampled rules are exactly uniform over the space.  The rng
-    advances by whole blocks, also past a failing rule.  Raises ValueError
-    for a negative sample or a sample without an rng.
+    advances by whole blocks, also past a failing rule.  Raises ValueError,
+    before any rule is built or drawn, for a negative size bound, a
+    negative sample or a sample without an rng.
     """
     if sample is not None:
         if sample < 0:

@@ -452,6 +452,12 @@ def test_oracle_rejects_bad_arguments():
     rng = _CountingRandom(1)
     with pytest.raises(ValueError, match="must not be negative"):
         lindelof_oracle(tree, max_covers=10**6, sample=-1, rng=rng)
+    # a negative size bound would give a step no option, and radix 0
+    small = ExplicitTree.complete(2, 3)
+    with pytest.raises(ValueError, match="size_bound must not be negative"):
+        lindelof_oracle(small, size_bound=-1, sample=200, rng=rng)
+    with pytest.raises(ValueError, match="size_bound must not be negative"):
+        RuleSpace(small, -1)
     assert rng.draws == 0
 
 
@@ -723,6 +729,60 @@ def test_kernel_at_block_boundaries(monkeypatch, tree, count):
         ranks = [space.rank(columns, j) for j in range(n)]
         assert _divmod_columns(space, ranks) == columns
         _assert_block_matches(tree, space, ranks, safe, cover)
+
+
+def test_kernel_across_radices():
+    # stars of 1..20 leaves at size bounds 0, 1 and 2 have one step of radix
+    # 1 (no planes), k + 1 and 1 + k + k(k - 1)/2, checked at every rank;
+    # complete(2, 4) at a seeded sample, its first group four radix-4 steps
+    # with product exactly 256
+    cases = [(_star(k, 0), bound, None) for bound in (0, 1, 2) for k in range(1, 21)]
+    binary4 = ExplicitTree.complete(2, 4)
+    rng = random.Random(13)
+    cases.append((binary4, 2, [rng.randrange(RuleSpace(binary4, 2).size) for _ in range(2000)]))
+    assert [radix for _, radix, *_ in RuleSpace(binary4, 2)._groups] == [256, 64]
+    for tree, bound, ranks in cases:
+        space = RuleSpace(tree, bound)
+        ranks = range(space.size) if ranks is None else ranks
+        for start in range(0, len(ranks), oracle.BLOCK):
+            block = ranks[start:start + oracle.BLOCK]
+            masks = space.block_masks(_divmod_columns(space, block), len(block))
+            _assert_block_matches(tree, space, block, *masks)
+
+
+def test_digit_tables_are_bit_planes():
+    for radix in range(1, 257):
+        for inner in range(1, 256 // radix + 1):
+            planes = oracle._digit_tables(inner, radix)
+            assert len(planes) == (radix - 1).bit_length(), (inner, radix)
+            for j, plane in enumerate(planes):
+                assert plane == bytes(48 + (v // inner % radix >> j & 1) for v in range(256)), (inner, radix, j)
+        reject, reduce = oracle._byte_tables(radix)
+        assert reduce == bytes(v % radix for v in range(256)), radix
+        assert reject == bytes(v for v in range(256) if v >= 256 - 256 % radix), radix
+
+
+@pytest.mark.parametrize(
+    "tree, parses", [(ExplicitTree.complete(3, 4), 39), (ExplicitTree.complete(2, 4), 14), (_star(23, 3), 3)],
+    ids=["ternary-h4", "binary-h4", "wide-star"],
+)
+def test_kernel_parses_one_int_per_bit_plane(monkeypatch, tree, parses):
+    # a byte step of radix r parses (r - 1).bit_length() ints per block, not
+    # r; the wide step of the star parses none
+    space = RuleSpace(tree, 2)
+    steps = [step for *_, steps, _, reduce in space._groups if reduce is not None for step in steps]
+    assert sum((radix - 1).bit_length() for _, radix, *_ in steps) == parses
+    calls = []
+
+    def counting_int(*args):
+        calls.append(args)
+        return int(*args)
+
+    monkeypatch.setattr(oracle, "int", counting_int, raising=False)
+    for n in (1, oracle.BLOCK):
+        calls.clear()
+        space.block_masks(space.columns(0, n), n)
+        assert len(calls) == parses, n
 
 
 def test_kernel_of_an_empty_block():
