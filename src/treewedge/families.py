@@ -37,6 +37,23 @@ class InjectivityError(ValueError):
     """Node construction would denote a non-injective sequence."""
 
 
+def _ints(items, least: int) -> bool:
+    """Whether items is a tuple of ints, each at least ``least``.  True equals
+    1, and a slice of an Ordinal is a plain tuple equal to an Ordinal, so
+    each contains() checks a node's field types before it compares the
+    rebuilt normal form."""
+    return type(items) is tuple and all(type(d) is int and d >= least for d in items)
+
+
+def _table(items, least: int) -> bool:
+    """Whether items is a tuple of (Ordinal, int) pairs, each int at least
+    ``least``: a node's override or patch table."""
+    return type(items) is tuple and all(
+        isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], Ordinal) and type(e[1]) is int and e[1] >= least
+        for e in items
+    )
+
+
 # --- injective-sequence family ---------------------------------------------------
 
 class InjNode(NamedTuple):
@@ -100,7 +117,7 @@ class InjFamily(TreeFamily):
         return InjNode(beta, self._rebase(x, beta))
 
     def contains(self, x) -> bool:
-        if not isinstance(x, InjNode):
+        if not isinstance(x, InjNode) or not isinstance(x.height, Ordinal) or not _table(x.over, 0):
             return False
         try:
             return self.node(x.height, dict(x.over)) == x
@@ -243,7 +260,9 @@ class BitFamily(TreeFamily):
         return BitNode(beta, tuple(sorted(flips)), tail)
 
     def contains(self, x) -> bool:
-        if not isinstance(x, BitNode):
+        if not isinstance(x, BitNode) or not isinstance(x.height, Ordinal) or not _ints(x.tail, 0):
+            return False
+        if type(x.flips) is not tuple or not all(isinstance(p, Ordinal) for p in x.flips):
             return False
         try:
             return self.node(x.height, x.flips, x.tail) == x
@@ -372,16 +391,16 @@ class DigitFamily(TreeFamily):
         return tuple(patch[p] if p in patch else stem(hb, p) ^ (p in flips) for p in positions)
 
     def contains(self, x) -> bool:
-        if not isinstance(x, DigitNode) or not all(type(d) is int and d >= 0 for d in x.trail):
+        if not isinstance(x, DigitNode) or not _ints(x.trail, 0) or not _table(x.patch, 2):
             return False
         if x.base is None:
             return not x.patch
-        if classify(x.base.height) != "limit" or not self.bits.contains(x.base):
+        if not self.bits.contains(x.base) or classify(x.base.height) != "limit":
             return False
         flips = set(x.base.flips)
         positions = [p for p, _ in x.patch]
         return all(p < q for p, q in zip(positions, positions[1:])) and all(
-            p < x.base.height and type(d) is int and d >= 2 and p not in flips for p, d in x.patch
+            p < x.base.height and p not in flips for p in positions
         )
 
     def glue(self, u: DigitNode, t: BitNode) -> DigitNode:

@@ -146,12 +146,13 @@ def suite_coherence(config: RunConfig) -> list[dict]:
     injective, odd, exact = Tally("injectivity-per-anchor"), Tally("values-odd"), Tally("delta-witnesses-exact")
 
     # one pass over the anchors in order: each grid point of an anchor is
-    # checked once; the grid is listed again for each later anchor rather
-    # than kept, and only its values stay until the next anchor
+    # checked once; its grid and values are kept for the later anchors, as
+    # the eval_e memo keeps the grid's points alive anyway
     named_points = witnesses = 0
     for i, alpha in enumerate(anchors):
+        grid = list(grid_below(alpha, config.trials))
         own = []
-        for xi in grid_below(alpha, config.trials):
+        for xi in grid:
             v = coh.eval_e(alpha, xi)
             own.append(v)
             odd.check(v % 2)
@@ -168,7 +169,7 @@ def suite_coherence(config: RunConfig) -> list[dict]:
                 odd.check(va % 2)
                 odd.check(vb % 2)
                 exact.check(va != vb)
-            for xi, v in zip(grid_below(alpha, config.trials), own):
+            for xi, v in zip(grid, own):
                 if xi not in delta:
                     exact.check(v == coh.eval_e(beta, xi))
     pairs = len(anchors) * (len(anchors) - 1) // 2

@@ -10,19 +10,16 @@ no wedge from strictly below can cover, so cover questions at a level
 reduce to the existence of safe points there.
 
 Only structured rules are admitted over symbolic (infinite-level) families,
-all in one CoverRule hierarchy: the subtree rules (SubtreeCover and its
-subtrees: the binary tree inside the digit tree, its truncations, finite
-explicit subtrees, and the safe set of another rule) and finite patches of
-a subtree rule (PatchedCover), which are the one rule for finite overrides:
-a finite table over an explicit tree is the patch of the root-only subtree.
-A rule answers three questions, each exactly: values(x) is f(x);
-safe(x) is whether x is safe, which for a subtree rule is whether x is in
-the subtree; and safe_above(x, alpha), the one level method, is a safe node
-of height alpha above the safe node x, or None exactly when there is none.
-patched(rows) builds the patched rule.  The witness is defined once per
-rule: a subtree gives its canonical node, and a patch the core's canonical
-node if that is safe, otherwise the first node its row search reaches.  A
-level an explicit tree does not have is an error, as a limit level is.
+all subclasses of one base class, CoverRule, which states their protocol.
+There are five rules: four subtrees (the binary tree inside the digit tree,
+its truncations, finite explicit subtrees, and the safe set of another
+rule) and the finite patch of a subtree (PatchedCover), the one rule for
+finite overrides: a finite table over an explicit tree is the patch of the
+root-only subtree.  Every rule answers each level itself, level 0 too, and
+the witness is defined once per rule: a subtree gives its canonical node,
+and a patch the core's canonical node if that is safe, otherwise the first
+node its row search reaches.  A level an explicit tree does not have is an
+error, as a limit level is.
 """
 
 from __future__ import annotations
@@ -44,45 +41,28 @@ class CoverUndecided(RuntimeError):
 # --- cover rules -------------------------------------------------------------------
 
 class CoverRule:
+    """A structured cover rule f over ``family``; it answers three questions,
+    each exactly.  values(x) is f(x), a finite set of immediate successors
+    of x.  safe(x) says whether for each b < height(x) the (b+1)-prefix of x
+    is in f(b-prefix); the safe nodes are downward closed and contain the root.
+    safe_above(x, alpha), the one level method, is the rule's canonical safe
+    node of height alpha above the safe node x (of height <= alpha), or None
+    exactly when there is none; at alpha = height(x) it is x.  patched(rows)
+    is the PatchedCover with f(x) replaced by rows[x] for each x in rows.
+    The other four rules are those of a downward-closed subtree S: f(x) is
+    the children of x inside S, empty outside S, so x is safe iff x is in S."""
+
     family: TreeFamily
-
-    def values(self, x) -> list:
-        """f(x): the finite successor set the rule assigns to x."""
-        raise NotImplementedError
-
-    def safe(self, x) -> bool:
-        """Whether every step of x is in the rule: for each b < height(x),
-        the (b+1)-prefix of x is in f(b-prefix).  The safe nodes are
-        downward closed."""
-        raise NotImplementedError
-
-    def safe_above(self, x, alpha: Ordinal):
-        """The rule's canonical node of height alpha above the safe node x, of
-        height <= alpha, that is safe for the rule, or None exactly when there
-        is none."""
-        raise NotImplementedError
-
-    def patched(self, rows: dict) -> CoverRule:
-        """The rule with f(x) replaced by rows[x] for every x in rows."""
-        raise NotImplementedError
-
-
-class SubtreeCover(CoverRule):
-    """The rule of a downward-closed subtree S: f(x) = the immediate
-    successors of x inside S, and empty outside S, so x is safe exactly when
-    it is in S.  Each subclass is one subtree: it gives f, membership and a
-    canonical safe node above each safe node."""
 
     def patched(self, rows: dict) -> CoverRule:
         return PatchedCover(self, rows)
 
 
-class BinaryInsideDigits(SubtreeCover):
+class BinaryInsideDigits(CoverRule):
     """The binary family embedded in the digit family: a node is safe
     exactly when every digit is a bit, read off the finite descriptor."""
 
     def __init__(self, digits: DigitFamily):
-        self.digits = digits
         self.family = digits
 
     def safe(self, x: DigitNode) -> bool:
@@ -96,36 +76,32 @@ class BinaryInsideDigits(SubtreeCover):
     def safe_above(self, x: DigitNode, alpha: Ordinal) -> DigitNode:
         # zero digits and bit stems: the canonical extension of a binary node
         # stays binary
-        return self.digits.canonical_extension(x, alpha)
+        return self.family.canonical_extension(x, alpha)
 
 
-class TruncatedSubtree(SubtreeCover):
+class TruncatedSubtree(CoverRule):
     """The inner subtree cut to height ``h`` (members of height < h)."""
 
-    def __init__(self, inner: SubtreeCover, h: Ordinal):
+    def __init__(self, inner: CoverRule, h: Ordinal):
         self.inner = inner
         self.h = h
         self.family = inner.family
-
-    def _onset(self) -> Ordinal:
-        """Least b whose (b+1)-prefix is too tall for the truncation."""
-        if classify(self.h) == "successor":
-            return pred(self.h)
-        return self.h
+        # the least b whose (b+1)-prefix is too tall for the truncation
+        self.onset = pred(h) if classify(h) == "successor" else h
 
     def safe(self, x) -> bool:
-        return not self._onset() < self.family.height(x) and self.inner.safe(x)
+        return not self.onset < self.family.height(x) and self.inner.safe(x)
 
     def values(self, x) -> list:
-        return self.inner.values(x) if self.family.height(x) < self._onset() else []
+        return self.inner.values(x) if self.family.height(x) < self.onset else []
 
     # a level past the onset is covered; at a limit cut the level h itself
     # still has safe points, since every tested prefix sits strictly below h
     def safe_above(self, x, alpha: Ordinal):
-        return None if self._onset() < alpha else self.inner.safe_above(x, alpha)
+        return None if self.onset < alpha else self.inner.safe_above(x, alpha)
 
 
-class ExplicitSubtree(SubtreeCover):
+class ExplicitSubtree(CoverRule):
     """Finite set of explicit-tree nodes, checked to be downward closed."""
 
     def __init__(self, family: ExplicitTree, members):
@@ -146,7 +122,7 @@ class ExplicitSubtree(SubtreeCover):
     def safe_above(self, x, alpha: Ordinal):
         tree = self.family
         for y in tree.level_nodes(alpha.to_nat()):
-            if y in self.members and tree.order(x, y) in ("below", "equal"):
+            if self.safe(y) and tree.order(x, y) in ("below", "equal"):
                 return y
         return None
 
@@ -164,8 +140,8 @@ class PatchedCover(CoverRule):
     The witness has two stages: the core's canonical node if it is safe for
     the patch, otherwise the first node the search reaches."""
 
-    def __init__(self, core: SubtreeCover, table: dict):
-        if not isinstance(core, SubtreeCover):
+    def __init__(self, core: CoverRule, table: dict):
+        if isinstance(core, PatchedCover):
             raise TypeError("patches apply to a subtree rule; use its patched()")
         self.core = core
         self.family = core.family
@@ -232,17 +208,15 @@ class PatchedCover(CoverRule):
                 # height forever
                 climb = [] if core.safe_above(z, alpha) is None else [z]
                 while climb:
-                    blocked = []
                     for c in core.values(climb.pop()):
                         if c in gates:
                             continue
                         if any(fam.order(c, q) == "below" for q in gates):
-                            blocked.append(c)
+                            climb.append(c)
                             continue
                         w = core.safe_above(c, alpha)
                         if w is not None:
                             return w
-                    climb.extend(blocked)
                 continue
             if fam.height(z) == alpha:
                 return z
@@ -276,20 +250,20 @@ def is_safe(f: CoverRule, x) -> bool:
 def find_safe_point(f: CoverRule, alpha: Ordinal):
     """The rule's witness of height alpha above the root, f.safe_above(root,
     alpha): a safe node, or None exactly when there is none, that is, when
-    covers_within(f, alpha) holds.  The answer is always exact."""
-    root = f.family.root()
-    return root if alpha.is_zero() else f.safe_above(root, alpha)
+    covers_within(f, alpha) holds.  The rule answers every level, level 0
+    (the root) too, and the answer is always exact."""
+    return f.safe_above(f.family.root(), alpha)
 
 
 def covers_within(f: CoverRule, alpha: Ordinal) -> bool:
     """True iff the wedges of f below level alpha cover that whole level,
-    which happens exactly when no safe point of height alpha exists; the
-    root is always safe.  It asks f.safe_above, the one level method, and
-    the answer is always exact."""
-    return not alpha.is_zero() and f.safe_above(f.family.root(), alpha) is None
+    which happens exactly when no safe point of height alpha exists.  It
+    asks f.safe_above, the one level method; the rule answers level 0 too,
+    where the root is safe, and the answer is always exact."""
+    return f.safe_above(f.family.root(), alpha) is None
 
 
-class SafeSubtree(SubtreeCover):
+class SafeSubtree(CoverRule):
     """The set of safe points of a cover: downward closed, and its rule
     promises exactly f(x) at a safe node x."""
 

@@ -182,14 +182,41 @@ def test_bit_contains_checks_the_normal_form(bits):
         BitNode(w2, (), (0,)),  # a tail shorter than the finite part
         BitNode(OMEGA, (), (1,)),  # a tail at a limit height
         BitNode(w1, (), (2,)),  # a tail digit that is not a bit
+        # a slice of an Ordinal is a plain tuple equal to an Ordinal, and True
+        # equals 1, so these equal their rebuilt normal forms
+        BitNode(w1, (), (True,)),  # a bool tail bit
+        BitNode(OMEGA, (((ZERO, 3),),), ()),  # a plain-tuple flip
+        BitNode(((ZERO, 2),), (), (0, 1)),  # a plain-tuple height
+        BitNode(5, (), ()),
+        BitNode(OMEGA, 5, ()),
+        BitNode(OMEGA, [from_nat(3)], ()),
     ]
     for x in non_canonical:
-        assert not bits.contains(x), x
+        assert bits.contains(x) is False, x
     assert not bits.contains(from_nat(2))
+    assert bits.contains(BitNode(w1, (), (1,))) and bits.contains(BitNode(OMEGA, (from_nat(3),), ()))
 
 def test_inj_contains_answers_false_on_an_override_above_the_height(injs):
     # node() raises a plain ValueError here, not an InjectivityError
     assert not injs.contains(InjNode(from_nat(2), ((from_nat(5), 3),)))
+
+
+def test_inj_contains_checks_the_field_types(injs):
+    # a plain tuple equal to an Ordinal, a bool or a negative value is no
+    # node, and junk fields give False, not an error
+    for x in [
+        InjNode(((ZERO, 2),), ()),  # a plain-tuple height
+        InjNode(OMEGA, ((((ZERO, 3),), 2),)),  # a plain-tuple position
+        InjNode(5, ()),
+        InjNode(OMEGA, 5),
+        InjNode(OMEGA, [(ZERO, 3)]),
+        InjNode(OMEGA, ((ZERO, 3, 4),)),
+        InjNode(from_nat(2), ((ZERO, True),)),
+        InjNode(from_nat(2), ((ZERO, -1),)),  # values are in omega
+        InjNode(from_nat(2), ((ZERO, -2),)),
+    ]:
+        assert injs.contains(x) is False, x
+    assert injs.contains(InjNode(from_nat(2), ()))
 
 
 def test_digit_contains_checks_the_normal_form(bits, digits):
@@ -203,9 +230,14 @@ def test_digit_contains_checks_the_normal_form(bits, digits):
         DigitNode(base, ((from_nat(2), 5), (from_nat(2), 6)), ()),  # a repeated patch position
         DigitNode(base, ((from_nat(1), 5),), ()),  # a patch on a flip
         DigitNode(base, ((from_nat(2), 1),), ()),  # a binary patch
+        DigitNode(BitNode(OMEGA, (), ()), ((((ZERO, 3),), 2),), ()),  # a plain-tuple patch position
+        DigitNode(base, ((from_nat(2), True),), ()),
+        DigitNode(5, (), ()),
+        DigitNode(base, 5, ()),
+        DigitNode(None, (), 5),
     ]
     for x in non_canonical:
-        assert not digits.contains(x), x
+        assert digits.contains(x) is False, x
 
 
 def test_bit_node_block_limit(bits, digits):

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from collections import Counter
 from itertools import combinations, product
@@ -124,10 +125,37 @@ def test_find_safe_point_canonical(digits, tinu):
     assert is_safe(tinu, w)
 
 
+def _level_zero_rules(tinu):
+    """Every rule kind, each over a core that makes level 0 its own case."""
+    digits = tinu.family
+    patch = parse_cover("patched(subtree(T-in-U); u:[d1]=>{u:[d1,d0], u:[d1,d2]})", digits)
+    tree = ExplicitTree.complete(2, 4)
+    explicit = ExplicitSubtree(tree, {"r", "0", "01"})
+    return [
+        tinu,
+        TruncatedSubtree(tinu, ZERO),
+        TruncatedSubtree(tinu, from_nat(3)),
+        TruncatedSubtree(explicit, ZERO),
+        TruncatedSubtree(explicit, from_nat(3)),
+        ExplicitSubtree(tree, set()),  # the root is safe, though no member
+        ExplicitSubtree(tree, {"r"}),
+        explicit,
+        patch,
+        SafeSubtree(patch),
+        _table(tree, {"r": {"1"}, "1": {"10", "11"}}),  # the root has a row
+    ]
+
+
 def test_find_safe_point_zero(digits, tinu, table_fixture):
     tree, table = table_fixture
     assert find_safe_point(tinu, ZERO) == digits.root()
     assert find_safe_point(table, ZERO) == "r"
+    # find_safe_point and covers_within ask the rule at level 0 too
+    for rule in _level_zero_rules(tinu):
+        root = rule.family.root()
+        assert rule.safe_above(root, ZERO) == root, rule
+        assert find_safe_point(rule, ZERO) == root, rule
+        assert covers_within(rule, ZERO) is False, rule
 
 
 def test_table_fixture_safe_set(table_fixture):
@@ -308,6 +336,42 @@ def test_subtree_witnesses_are_safe(tinu):
                             assert fam.height(z) == alpha and is_safe(rule, z), (rule, y, alpha)
                             assert fam.order(y, z) in ("below", "equal")
     assert returned >= 100
+
+
+# --- own levels and the patch constructor ------------------------------------------
+
+def test_safe_above_at_its_own_height_is_the_node(tinu):
+    # the root and each rule's witnesses answer their own level with
+    # themselves
+    checked = Counter()
+    for rule in _level_zero_rules(tinu):
+        fam = rule.family
+        root = fam.root()
+        levels = DIGIT_LEVELS if fam is tinu.family else map(from_nat, range(1, fam.tree_height()))
+        for x in [root, *(rule.safe_above(root, alpha) for alpha in levels)]:
+            if x is not None:
+                assert is_safe(rule, x) and rule.safe_above(x, fam.height(x)) == x, (rule, x)
+                checked[type(rule).__name__] += 1
+    assert set(checked) == {"BinaryInsideDigits", "TruncatedSubtree", "ExplicitSubtree", "PatchedCover", "SafeSubtree"}
+    assert min(checked.values()) >= 3
+
+
+def test_a_patch_is_never_a_core(digits, tinu):
+    kid = lambda *ds: digits.node([("d", d) for d in ds])
+    patch = tinu.patched({kid(0): (kid(0, 3),), kid(1): (kid(1, 0),)})
+    assert type(patch) is PatchedCover and patch.core is tinu
+    for core in (patch, _table(ExplicitTree.complete(2, 3), {"r": {"0"}})):
+        with pytest.raises(TypeError, match=re.escape("patches apply to a subtree rule; use its patched()")):
+            PatchedCover(core, {})
+    # patching a patch merges the rows over the same core, outer rows winning
+    merged = patch.patched({kid(1): (kid(1, 2),), kid(2): (kid(2, 0),)})
+    assert type(merged) is PatchedCover and merged.core is tinu
+    assert merged.table == {kid(0): (kid(0, 3),), kid(1): (kid(1, 2),), kid(2): (kid(2, 0),)}
+    assert patch.table == {kid(0): (kid(0, 3),), kid(1): (kid(1, 0),)}
+    # a patch's safe set is a subtree, so it can be patched in turn
+    over_safe = SafeSubtree(patch).patched({kid(1): (kid(1, 5),)})
+    assert type(over_safe) is PatchedCover and type(over_safe.core) is SafeSubtree
+    assert over_safe.core.f is patch and over_safe.table == {kid(1): (kid(1, 5),)}
 
 
 # --- safe subtree ------------------------------------------------------------------
