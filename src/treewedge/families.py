@@ -12,6 +12,11 @@
 Nodes are immutable NamedTuple records, so a node hashes and compares as
 the tuple of its fields, in C; equality is decidable because each family
 keeps a canonical normal form.
+
+A BitFamily keeps two memos on the instance: ``stem_query`` bits keyed by
+(gamma, eta), and ``char_delta`` stem differences keyed by (alpha, beta),
+as CoherentSystem keeps ``delta_e``.  Restriction and gluing across blocks
+ask the same few anchor pairs over and over.
 """
 
 from __future__ import annotations
@@ -74,8 +79,12 @@ class InjFamily(TreeFamily):
         return x.height
 
     def node(self, alpha: Ordinal, over: dict) -> InjNode:
-        """Certified constructor; rejects overrides breaking injectivity."""
-        for xi in over:
+        """Certified constructor; rejects overrides breaking injectivity, and
+        any override that is not an Ordinal position with a natural value
+        (``type(v) is int``: no bool or float), which contains() refuses."""
+        for xi, v in over.items():
+            if not isinstance(xi, Ordinal) or type(v) is not int or v < 0:
+                raise ValueError(f"override {xi!r}: {v!r} is not an ordinal position with a natural value")
             if not xi < alpha:
                 raise ValueError(f"override position {xi} not below {alpha}")
         cleaned = {xi: v for xi, v in over.items() if v != self.coh.eval_e(alpha, xi)}
@@ -179,6 +188,7 @@ class BitFamily(TreeFamily):
     def __init__(self, coh: CoherentSystem):
         self.coh = coh
         self._stem: dict[tuple[Ordinal, Ordinal], int] = {}  # stem_query memo, keyed by (gamma, eta)
+        self._delta: dict[tuple[Ordinal, Ordinal], frozenset] = {}  # char_delta memo, keyed by (alpha, beta)
 
     def root(self) -> BitNode:
         return BitNode(ZERO, (), ())
@@ -222,7 +232,12 @@ class BitFamily(TreeFamily):
 
     def char_delta(self, alpha: Ordinal, beta: Ordinal) -> frozenset:
         """Exact finite difference of the stems at limit-or-zero alpha <= beta,
-        certified inside the candidate set induced by the coherent witnesses."""
+        certified inside the candidate set induced by the coherent witnesses.
+        Memoized: only checked arguments are ever stored."""
+        key = (alpha, beta)
+        cached = self._delta.get(key)
+        if cached is not None:
+            return cached
         for a in (alpha, beta):
             if classify(a) == "successor":
                 raise ValueError(f"{a} is not limit-or-zero")
@@ -234,7 +249,8 @@ class BitFamily(TreeFamily):
                 eta = pair_f(xi, self.coh.eval_e(anchor, xi))
                 if eta < alpha and self.stem_query(alpha, eta) != self.stem_query(beta, eta):
                     out.add(eta)
-        return frozenset(out)
+        result = self._delta[key] = frozenset(out)
+        return result
 
     def char_delta_candidates(self, alpha: Ordinal, beta: Ordinal) -> frozenset:
         cand = set()

@@ -4,8 +4,10 @@ combinatorics.
 A condition is a finite map sending nodes to finite non-empty sets of their
 immediate successors, subject to the routing law: whenever two domain nodes
 are comparable, the lower one's promise contains the step towards the upper
-one.  Extension never shrinks promises (stronger = superset), so a condition
-pins down how a finitely-splitting fragment may keep growing.
+one, ``family.step(lower, upper)``, which is None exactly when the first
+does not lie strictly below the second.  Extension never shrinks promises
+(stronger = superset), so a condition pins down how a finitely-splitting
+fragment may keep growing.
 
 The specializing side assigns rationals to nodes, order preservingly; fresh
 values are the Stern-Brocot simplest rationals in the forced interval.
@@ -41,12 +43,13 @@ def is_valid_condition(family: TreeFamily, p: Condition) -> bool:
 
 
 def _unrouted(family: TreeFamily, p: Condition, x):
-    """The first domain node u below x whose promise misses x's step at
-    height(u)+1 (the routing law), or None."""
+    """The first domain node u below x whose promise misses the step from u
+    towards x (the routing law), or None."""
+    step = family.step
     for u in p:
-        if family.order(u, x) == "below":
-            if family.restrict(x, add_ord(family.height(u), from_nat(1))) not in p[u]:
-                return u
+        s = step(u, x)
+        if s is not None and s not in p[u]:
+            return u
     return None
 
 
@@ -75,11 +78,8 @@ def extend_to_include(family: TreeFamily, p: Condition, x) -> Condition:
     """
     if x in p:
         return dict(p)
-    up_one = add_ord(family.height(x), from_nat(1))
-    above = [t for t in p if family.order(x, t) == "below"]
-    if above:
-        promise = frozenset(family.restrict(t, up_one) for t in above)
-    else:
+    promise = frozenset(family.step(x, t) for t in p) - {None}
+    if not promise:
         promise = _own_promise(family, x)
     r = dict(p)
     r[x] = promise

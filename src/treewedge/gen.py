@@ -56,7 +56,7 @@ def rand_below(rng: random.Random, bound: Ordinal, coeff_cap: int = 5) -> Ordina
     exps = []
     for _ in range(below(3)):
         x = rand_below(rng, e, coeff_cap)
-        if all(x != y for y in exps):
+        if x not in exps:
             exps.append(x)
     exps.sort(reverse=True)
     return from_canonical(prefix + tuple([(x, 1 + below(coeff_cap)) for x in exps]))

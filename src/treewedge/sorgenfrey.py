@@ -90,38 +90,36 @@ def neg(p: TaggedPoint) -> TaggedPoint:
     return _point("R" if p.side == "L" else "L", p.seq)
 
 
-def _lex_between(s, t) -> tuple:
+def _lex_between(s: tuple, t: tuple) -> tuple:
     """Sequence strictly between s <lex t: bump the divergence digit when the
-    gap allows, otherwise set a fresh position past both supports."""
+    gap allows, otherwise set a fresh position past both supports.  Both are
+    padded to one length once, and one scan finds where they diverge."""
     n = max(len(s), len(t))
-    k = 0
-    while k < n:
-        a = s[k] if k < len(s) else 0
-        b = t[k] if k < len(t) else 0
+    s += (0,) * (n - len(s))
+    t += (0,) * (n - len(t))
+    for k, (a, b) in enumerate(zip(s, t)):
         if a != b:
             break
-        k += 1
     else:
         raise ValueError("sequences are equal")
-    a = s[k] if k < len(s) else 0
-    b = t[k] if k < len(t) else 0
-    prefix = tuple(s[i] if i < len(s) else 0 for i in range(k))
+    # either way the result ends in a positive digit, so it is trimmed
     if b - a >= 2:
-        return trim(prefix + (a + 1,))
-    padded = tuple(s) + (0,) * (n - len(s))
-    return trim(padded + (1,))
+        return s[:k] + (a + 1,)
+    return s + (1,)
 
 
 def find_between(x: TaggedPoint, y: TaggedPoint) -> TaggedPoint:
     """A point strictly between x < y; the order is dense without endpoints."""
     if not x < y:
         raise ValueError(f"{x} is not below {y}")
-    if x.side != y.side:
+    _, _, x_side, x_seq = x
+    _, _, y_side, y_seq = y
+    if x_side != y_side:
         # block boundary: step up inside the Left copy
-        return _point("L", x.seq + (1,))
-    if x.side == "L":
-        return _point("L", _lex_between(x.seq, y.seq))
-    return _point("R", _lex_between(y.seq, x.seq))
+        return _point("L", x_seq + (1,))
+    if x_side == "L":
+        return _point("L", _lex_between(x_seq, y_seq))
+    return _point("R", _lex_between(y_seq, x_seq))
 
 
 def _seq_below(s) -> tuple:

@@ -18,15 +18,16 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .ordinal import Ordinal, add_ord, cmp_ord, from_nat
+from .ordinal import ONE, Ordinal, add_ord, cmp_ord, from_nat
 
 
 class TreeFamily:
     """A tree family gives ``root()``, ``height(x)``, ``restrict(x, beta)``,
     the ``successors(x)`` stream and ``canonical_extension(x, alpha)``; the
     symbolic families also read a node's values (``query(x, xi)``) and test
-    its normal form (``contains(x)``).  The order questions are answered
-    here from heights and restrictions; a family may answer them faster."""
+    its normal form (``contains(x)``).  The order questions and ``step``
+    are answered here from heights and restrictions; a family may answer
+    them faster."""
 
     def order(self, x, y) -> str:
         """'below', 'equal', 'above' or 'incomparable' in the tree order."""
@@ -43,6 +44,17 @@ class TreeFamily:
             self.height(child) == add_ord(self.height(parent), from_nat(1))
             and self.restrict(child, self.height(parent)) == parent
         )
+
+    def step(self, u, x):
+        """The immediate successor of u on the way to x, or None unless u
+        lies strictly below x.  Restriction composes, so the step is the
+        (height(u)+1)-prefix s of x exactly when s's own height(u)-prefix
+        is u; that second cut stays inside s's block."""
+        hu = self.height(u)
+        if not hu < self.height(x):
+            return None
+        s = self.restrict(x, add_ord(hu, ONE))
+        return s if self.restrict(s, hu) == u else None
 
 
 # --- explicit finite trees ----------------------------------------------------
@@ -128,6 +140,12 @@ class ExplicitTree(TreeFamily):
 
     def is_child(self, parent: str, child: str) -> bool:
         return self.parent[child] == parent
+
+    def step(self, u: str, x: str):
+        if not self.depth[u] < self.depth[x]:
+            return None
+        s = self.ancestor_at(x, self.depth[u] + 1)
+        return s if self.parent[s] == u else None
 
     @classmethod
     def from_text(cls, text: str) -> "ExplicitTree":

@@ -25,7 +25,7 @@ error, as a limit level is.
 from __future__ import annotations
 
 from .families import DigitFamily, DigitNode
-from .ordinal import Ordinal, add_ord, classify, from_nat, pred
+from .ordinal import Ordinal, classify, pred
 from .trees import ExplicitTree, TreeFamily
 
 # the benchmark's tracer (perfbench/tracing.py) wraps the oracle under this name
@@ -163,12 +163,15 @@ class PatchedCover(CoverRule):
             if x not in self.table.get(parent, ()):
                 return False
             x = parent
-        h = fam.height(x)
-        return all(
-            fam.restrict(x, add_ord(fam.height(y), from_nat(1))) in succ
-            for y, succ in self.table.items()
-            if fam.height(y) < h and fam.order(y, x) == "below"
-        )
+        # no row lies below the root; above it, the rows below x must route it
+        if not fam.height(x):
+            return True
+        step = fam.step
+        for y, succ in self.table.items():
+            s = step(y, x)
+            if s is not None and s not in succ:
+                return False
+        return True
 
     def safe_above(self, x, alpha: Ordinal):
         # the core's node when the rows leave it safe; the search otherwise

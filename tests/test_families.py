@@ -16,6 +16,8 @@ from treewedge.families import (
 from treewedge.gen import rand_below, rand_bit_node, rand_digit_node, rand_inj_node
 from treewedge.ordinal import OMEGA, ZERO, add_ord, block_decompose, from_nat, parse_cnf
 
+from test_trees import routing_step_by_order
+
 W2 = parse_cnf("w^2")
 ANCHORS = [parse_cnf(s) for s in ("w", "w*2", "w^2", "w^2+w", "w^3")]
 
@@ -132,6 +134,23 @@ def test_char_delta_exact(bits):
                         assert bits.stem_query(a, eta) == bits.stem_query(b, eta)
 
 
+def test_char_delta_memo_holds_one_entry_per_pair(coh):
+    warm = BitFamily(coh)
+    anchors = [ZERO] + ANCHORS
+    pairs = [(a, b) for a in anchors for b in anchors if not b < a]
+    for _ in range(2):
+        for a, b in pairs:
+            warm.char_delta(a, b)
+    assert set(warm._delta) == set(pairs)
+    for a, b in pairs:
+        assert warm.char_delta(a, b) == BitFamily(CoherentSystem()).char_delta(a, b)
+    # refused arguments leave no entry
+    for a, b in [(add_ord(OMEGA, from_nat(1)), W2), (W2, OMEGA)]:
+        with pytest.raises(ValueError):
+            warm.char_delta(a, b)
+    assert len(warm._delta) == len(pairs)
+
+
 def test_bit_node_examples(bits):
     stem = bits.node(OMEGA, (), ())
     assert stem == bits.char_stem(OMEGA)
@@ -199,6 +218,20 @@ def test_bit_contains_checks_the_normal_form(bits):
 def test_inj_contains_answers_false_on_an_override_above_the_height(injs):
     # node() raises a plain ValueError here, not an InjectivityError
     assert not injs.contains(InjNode(from_nat(2), ((from_nat(5), 3),)))
+
+
+def test_inj_node_refuses_what_contains_refuses(injs):
+    # a negative or float value, a bool, and a position that is no Ordinal
+    for over in [
+        {ZERO: -2},
+        {ZERO: 2.5},
+        {ZERO: True},
+        {((ZERO, 1),): 2},  # a plain tuple equal to ONE
+        {0: 2},
+    ]:
+        with pytest.raises(ValueError):
+            injs.node(from_nat(2), over)
+    assert injs.node(from_nat(2), {ZERO: 4}) == InjNode(from_nat(2), ((ZERO, 4),))
 
 
 def test_inj_contains_checks_the_field_types(injs):
@@ -390,6 +423,9 @@ def test_order_equal_height_incomparable(digits):
 
 
 def test_restrict_idempotent_compatible(digits, bits, injs):
+    # the composition law restrict(restrict(x, b), c) == restrict(x, c) for
+    # every c <= b <= height(x) among some cuts, which TreeFamily.step relies
+    # on; the cuts take in x's own height and the block limit below it
     rng = random.Random(43)
     makers = [
         (bits, rand_bit_node),
@@ -398,11 +434,37 @@ def test_restrict_idempotent_compatible(digits, bits, injs):
     ]
     for fam, make in makers:
         for _ in range(50):
-            alpha = rng.choice(ANCHORS)
+            alpha = add_ord(rng.choice(ANCHORS), from_nat(rng.randrange(3)))
             x = make(rng, fam, alpha)
-            beta = rand_below(rng, alpha)
-            gamma = rand_below(rng, add_ord(beta, from_nat(1)))
-            assert fam.restrict(fam.restrict(x, beta), gamma) == fam.restrict(x, gamma)
+            cuts = {alpha, ZERO, block_decompose(alpha).limit_part}
+            cuts.update(rand_below(rng, alpha) for _ in range(3))
+            cuts = sorted(cuts)
+            for i, b in enumerate(cuts):
+                xb = fam.restrict(x, b)
+                for c in cuts[: i + 1]:
+                    assert fam.restrict(xb, c) == fam.restrict(x, c), (x, b, c)
+
+
+def test_step_matches_the_order_and_restrict_formula(digits, bits):
+    # u runs over prefixes of x (its steps cross limit blocks), prefixes of
+    # an independent node, x itself and nodes above x
+    rng = random.Random(47)
+    for fam, make in ((bits, rand_bit_node), (digits, rand_digit_node)):
+        below = prefixes = 0
+        for _ in range(15):
+            alpha = add_ord(rng.choice(ANCHORS), from_nat(rng.randrange(1, 3)))
+            x = make(rng, fam, alpha)
+            y = make(rng, fam, alpha)
+            cuts = sorted({ZERO, block_decompose(alpha).limit_part, *(rand_below(rng, alpha) for _ in range(4))})
+            others = [fam.restrict(z, b) for z in (x, y) for b in cuts]
+            others += [x, fam.canonical_extension(x, add_ord(alpha, from_nat(1)))]
+            prefixes += len(cuts)
+            for u in others:
+                want = routing_step_by_order(fam, u, x)
+                assert fam.step(u, x) == want, (u, x)
+                assert fam.step(x, u) == routing_step_by_order(fam, x, u), (x, u)
+                below += want is not None
+        assert below >= prefixes
 
 
 def test_downward_sets_are_chains(digits):

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from functools import cmp_to_key
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from treewedge.sorgenfrey import (
     HalfOpenInterval,
     SeparationError,
     TaggedPoint,
+    _lex_between,
     dense_injection,
     find_between,
     format_interval,
@@ -186,6 +188,39 @@ def test_find_between_gap_rule():
 
 def test_find_between_fresh_position():
     assert find_between(L(1), L(2)) == L(1, 1)
+
+
+def lex_between_by_index(s, t) -> tuple:
+    """The index-by-index body that _lex_between replaced, as it was."""
+    n = max(len(s), len(t))
+    k = 0
+    while k < n:
+        a = s[k] if k < len(s) else 0
+        b = t[k] if k < len(t) else 0
+        if a != b:
+            break
+        k += 1
+    else:
+        raise ValueError("sequences are equal")
+    a = s[k] if k < len(s) else 0
+    b = t[k] if k < len(t) else 0
+    prefix = tuple(s[i] if i < len(s) else 0 for i in range(k))
+    if b - a >= 2:
+        return trim(prefix + (a + 1,))
+    padded = tuple(s) + (0,) * (n - len(s))
+    return trim(padded + (1,))
+
+
+def test_lex_between_matches_the_index_by_index_body():
+    # every ordered pair of trimmed sequences of up to 3 digits below 5
+    trimmed = sorted({trim(d) for n in range(4) for d in product(range(5), repeat=n)})
+    assert len(trimmed) == 1 + 4 + 20 + 100
+    for s, t in product(trimmed, repeat=2):
+        if s == t:
+            with pytest.raises(ValueError):
+                _lex_between(s, t)
+            continue
+        assert _lex_between(s, t) == lex_between_by_index(s, t), (s, t)
 
 
 def test_find_between_random():

@@ -3,7 +3,7 @@ from itertools import islice
 
 import pytest
 
-from treewedge.ordinal import from_nat
+from treewedge.ordinal import add_ord, from_nat
 from treewedge.suites import _random_tree
 from treewedge.trees import ExplicitTree, TreeFamily, branch_to_antichain
 
@@ -113,3 +113,28 @@ def test_int_order_matches_the_generic_bodies(tree):
         for y in tree.parent:
             assert tree.order(x, y) == TreeFamily.order(tree, x, y), (x, y)
             assert tree.is_child(x, y) == TreeFamily.is_child(tree, x, y), (x, y)
+
+
+def routing_step_by_order(family, u, x):
+    """The routing step as the routing-law sites wrote it out before
+    ``step``: the order test, then the (height(u)+1)-prefix of x."""
+    if family.order(u, x) == "below":
+        return family.restrict(x, add_ord(family.height(u), from_nat(1)))
+    return None
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [ExplicitTree.complete(3, 3), _random_tree(random.Random(5), 20)],
+    ids=["ternary-h3", "ragged-5"],
+)
+def test_step_matches_the_generic_body_and_the_order_formula(tree):
+    steps = 0
+    for u in tree.parent:
+        for x in tree.parent:
+            want = routing_step_by_order(tree, u, x)
+            assert tree.step(u, x) == want, (u, x)
+            assert TreeFamily.step(tree, u, x) == want, (u, x)
+            steps += want is not None
+    # every node strictly below another has a step towards it
+    assert steps == sum(tree.depth[x] for x in tree.parent)

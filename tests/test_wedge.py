@@ -109,6 +109,23 @@ def test_root_safe_for_every_cover(digits, tinu, table_fixture):
     assert is_safe(table, tree.root())
 
 
+def test_safety_at_the_root_reads_no_row(monkeypatch):
+    # a chain table of 3,000 rows, each listing the next: a node it reaches
+    # hangs from the root, below which no row lies, so no row is tested
+    tree = ExplicitTree().add("r", None)
+    chain = ["r"] + [f"n{i}" for i in range(3000)]
+    for parent, child in zip(chain, chain[1:]):
+        tree.add(child, parent)
+    f = _table(tree, {parent: (child,) for parent, child in zip(chain, chain[1:])})
+    heights = []
+    monkeypatch.setattr(tree, "height", lambda x: heights.append(x) or from_nat(tree.depth[x]))
+    monkeypatch.setattr(tree, "step", lambda u, x: pytest.fail(f"row {u!r} tested"))
+    assert is_safe(f, "r")
+    assert heights == ["r"]
+    assert is_safe(f, chain[-1])
+    assert len(heights) == 1 + len(chain)
+
+
 def test_nonbinary_digit_unsafe(digits, tinu):
     u = digits.node([("d", 7), ("d", 0)])
     assert not is_safe(tinu, u)
