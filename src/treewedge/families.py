@@ -158,6 +158,8 @@ class InjFamily(TreeFamily):
         replacing the finitely many base values x already uses by fresh evens."""
         if alpha == x.height:
             return x
+        if alpha < x.height:
+            raise ValueError("target height below node")
         over = dict(self._rebase(x, alpha))
         used = set(over.values())
         fresh = (v for v in count(0, 2) if v not in used)
@@ -243,13 +245,12 @@ class BitFamily(TreeFamily):
                 raise ValueError(f"{a} is not limit-or-zero")
         if beta < alpha:
             raise ValueError("anchors out of order")
-        out = set()
-        for xi in self.coh.delta_e(alpha, beta):
-            for anchor in (alpha, beta):
-                eta = pair_f(xi, self.coh.eval_e(anchor, xi))
-                if eta < alpha and self.stem_query(alpha, eta) != self.stem_query(beta, eta):
-                    out.add(eta)
-        result = self._delta[key] = frozenset(out)
+        stem = self.stem_query
+        result = self._delta[key] = frozenset(
+            eta
+            for eta in self.char_delta_candidates(alpha, beta)
+            if eta < alpha and stem(alpha, eta) != stem(beta, eta)
+        )
         return result
 
     def char_delta_candidates(self, alpha: Ordinal, beta: Ordinal) -> frozenset:
@@ -294,6 +295,8 @@ class BitFamily(TreeFamily):
         """Extend by the block stem below the target limit and zeros above it."""
         if alpha == x.height:
             return x
+        if alpha < x.height:
+            raise ValueError("target height below node")
         gamma, m = block_decompose(alpha)
         gx = x.gamma
         if gamma == gx:

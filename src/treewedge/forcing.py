@@ -4,10 +4,10 @@ combinatorics.
 A condition is a finite map sending nodes to finite non-empty sets of their
 immediate successors, subject to the routing law: whenever two domain nodes
 are comparable, the lower one's promise contains the step towards the upper
-one, ``family.step(lower, upper)``, which is None exactly when the first
-does not lie strictly below the second.  Extension never shrinks promises
-(stronger = superset), so a condition pins down how a finitely-splitting
-fragment may keep growing.
+one.  ``family.unrouted`` checks that law, the same check that patched
+covers make, and both extension algorithms add their key through one step
+that runs it.  Extension never shrinks promises (stronger = superset), so a
+condition pins down how a finitely-splitting fragment may keep growing.
 
 The specializing side assigns rationals to nodes, order preservingly; fresh
 values are the Stern-Brocot simplest rationals in the forced interval.
@@ -39,18 +39,7 @@ def is_valid_condition(family: TreeFamily, p: Condition) -> bool:
             return False
         if not all(family.is_child(x, z) for z in succ):
             return False
-    return all(_unrouted(family, p, y) is None for y in p)
-
-
-def _unrouted(family: TreeFamily, p: Condition, x):
-    """The first domain node u below x whose promise misses the step from u
-    towards x (the routing law), or None."""
-    step = family.step
-    for u in p:
-        s = step(u, x)
-        if s is not None and s not in p[u]:
-            return u
-    return None
+    return all(family.unrouted(p, y) is None for y in p)
 
 
 def cond_leq(family: TreeFamily, p: Condition, q: Condition) -> bool:
@@ -73,45 +62,42 @@ def extend_to_include(family: TreeFamily, p: Condition, x) -> Condition:
     """Valid r <= p with x in its domain.
 
     Promised steps are harvested from domain nodes above x; absent those, x
-    promises its first canonical successor.  The result is revalidated: a
-    target that no promise routes to raises ExtensionError.
+    promises its first canonical successor.  A target that no promise
+    routes to raises ExtensionError.
     """
     if x in p:
         return dict(p)
     promise = frozenset(family.step(x, t) for t in p) - {None}
-    if not promise:
-        promise = _own_promise(family, x)
-    r = dict(p)
-    r[x] = promise
-    # only pairs through x are new; the law can only fail below x
-    u = _unrouted(family, p, x)
+    return _add(family, p, x, promise or _own_promise(family, x))
+
+
+def extend_above(family: TreeFamily, p: Condition, alpha: Ordinal) -> Condition:
+    """Valid r <= p whose domain reaches height >= alpha.  The new key sits
+    above the tallest promised node, so a valid p routes it."""
+    if any(not family.height(x) < alpha for x in p):
+        return dict(p)
+    if p:
+        y = max(
+            (y for succ in p.values() for y in succ),
+            key=lambda y: (family.height(y), format_node(family, y)),
+        )
+        if not family.height(y) < alpha:
+            return extend_to_include(family, p, y)
+    else:
+        y = family.root()
+    z = family.canonical_extension(y, alpha)
+    return _add(family, p, z, _own_promise(family, z))
+
+
+def _add(family: TreeFamily, p: Condition, x, promise) -> Condition:
+    """p with the new key x promising ``promise``; only pairs through x are
+    new, and the routing law can only fail below x."""
+    u = family.unrouted(p, x)
     if u is not None:
         raise ExtensionError(
             f"{format_node(family, x)} is not routed by the promise at {format_node(family, u)}"
         )
-    return r
-
-
-def extend_above(family: TreeFamily, p: Condition, alpha: Ordinal) -> Condition:
-    """Valid r <= p whose domain reaches height >= alpha."""
-    if any(not family.height(x) < alpha for x in p):
-        return dict(p)
-    if not p:
-        z = family.canonical_extension(family.root(), alpha)
-        return {z: _own_promise(family, z)}
-    promised = sorted(
-        (y for succ in p.values() for y in succ),
-        key=lambda y: (family.height(y), format_node(family, y)),
-    )
-    y = promised[-1]
-    if not family.height(y) < alpha:
-        return extend_to_include(family, p, y)
-    z = family.canonical_extension(y, alpha)
-    r = dict(p)
-    r[z] = _own_promise(family, z)
-    if _unrouted(family, p, z) is not None:
-        raise ExtensionError("extension above lost the routing law")
-    return r
+    return {**p, x: promise}
 
 
 def _own_promise(family, z):
@@ -179,10 +165,11 @@ def simplest_between(lo, hi):
 
 
 def is_valid_spec(family: TreeFamily, q: dict) -> bool:
-    for x in q:
-        for y in q:
-            if family.order(x, y) == "below" and not q[x] < q[y]:
-                return False
+    """Is q order preserving?  One ``order`` call per unordered pair."""
+    for x, y in combinations(q, 2):
+        rel = family.order(x, y)
+        if rel == "below" and not q[x] < q[y] or rel == "above" and not q[y] < q[x]:
+            return False
     return True
 
 

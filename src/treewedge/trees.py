@@ -27,7 +27,7 @@ class TreeFamily:
     symbolic families also read a node's values (``query(x, xi)``) and test
     its normal form (``contains(x)``).  The order questions and ``step``
     are answered here from heights and restrictions; a family may answer
-    them faster."""
+    them faster.  ``unrouted`` checks the routing law through ``step``."""
 
     def order(self, x, y) -> str:
         """'below', 'equal', 'above' or 'incomparable' in the tree order."""
@@ -55,6 +55,17 @@ class TreeFamily:
             return None
         s = self.restrict(x, add_ord(hu, ONE))
         return s if self.restrict(s, hu) == u else None
+
+    def unrouted(self, table, x):
+        """The routing law, stated once: the first key u of ``table`` strictly
+        below x whose set misses ``step(u, x)``, or None.  Forcing
+        conditions and patched covers both obey it."""
+        step = self.step
+        for u, succ in table.items():
+            s = step(u, x)
+            if s is not None and s not in succ:
+                return u
+        return None
 
 
 # --- explicit finite trees ----------------------------------------------------

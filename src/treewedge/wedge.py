@@ -134,8 +134,9 @@ class PatchedCover(CoverRule):
     always one layer over its core.  Safety stays exactly decidable: an
     unpatched node outside the core routes no step, so a safe node outside
     the core hangs from a core node by a finite chain of rows, each listing
-    the next, and the rows below that core node must route it.  Levels are
-    decidable too: a safe node leaves the core only through patched nodes,
+    the next, and the rows below that core node must route it, by the
+    routing law of forcing conditions (the family's ``unrouted``).  Levels
+    are decidable too: a safe node leaves the core only through patched nodes,
     so one search over the rows above a safe node decides the level there.
     The witness has two stages: the core's canonical node if it is safe for
     the patch, otherwise the first node the search reaches."""
@@ -164,14 +165,7 @@ class PatchedCover(CoverRule):
                 return False
             x = parent
         # no row lies below the root; above it, the rows below x must route it
-        if not fam.height(x):
-            return True
-        step = fam.step
-        for y, succ in self.table.items():
-            s = step(y, x)
-            if s is not None and s not in succ:
-                return False
-        return True
+        return not fam.height(x) or fam.unrouted(self.table, x) is None
 
     def safe_above(self, x, alpha: Ordinal):
         # the core's node when the rows leave it safe; the search otherwise

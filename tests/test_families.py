@@ -15,6 +15,7 @@ from treewedge.families import (
 )
 from treewedge.gen import rand_below, rand_bit_node, rand_digit_node, rand_inj_node
 from treewedge.ordinal import OMEGA, ZERO, add_ord, block_decompose, from_nat, parse_cnf
+from treewedge.trees import ExplicitTree
 
 from test_trees import routing_step_by_order
 
@@ -413,6 +414,23 @@ def test_digit_canonical_extension(digits):
         ext = digits.canonical_extension(x, alpha)
         assert digits.height(ext) == alpha
         assert digits.order(x, ext) in ("below", "equal")
+
+
+@pytest.mark.parametrize("case", ["explicit", "inj", "bits-in-block", "bits-across-blocks", "digits"])
+def test_canonical_extension_below_the_node_raises(case, injs, bits, digits):
+    # every family refuses a target height below the node with the same
+    # error, within a block and across blocks
+    w1, w3 = parse_cnf("w+1"), parse_cnf("w+3")
+    fam, x, alpha = {
+        "explicit": (ExplicitTree.complete(2, 4), "010", from_nat(1)),
+        "inj": (injs, injs.canonical_extension(injs.root(), w3), OMEGA),
+        "bits-in-block": (bits, BitNode(w3, (), (0, 1, 1)), w1),
+        "bits-across-blocks": (bits, bits.canonical_extension(bits.root(), parse_cnf("w*2+1")), w1),
+        "digits": (digits, digits.canonical_extension(digits.root(), w3), w1),
+    }[case]
+    assert fam.order(fam.restrict(x, alpha), x) == "below"
+    with pytest.raises(ValueError, match="target height below node"):
+        fam.canonical_extension(x, alpha)
 
 
 def test_order_equal_height_incomparable(digits):

@@ -21,6 +21,7 @@ from treewedge.forcing import (
 )
 from treewedge.gen import rand_below, rand_digit_node
 from treewedge.ordinal import OMEGA, ZERO, from_nat, parse_cnf
+from treewedge.suites import _random_tree
 from treewedge.trees import ExplicitTree
 
 LIMITS = [parse_cnf(s) for s in ("w", "w*2", "w^2")]
@@ -148,6 +149,18 @@ def test_extend_above_random(fam):
         assert any(not fam.height(x) < alpha for x in r)
 
 
+def test_extend_above_on_a_forest_needs_no_root():
+    # a tree with two roots has no root(); a non-empty condition extends
+    # above its tallest promised node without asking for one
+    forest = ExplicitTree.from_text("a -\nb -\na0 a\na1 a\na00 a0\na000 a00\nb0 b")
+    p = extend_to_include(forest, {}, "a")
+    r = extend_above(forest, p, from_nat(2))
+    assert r == {"a": frozenset({"a0"}), "a00": frozenset({"a000"})}
+    assert is_valid_condition(forest, r)
+    with pytest.raises(ValueError, match="needs one root"):
+        extend_above(forest, {}, from_nat(2))
+
+
 def test_extend_above_leaf_level_errors(fam):
     with pytest.raises(ExtensionError):
         extend_above(fam, {}, from_nat(3))
@@ -228,6 +241,40 @@ def test_simplest_between_directly():
     for den in range(1, z.denominator):
         for num in range(den * 3 // 2, den * 2 + 1):
             assert not (Fraction(3, 2) < Fraction(num, den) < 2)
+
+
+def is_valid_spec_by_ordered_pairs(family, q):
+    """The reference: ``order`` asked for every ordered pair of keys."""
+    for x in q:
+        for y in q:
+            if family.order(x, y) == "below" and not q[x] < q[y]:
+                return False
+    return True
+
+
+def test_is_valid_spec_matches_the_ordered_pair_check():
+    # seeded labellings of random explicit trees: spec_extend's valid ones,
+    # the same with two values swapped, and random values on random keys
+    rng = random.Random(63)
+    valid = invalid = 0
+    for _ in range(80):
+        tree = _random_tree(rng, rng.randrange(2, 20))
+        nodes = list(tree.parent)
+        keys = rng.sample(nodes, rng.randrange(1, len(nodes) + 1))
+        q = {}
+        for x in keys:
+            q = spec_extend(tree, q, x)
+        swapped = dict(q)
+        if len(keys) > 1:
+            a, b = rng.sample(keys, 2)
+            swapped[a], swapped[b] = q[b], q[a]
+        drawn = {x: Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for x in keys}
+        for labelling in (q, swapped, drawn):
+            want = is_valid_spec_by_ordered_pairs(tree, labelling)
+            assert is_valid_spec(tree, labelling) == want, labelling
+            valid += want
+            invalid += not want
+    assert valid > 80 and invalid > 20
 
 
 def test_spec_totalizes_order_preserving(fam):

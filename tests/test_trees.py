@@ -4,7 +4,7 @@ from itertools import islice
 import pytest
 
 from treewedge.ordinal import add_ord, from_nat
-from treewedge.suites import _random_tree
+from treewedge.suites import _random_tree, _steps_down
 from treewedge.trees import ExplicitTree, TreeFamily, branch_to_antichain
 
 
@@ -138,3 +138,38 @@ def test_step_matches_the_generic_body_and_the_order_formula(tree):
             steps += want is not None
     # every node strictly below another has a step towards it
     assert steps == sum(tree.depth[x] for x in tree.parent)
+
+
+def unrouted_by_parent_links(tree, table, x):
+    """The routing law without ``step``: walk up x's parent links, noting
+    the child each ancestor passes on towards x, and return the first key of
+    the table (in table order) that is such an ancestor and misses it."""
+    toward = {u: s for s, u in _steps_down(tree, x)}
+    for u, succ in table.items():
+        if u in toward and toward[u] not in succ:
+            return u
+    return None
+
+
+def test_unrouted_matches_a_walk_up_the_parent_links():
+    # seeded ragged trees and tables whose sets may be empty or hold nodes
+    # that are not children of their key
+    rng = random.Random(71)
+    routed = unrouted = 0
+    for _ in range(60):
+        tree = _random_tree(rng, rng.randrange(2, 25))
+        nodes = list(tree.parent)
+        table = {}
+        for u in rng.sample(nodes, rng.randrange(0, min(6, len(nodes)) + 1)):
+            kids = tree.children[u]
+            row = set(rng.sample(kids, rng.randrange(0, len(kids) + 1)))
+            if rng.random() < 0.3:
+                row.add(rng.choice(nodes))
+            table[u] = frozenset(row) if rng.random() < 0.5 else tuple(row)
+        for x in nodes:
+            want = unrouted_by_parent_links(tree, table, x)
+            assert tree.unrouted(table, x) == want, (table, x)
+            assert TreeFamily.unrouted(tree, table, x) == want, (table, x)
+            routed += want is None
+            unrouted += want is not None
+    assert routed and unrouted
