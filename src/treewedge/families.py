@@ -338,6 +338,8 @@ class DigitFamily(TreeFamily):
     def height(self, x: DigitNode) -> Ordinal:
         if x.base is None:
             return from_nat(len(x.trail))
+        if not x.trail:
+            return x.base.height
         return add_ord(x.base.height, from_nat(len(x.trail)))
 
     def node(self, components) -> DigitNode:

@@ -5,8 +5,8 @@ seeded sample of them, is checked against the wedge sets themselves: the
 safe points of each level must be exactly its points outside every wedge
 from below, and those wedges must cover every deeper point exactly when the
 level has no safe point.  Rules are addressed by rank in a RuleSpace, and a
-bit-sliced kernel checks a block of rules at a time, given as one byte
-column per digit group, with one int per node and one bit per rule.  The
+bit-sliced kernel checks a block of rules at a time, given as the bit
+planes of each node's digit, with one int per node and one bit per rule.  The
 module shares no code with the cover rules of ``wedge``, whose finite
 shadow it checks by brute force.
 """
@@ -39,20 +39,18 @@ class RuleSpace:
     tree, holds for each node with children, in insertion order (parents
     first): its place value and radix in the rank, its depth and number,
     and for each option the numbers of the nodes in its wedge and of its
-    children.  The steps are cut into groups, runs whose radices multiply
-    to at most 256, so that a group's number, rank // (its last step's
-    place) % (the product of its radices), fits a byte; a lone step with
-    more options than byte values is a group of its own.
+    children.  A step's digit in a rank is rank // place % radix.
 
-    The kernel reads a block of rules as columns, one per group, holding
-    each rule's group number: bytes, or a list of ints for a lone wide
-    step.  Each step of a byte group keeps one translation table per bit
-    plane of its digit, ceil(log2 radix) of them, and the kernel parses
-    one int per plane and forms the rules of each option by AND, so a
-    radix-7 step parses 3 ints per block, not 7.  ``columns`` tiles the
-    columns of consecutive ranks, ``draw`` draws uniform ones from an rng,
-    and ``rank`` reads one rule's rank back off them.  A negative size
-    bound raises ValueError."""
+    The kernel reads a block of n rules as bit planes, for each step the
+    (radix - 1).bit_length() ints, lowest first, whose bit j is bit k of
+    the j-th rule's digit: nothing is parsed from bytes, and no byte group
+    or translation table is kept.  ``planes`` tiles the planes of
+    consecutive ranks, ``draw`` draws uniform ones from an rng, and
+    ``rank`` reads one rule's rank back off them.  Per plane of a step,
+    no int they build or keep exceeds 6 * BLOCK bits (a draw's lane space:
+    n bits per step of the radix), so a block's memory is O(BLOCK) bits
+    per plane, whatever the size of the rank space.  A negative size bound
+    raises ValueError."""
 
     def __init__(self, tree: ExplicitTree, size_bound: int):
         if size_bound < 0:
@@ -67,69 +65,83 @@ class RuleSpace:
         self.height = tree.tree_height()
         number = {x: i for i, x in enumerate(tree.parent)}
         self._roots = [number[x] for x, p in tree.parent.items() if p is None]
-        groups = []  # [place value, radix, steps] of each group
+        self._steps = []  # (place value, radix, depth, number, members, kids) of each node with children
+        self._lanes = {}  # radix: the indices of its steps, which draw together
+        self._tiles = {}  # step index: its planes over ranks 0, 1, ..., when its period is below a block
         place = self.size
         for x, opts, wedges in zip(self.nodes, self.options, self.wedge_masks(_cone_masks(tree))):
             radix = len(opts)
             place //= radix
-            if not groups or groups[-1][1] * radix > 256:
-                groups.append([place, 1, []])
-            group = groups[-1]
-            group[0], group[1] = place, group[1] * radix
             # bin(w) backward, less its "0b": bit i of w is character i
             members = [[i for i, b in enumerate(bin(w)[:1:-1]) if b == "1"] for w in wedges]
             kids = [[number[c] for c in option] for option in opts]
-            group[2].append((place, radix, tree.depth[x], number[x], members, kids))
-        # each step's tables translate its group's number to the bit planes
-        # of its digit, and each byte group's tables turn random bytes into
-        # its numbers; a lone step with more options than byte values has none
-        self._groups = []  # (place value, radix, steps, reject, reduce) of each group
-        for place, radix, steps in groups:
-            wide = radix > 256
-            steps = [(*step, None if wide else _digit_tables(step[0] // place, step[1])) for step in steps]
-            reject, reduce = (None, None) if wide else _byte_tables(radix)
-            self._groups.append((place, radix, steps, reject, reduce))
+            period = place * radix
+            if period < BLOCK:  # one period of each plane, doubled until any block fits
+                self._tiles[len(self._steps)] = [
+                    _repeat(_runs(place << k, 0, period), period, period + BLOCK)
+                    for k in range((radix - 1).bit_length())
+                ]
+            self._lanes.setdefault(radix, []).append(len(self._steps))
+            self._steps.append((place, radix, tree.depth[x], number[x], members, kids))
 
     def digits(self, rank: int) -> list:
         """The option index of every node under the rule of this rank."""
-        return [rank // place % radix for _, _, steps, *_ in self._groups for place, radix, *_ in steps]
+        return [rank // place % radix for place, radix, *_ in self._steps]
 
     def rule(self, digits: list) -> dict:
         return {x: opts[k] for x, opts, k in zip(self.nodes, self.options, digits)}
 
-    def columns(self, start: int, n: int) -> list:
-        """The columns of the ranks range(start, start + n).  A group's
-        numbers run in runs of its place value, counting up mod its radix,
-        so each column is one head run, then whole runs tiled by the
-        period, with no arithmetic per rank."""
-        columns = []
-        for place, radix, *_ in self._groups:
-            cell = bytes if radix <= 256 else list
-            first, skip = divmod(start, place)
-            head = min(n, place - skip)
-            rest = n - head
-            column = cell([first % radix]) * head
-            if rest:
-                period = cell()
-                for v in range(1, min(radix, -(-rest // place)) + 1):
-                    period += cell([(first + v) % radix]) * min(place, rest)
-                column += (period * -(-rest // len(period)))[:rest]
-            columns.append(column)
-        return columns
+    def planes(self, start: int, n: int) -> list:
+        """The planes of the ranks range(start, start + n).  Bit k of a
+        step's digit runs in runs of place << k ranks, 0s then 1s, and
+        starts over where the digit wraps to 0, every place * radix ranks.
+        A shorter period than a block is cut out of the step's tiles; a
+        longer one wraps at most once in the block, so each plane is two
+        stretches of runs."""
+        full = (1 << n) - 1
+        out = []
+        for s, (place, radix, *_) in enumerate(self._steps):
+            offset = start % (place * radix)
+            if s in self._tiles:
+                out.append([tile >> offset & full for tile in self._tiles[s]])
+                continue
+            head = min(n, place * radix - offset)  # the ranks before the wrap
+            out.append([
+                _runs(place << k, offset, head) | _runs(place << k, 0, n - head) << head
+                for k in range((radix - 1).bit_length())
+            ])
+        return out
 
     def draw(self, rng, n: int) -> list:
-        """The columns of n rules drawn independently and uniformly from
-        the space: each group's numbers are exactly uniform and independent,
-        and they map one-to-one onto ranks.  A wide column draws
-        rng.randrange(radix) per rule."""
-        return [
-            [rng.randrange(radix) for _ in range(n)] if reduce is None else _uniform_bytes(rng, n, reject, reduce)
-            for _, radix, _, reject, reduce in self._groups
-        ]
+        """The planes of n rules drawn independently and uniformly from
+        the space.  The steps of one radix r share a lane space of n bits
+        per step and draw its (r - 1).bit_length() planes with
+        rng.getrandbits; the lanes whose digit is r or more draw again,
+        all at once, until none is left.  Each lane keeps the first draw
+        below r of an iid uniform sequence, which is uniform below r and
+        independent of every other lane, and digits map one-to-one onto
+        ranks.  A power-of-two radix never draws again; radix 1 has no
+        planes and draws nothing."""
+        full = (1 << n) - 1
+        out = [None] * len(self._steps)
+        for radix, steps in self._lanes.items():
+            width = n * len(steps)
+            lanes = [rng.getrandbits(width) for _ in range((radix - 1).bit_length())]
+            todo = _at_least(lanes, radix)
+            while todo:
+                for k, fresh in enumerate([rng.getrandbits(width) for _ in lanes]):
+                    lanes[k] ^= (lanes[k] ^ fresh) & todo
+                todo = _at_least(lanes, radix)
+            for t, s in enumerate(steps):
+                out[s] = [plane >> t * n & full for plane in lanes]
+        return out
 
-    def rank(self, columns: list, j: int) -> int:
-        """The rank of the j-th rule of these columns."""
-        return sum(column[j] * place for (place, *_), column in zip(self._groups, columns))
+    def rank(self, planes: list, j: int) -> int:
+        """The rank of the j-th rule of these planes."""
+        return sum(
+            place * sum((plane >> j & 1) << k for k, plane in enumerate(step))
+            for (place, *_), step in zip(self._steps, planes)
+        )
 
     def wedge_masks(self, cone: dict) -> list:
         """W[i][k] = cone[y] minus the cones over option k of y = nodes[i]:
@@ -145,22 +157,19 @@ class RuleSpace:
             table.append(row)
         return table
 
-    def block_masks(self, columns: list, n: int) -> tuple[list, list]:
-        """(safe, cover) for a block of n rules given by their columns,
+    def block_masks(self, planes: list, n: int) -> tuple[list, list]:
+        """(safe, cover) for a block of n rules given by their planes,
         bit-sliced: bit j of every mask stands for the j-th rule.  safe[i]
         holds the rules under which node i is safe, and cover[d][i] those
         under which node i lies in the wedge of some node of depth d.
 
         One top-down pass over the step table makes one update per option,
-        not per rule.  The rules whose digit at node y is k are one int:
-        each bit plane of y's digit, the rules whose digit has bit j set,
-        is read off the column of y's group by a translation table, so a
-        step of radix r parses ceil(log2 r) ints, and the rules with digit
-        k are the AND, over the bits j of k, of plane j where k has bit j
-        and of its complement where it has not.  Under them, option k's
-        wedge joins the cover of y's depth, and its children join safe
-        where y is safe: a child is safe iff its parent is safe and
-        promises it."""
+        not per rule.  The rules whose digit at node y is k are one int,
+        the AND over the bits of k of y's plane of that bit, or of its
+        complement where k has the bit clear, built as one tree of ANDs
+        over y's planes.  Under them, option k's wedge joins the cover of
+        y's depth, and its children join safe where y is safe: a child is
+        safe iff its parent is safe and promises it."""
         safe = [0] * self.count
         cover = [[0] * self.count for _ in range(self.height)]
         if not n:
@@ -168,71 +177,57 @@ class RuleSpace:
         full = (1 << n) - 1
         for i in self._roots:
             safe[i] = full
-        for (_, _, steps, *_), column in zip(self._groups, columns):
-            # backward, as int(text, 2) reads its first character as the highest bit
-            text = column[::-1]
-            for _, radix, depth, i, wedges, kids, planes in steps:
-                if planes is None:  # more options than byte values: one rule at a time
-                    with_digit = [0] * radix
-                    for j, k in enumerate(column):
-                        with_digit[k] |= 1 << j
-                else:
-                    # lowest plane first: after plane j, with_digit[k] holds the
-                    # rules whose digit agrees with k in bits 0..j, for every
-                    # k below both the radix and 2 ** (j + 1)
-                    with_digit = [full]
-                    for plane in planes:
-                        ones = int(text.translate(plane), 2)
-                        zeros = full ^ ones
-                        with_digit = [m & zeros for m in with_digit] + [
-                            m & ones for m in with_digit[:radix - len(with_digit)]
-                        ]
-                row, s = cover[depth], safe[i]
-                for rules_k, wedge, option_kids in zip(with_digit, wedges, kids):
-                    for z in wedge:
-                        row[z] |= rules_k
-                    for c in option_kids:
-                        safe[c] |= s & rules_k
+        for (_, radix, depth, i, wedges, kids), step in zip(self._steps, planes):
+            # lowest plane first: after plane k, with_digit[d] holds the rules
+            # whose digit agrees with d in bits 0..k, for every d below both
+            # the radix and 2 ** (k + 1)
+            with_digit = [full]
+            for ones in step:
+                zeros = full ^ ones
+                with_digit = [m & zeros for m in with_digit] + [m & ones for m in with_digit[:radix - len(with_digit)]]
+            row, s = cover[depth], safe[i]
+            for rules_k, wedge, option_kids in zip(with_digit, wedges, kids):
+                for z in wedge:
+                    row[z] |= rules_k
+                for c in option_kids:
+                    safe[c] |= s & rules_k
         return safe, cover
 
 
-def _digit_tables(inner: int, radix: int) -> list:
-    """The bit planes of a step whose digit is v // inner % radix of its
-    group's number v, for inner * radix <= 256: for each bit j of a digit
-    below the radix, (radix - 1).bit_length() of them and lowest first, the
-    table that translates v to "1" when bit j of v's digit is set and to
-    "0" otherwise.  Bit j of the digit runs in alternate runs of 0s and 1s,
-    each inner << j values long, which are cut at inner * radix values, the
-    period of the digit, and that piece is tiled to 256 values."""
-    tables = []
-    for j in range((radix - 1).bit_length()):
-        run = inner << j
-        tables.append(_tile(_tile(b"0" * run + b"1" * run, inner * radix), 256))
-    return tables
+def _runs(run: int, phase: int, n: int) -> int:
+    """The n-bit int whose bit t is (phase + t) // run % 2: runs of ``run``
+    0s then ``run`` 1s, read from ``phase`` on.  A run at least n long
+    leaves at most one run of 1s in the window, built at once."""
+    phase %= 2 * run
+    if run >= n:
+        lo, hi = max(run, phase), min(2 * run, phase + n)
+        return ((1 << hi - lo) - 1) << lo - phase if hi > lo else 0
+    return _repeat(((1 << run) - 1) << run, 2 * run, phase + n) >> phase & (1 << n) - 1
 
 
-def _byte_tables(radix: int) -> tuple[bytes, bytes]:
-    """(reject, reduce) for a group of radix <= 256: the byte values at or
-    above the largest multiple of the radix, and the table that translates
-    v to v % radix, the radix's values tiled to 256."""
-    return bytes(range(256 - 256 % radix, 256)), _tile(bytes(range(radix)), 256)
+def _repeat(pattern: int, length: int, at_least: int) -> int:
+    """``pattern``, ``length`` bits long, doubled until it is at least
+    ``at_least`` bits long."""
+    while length < at_least:
+        pattern |= pattern << length
+        length *= 2
+    return pattern
 
 
-def _tile(piece: bytes, length: int) -> bytes:
-    """piece repeated, and cut to ``length`` bytes."""
-    return (piece * -(-length // len(piece)))[:length]
-
-
-def _uniform_bytes(rng, n: int, reject: bytes, reduce: bytes) -> bytes:
-    """n uniform numbers below a radix, one byte each: the rng's bytes,
-    rng.getrandbits(8 * m).to_bytes(m, "little"), less those in ``reject``
-    (at or above the largest multiple of the radix), refilled until n are
-    kept and then translated by ``reduce`` (mod the radix)."""
-    column = b""
-    while len(column) < n:
-        m = n - len(column)
-        column += rng.getrandbits(8 * m).to_bytes(m, "little").translate(None, reject)
-    return column.translate(reduce)
+def _at_least(planes: list, radix: int) -> int:
+    """The lanes whose digit, bit k of it in planes[k], is at least
+    ``radix``, compared from the highest bit down: ``above`` holds the
+    lanes already greater, ``equal`` those that agree so far."""
+    if radix >> len(planes):  # every digit of these planes is below it
+        return 0
+    above, equal = 0, -1
+    for k in reversed(range(len(planes))):
+        if radix >> k & 1:
+            equal &= planes[k]
+        else:
+            above |= equal & planes[k]
+            equal &= ~planes[k]
+    return above | equal
 
 
 def _cone_masks(tree: ExplicitTree) -> dict:
@@ -263,16 +258,16 @@ def lindelof_oracle(
     * whole-tree phrasing: U covers every node of depth >= a exactly when
       level a has no safe node.
 
-    Rules are checked BLOCK at a time, as the columns of a RuleSpace:
+    Rules are checked BLOCK at a time, as the planes of a RuleSpace:
     RuleSpace.block_masks gives the block's safe and cover masks with one
     bit per rule, both phrasings become XOR/AND/OR over those ints, and the
     first failing rule is the lowest failing bit.  Only that rule's rank is
-    read back off the columns, and only it is built and formatted.  The
+    read back off the planes, and only it is built and formatted.  The
     sweep stops there, and ``covers_checked`` counts the rules up to and
     including it.  Raises ExplosionGuard when the rule space exceeds
     ``max_covers``, unless a ``sample`` size (with ``rng``, a random.Random)
     asks for a seeded sweep instead: RuleSpace.draw draws each block's
-    columns, so sampled rules are exactly uniform over the space.  The rng
+    planes, so sampled rules are exactly uniform over the space.  The rng
     advances by whole blocks, also past a failing rule.  Raises ValueError,
     before any rule is built or drawn, for a negative size bound, a
     negative sample or a sample without an rng.
@@ -298,8 +293,8 @@ def lindelof_oracle(
     counterexamples = []
     for start in range(0, total, BLOCK):
         n = min(BLOCK, total - start)
-        columns = rules.draw(rng, n) if sampled else rules.columns(start, n)
-        safe, cover = rules.block_masks(columns, n)
+        planes = rules.draw(rng, n) if sampled else rules.planes(start, n)
+        safe, cover = rules.block_masks(planes, n)
         full = (1 << n) - 1
         covered = [0] * rules.count  # covered[z]: the rules under which U holds z
         failures = []  # per level: the rules failing each phrasing
@@ -322,7 +317,7 @@ def lindelof_oracle(
             continue
         j = (failing & -failing).bit_length() - 1
         checked += j + 1
-        shown = _show(rules.rule(rules.digits(rules.rank(columns, j))))
+        shown = _show(rules.rule(rules.digits(rules.rank(planes, j))))
         counterexamples = [
             {"cover": shown, "kind": kind, "level": a}
             for a, bad in enumerate(failures)

@@ -106,6 +106,26 @@ def test_inj_canonical_extension_above(injs):
         assert injs.order(x, ext) in ("below", "equal")
 
 
+@pytest.mark.parametrize(
+    "height, target",
+    [("w", "w*2+3"), ("w", "w^2"), ("w*2", "w^2+1"), ("3", "w"), ("w*2", "w*3"), ("w^2", "w^2+w")],
+)
+def test_inj_canonical_extension_rekeys_an_odd_override(injs, coh, height, target):
+    # x overrides position 2 with the odd value that the base at the target
+    # puts at x's height h, so the extension must give position h a fresh
+    # value; position 0 keeps its base value 1, which an odd fresh value
+    # would repeat
+    h, alpha = parse_cnf(height), parse_cnf(target)
+    v = coh.eval_e(alpha, h)
+    x = injs.node(h, {from_nat(2): v})
+    assert v % 2 == 1 and injs.query(x, from_nat(2)) == v and injs.query(x, ZERO) == 1
+    ext = injs.canonical_extension(x, alpha)
+    assert injs.height(ext) == alpha
+    assert injs.contains(ext)
+    assert injs.restrict(ext, h) == x
+    assert injs.query(ext, h) != v
+
+
 # --- binary family ---------------------------------------------------------------
 
 def test_char_stem_zero(bits):
@@ -393,6 +413,17 @@ def test_glue_closure_random(digits, bits):
                 break
             xi = rand_below(rng, cut)
             assert digits.query(lower, xi) == digits.query(glued, xi)
+
+
+def test_digit_height_is_base_height_plus_trail(digits):
+    # the height of drawn nodes, with and without a base and a trail, is the
+    # base's height plus the trail's length, as add_ord builds it
+    rng = random.Random(40)
+    for alpha in [from_nat(3), *ANCHORS, *(add_ord(a, from_nat(2)) for a in ANCHORS)]:
+        for _ in range(20):
+            x = rand_digit_node(rng, digits, rand_below(rng, add_ord(alpha, from_nat(1))))
+            base = ZERO if x.base is None else x.base.height
+            assert digits.height(x) == add_ord(base, from_nat(len(x.trail))), x
 
 
 def test_digit_successors_stream(digits):

@@ -502,16 +502,18 @@ def test_oracle_matches_symbolic_fixture(table_fixture):
         assert safe[x] == is_safe(table, x)
 
 
-class _CountingRandom(random.Random):
-    draws = 0
+class _RecordingRandom(random.Random):
+    """Records the width and the value of every getrandbits call, through
+    which randrange and the plane draw take all their bits."""
 
-    def randrange(self, *args):
-        self.draws += 1
-        return super().randrange(*args)
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
 
     def getrandbits(self, k):
-        self.draws += 1
-        return super().getrandbits(k)
+        value = super().getrandbits(k)
+        self.calls.append((k, value))
+        return value
 
 
 def test_oracle_explosion_guard():
@@ -530,7 +532,7 @@ def test_oracle_rejects_bad_arguments():
     # checked before any work: no rule space is built, nothing is drawn
     with pytest.raises(ValueError, match="needs an rng"):
         lindelof_oracle(tree, max_covers=10**6, sample=200)
-    rng = _CountingRandom(1)
+    rng = _RecordingRandom(1)
     with pytest.raises(ValueError, match="must not be negative"):
         lindelof_oracle(tree, max_covers=10**6, sample=-1, rng=rng)
     # a negative size bound would give a step no option, and radix 0
@@ -539,7 +541,7 @@ def test_oracle_rejects_bad_arguments():
         lindelof_oracle(small, size_bound=-1, sample=200, rng=rng)
     with pytest.raises(ValueError, match="size_bound must not be negative"):
         RuleSpace(small, -1)
-    assert rng.draws == 0
+    assert rng.calls == []
 
 
 def _transpose(masks, width):
@@ -599,11 +601,19 @@ def _broken_safe_mask(tree, fmap, fault):
     return sum(1 << i for i, x in enumerate(tree.parent) if safe[x])
 
 
-def _divmod_columns(space, ranks):
-    """The kernel columns of these ranks, by divmod rank by rank: one per
-    group, each rule's rank // place % radix, as bytes or, for a group
-    wider than a byte, a list."""
-    return [(bytes if radix <= 256 else list)(r // place % radix for r in ranks) for place, radix, *_ in space._groups]
+def _divmod_planes(space, ranks):
+    """The kernel planes of these ranks, built rank by rank: for each step,
+    plane k has bit j set when bit k of ranks[j] // place % radix is."""
+    out = []
+    for place, radix, *_ in space._steps:
+        digits = [r // place % radix for r in ranks]
+        out.append([sum((d >> k & 1) << j for j, d in enumerate(digits)) for k in range((radix - 1).bit_length())])
+    return out
+
+
+def _digit_at(step_planes, j):
+    """The j-th rule's digit at a step, read off its planes."""
+    return sum((plane >> j & 1) << k for k, plane in enumerate(step_planes))
 
 
 def _broken_kernel(tree, fault):
@@ -611,9 +621,9 @@ def _broken_kernel(tree, fault):
     safe mask comes from _broken_safe_mask and is sliced into the block."""
     real = RuleSpace.block_masks
 
-    def block_masks(self, columns, n):
-        _, cover = real(self, columns, n)
-        broken = [_broken_safe_mask(tree, self.rule(self.digits(self.rank(columns, j))), fault) for j in range(n)]
+    def block_masks(self, planes, n):
+        _, cover = real(self, planes, n)
+        broken = [_broken_safe_mask(tree, self.rule(self.digits(self.rank(planes, j))), fault) for j in range(n)]
         return _transpose(broken, self.count), cover
 
     return block_masks
@@ -641,9 +651,9 @@ def test_oracle_catches_a_broken_dp(monkeypatch):
     # at the first drawn rule whose broken safe mask differs and formats it
     tree = ExplicitTree.complete(3, 4)
     space = RuleSpace(tree, 2)
-    columns = space.draw(random.Random(2), 100)
-    ranks = [space.rank(columns, j) for j in range(100)]
-    assert _divmod_columns(space, ranks) == columns
+    planes = space.draw(random.Random(2), 100)
+    ranks = [space.rank(planes, j) for j in range(100)]
+    assert _divmod_planes(space, ranks) == planes
     for fault in ("forgetful", "unguarded"):
         monkeypatch.setattr(RuleSpace, "block_masks", _broken_kernel(tree, fault))
         report = lindelof_oracle(tree, max_covers=10**5, sample=100, rng=random.Random(2))
@@ -664,12 +674,12 @@ def test_fault_in_the_second_block(monkeypatch, sampled):
     real = RuleSpace.block_masks
     swept, hit = [0], []
 
-    def faulty(self, columns, n):
-        safe, cover = real(self, columns, n)
+    def faulty(self, planes, n):
+        safe, cover = real(self, planes, n)
         j = target - swept[0]
         if 0 <= j < n:
             safe[leaf] ^= 1 << j
-            hit.append(self.rank(columns, j))
+            hit.append(self.rank(planes, j))
         swept[0] += n
         return safe, cover
 
@@ -683,8 +693,8 @@ def test_fault_in_the_second_block(monkeypatch, sampled):
     rank, = hit
     if sampled:
         for _ in range(2):
-            columns = space.draw(replay, oracle.BLOCK)
-        assert _divmod_columns(space, [rank]) == [column[5:6] for column in columns]
+            planes = space.draw(replay, oracle.BLOCK)
+        assert _divmod_planes(space, [rank]) == [[plane >> 5 & 1 for plane in step] for step in planes]
     else:
         assert rank == target
     assert rng.getstate() == replay.getstate()
@@ -777,7 +787,7 @@ def test_kernel_matches_safe_sets(tree, ranks):
     space = RuleSpace(tree, 2)
     for start in range(0, len(ranks), oracle.BLOCK):
         block = ranks[start:start + oracle.BLOCK]
-        masks = space.block_masks(_divmod_columns(space, block), len(block))
+        masks = space.block_masks(_divmod_planes(space, block), len(block))
         _assert_block_matches(tree, space, block, *masks)
 
 
@@ -793,9 +803,9 @@ def test_kernel_at_block_boundaries(monkeypatch, tree, count):
     blocks = []
     real = RuleSpace.block_masks
 
-    def recording(self, columns, n):
-        safe, cover = real(self, columns, n)
-        blocks.append((columns, n, safe, cover))
+    def recording(self, planes, n):
+        safe, cover = real(self, planes, n)
+        blocks.append((planes, n, safe, cover))
         return safe, cover
 
     monkeypatch.setattr(RuleSpace, "block_masks", recording)
@@ -805,70 +815,83 @@ def test_kernel_at_block_boundaries(monkeypatch, tree, count):
     sizes = [min(B, count - s) for s in range(0, count, B)]
     assert [n for _, n, *_ in blocks] == sizes
     replay = random.Random(count)
-    assert [columns for columns, *_ in blocks] == [space.draw(replay, n) for n in sizes]
-    for columns, n, safe, cover in blocks:
-        ranks = [space.rank(columns, j) for j in range(n)]
-        assert _divmod_columns(space, ranks) == columns
+    assert [planes for planes, *_ in blocks] == [space.draw(replay, n) for n in sizes]
+    for planes, n, safe, cover in blocks:
+        ranks = [space.rank(planes, j) for j in range(n)]
+        assert _divmod_planes(space, ranks) == planes
         _assert_block_matches(tree, space, ranks, safe, cover)
 
 
 def test_kernel_across_radices():
     # stars of 1..20 leaves at size bounds 0, 1 and 2 have one step of radix
     # 1 (no planes), k + 1 and 1 + k + k(k - 1)/2, checked at every rank;
-    # complete(2, 4) at a seeded sample, its first group four radix-4 steps
-    # with product exactly 256
+    # complete(2, 4) at a seeded sample, seven radix-4 steps of two planes
     cases = [(_star(k, 0), bound, None) for bound in (0, 1, 2) for k in range(1, 21)]
     binary4 = ExplicitTree.complete(2, 4)
     rng = random.Random(13)
     cases.append((binary4, 2, [rng.randrange(RuleSpace(binary4, 2).size) for _ in range(2000)]))
-    assert [radix for _, radix, *_ in RuleSpace(binary4, 2)._groups] == [256, 64]
+    assert [radix for _, radix, *_ in RuleSpace(binary4, 2)._steps] == [4] * 7
     for tree, bound, ranks in cases:
         space = RuleSpace(tree, bound)
         ranks = range(space.size) if ranks is None else ranks
         for start in range(0, len(ranks), oracle.BLOCK):
             block = ranks[start:start + oracle.BLOCK]
-            masks = space.block_masks(_divmod_columns(space, block), len(block))
+            masks = space.block_masks(_divmod_planes(space, block), len(block))
             _assert_block_matches(tree, space, block, *masks)
 
 
-def test_digit_tables_are_bit_planes():
-    for radix in range(1, 257):
-        for inner in range(1, 256 // radix + 1):
-            planes = oracle._digit_tables(inner, radix)
-            assert len(planes) == (radix - 1).bit_length(), (inner, radix)
-            for j, plane in enumerate(planes):
-                assert plane == bytes(48 + (v // inner % radix >> j & 1) for v in range(256)), (inner, radix, j)
-        reject, reduce = oracle._byte_tables(radix)
-        assert reduce == bytes(v % radix for v in range(256)), radix
-        assert reject == bytes(v for v in range(256) if v >= 256 - 256 % radix), radix
+def test_digit_comparator_is_exact():
+    # every radix up to 300 against every b-bit digit, one lane per digit,
+    # for b = (radix - 1).bit_length() and one plane more
+    for radix in range(1, 301):
+        for b in ((radix - 1).bit_length(), radix.bit_length()):
+            planes = [sum(1 << v for v in range(1 << b) if v >> k & 1) for k in range(b)]
+            expected = sum(1 << v for v in range(1 << b) if v >= radix)
+            assert oracle._at_least(planes, radix) == expected, (radix, b)
 
 
 @pytest.mark.parametrize(
-    "tree, parses", [(ExplicitTree.complete(3, 4), 39), (ExplicitTree.complete(2, 4), 14), (_star(23, 3), 3)],
-    ids=["ternary-h4", "binary-h4", "wide-star"],
+    "tree, bound, radix, steps",
+    [(ExplicitTree.complete(2, 4), 2, 4, 7), (_star(7, 0), 1, 8, 1), (_star(5, 0), 0, 1, 1)],
+    ids=["binary-h4", "star-radix-8", "star-radix-1"],
 )
-def test_kernel_parses_one_int_per_bit_plane(monkeypatch, tree, parses):
-    # a byte step of radix r parses (r - 1).bit_length() ints per block, not
-    # r; the wide step of the star parses none
-    space = RuleSpace(tree, 2)
-    steps = [step for *_, steps, _, reduce in space._groups if reduce is not None for step in steps]
-    assert sum((radix - 1).bit_length() for _, radix, *_ in steps) == parses
-    calls = []
-
-    def counting_int(*args):
-        calls.append(args)
-        return int(*args)
-
-    monkeypatch.setattr(oracle, "int", counting_int, raising=False)
+def test_a_power_of_two_radix_draws_each_plane_once(tree, bound, radix, steps):
+    # every step has this radix: one lane space of n bits per step, whose
+    # planes are each drawn once and never again; radix 1 draws nothing
+    space = RuleSpace(tree, bound)
+    assert [r for _, r, *_ in space._steps] == [radix] * steps
     for n in (1, oracle.BLOCK):
-        calls.clear()
-        space.block_masks(space.columns(0, n), n)
-        assert len(calls) == parses, n
+        rng = _RecordingRandom(n)
+        space.draw(rng, n)
+        assert [k for k, _ in rng.calls] == [n * steps] * (radix - 1).bit_length(), n
+
+
+def test_drawn_digits_are_uniform():
+    # a seeded chi-square test at a fixed threshold: over 10 blocks drawn on
+    # complete(3, 4), each step's digit is uniform over its 7 options
+    # (threshold 22.46, the 0.999 quantile for 6 degrees of freedom), and
+    # so is the pair of each two consecutive steps, which share a lane
+    # space (threshold 84.04, the 0.999 quantile for 48)
+    space = RuleSpace(ExplicitTree.complete(3, 4), 2)
+    rng = random.Random(8)
+    blocks = [space.draw(rng, B) for _ in range(10)]
+    digits = [[_digit_at(planes[s], j) for planes in blocks for j in range(B)] for s in range(len(space._steps))]
+
+    def chi_square(values, cells):
+        counts = Counter(values)
+        assert set(counts) <= set(range(cells))
+        expected = len(values) / cells
+        return sum((counts[v] - expected) ** 2 / expected for v in range(cells))
+
+    for s, column in enumerate(digits):
+        assert chi_square(column, 7) < 22.46, s
+    for s in range(len(digits) - 1):
+        assert chi_square([7 * a + b for a, b in zip(digits[s], digits[s + 1])], 49) < 84.04, s
 
 
 def test_kernel_of_an_empty_block():
     space = RuleSpace(ExplicitTree.complete(2, 3), 2)
-    safe, cover = space.block_masks(space.columns(0, 0), 0)
+    safe, cover = space.block_masks(space.planes(0, 0), 0)
     assert safe == [0] * space.count
     assert cover == [[0] * space.count for _ in range(3)]
 
@@ -878,44 +901,48 @@ def test_kernel_of_an_empty_block():
     ids=["binary", "ternary", "ragged", "wide-star", "ternary-h4"],
 )
 def test_tiled_columns_match_divmod(tree):
+    # at the start, both sides of the first block boundary and the far end:
+    # for ternary-h4, planes(space.size - BLOCK, BLOCK) at the end of a rank
+    # space of 7 ** 13 (about 9.7e10), whose top step's period is all of it
     space = RuleSpace(tree, 2)
     size = space.size
     for start in sorted({0, B - 1, B, B + 1, max(0, size - B), size - 1}):
         if start >= size:
             continue
         n = min(B, size - start)
-        columns = space.columns(start, n)
-        assert columns == _divmod_columns(space, range(start, start + n)), start
-        # each rule's rank reads back off the columns
-        assert [space.rank(columns, j) for j in range(n)] == list(range(start, start + n)), start
-
-
-class _ByteSource:
-    """Stands in for an rng: getrandbits(8 * m) gives the next m bytes of
-    ``stream``, read little-endian, and fails past its end."""
-
-    def __init__(self, stream):
-        self.stream = stream
-
-    def getrandbits(self, k):
-        m = k // 8
-        chunk, self.stream = self.stream[:m], self.stream[m:]
-        assert len(chunk) == m, "read past the byte source"
-        return int.from_bytes(chunk, "little")
+        planes = space.planes(start, n)
+        assert planes == _divmod_planes(space, range(start, start + n)), start
+        # each rule's rank reads back off the planes
+        assert [space.rank(planes, j) for j in range(n)] == list(range(start, start + n)), start
 
 
 @pytest.mark.parametrize(
     "tree", [*RULE_TREES, ExplicitTree.complete(3, 4)], ids=["binary", "ternary", "ragged", "ternary-h4"]
 )
 def test_column_draw_is_exactly_uniform(tree):
-    # every byte value once, in a seeded order: a group of radix r keeps the
-    # 256 - 256 % r values below that multiple, each residue as often
-    stream = bytes(random.Random(5).sample(range(256), 256))
-    for _, radix, _, reject, reduce in RuleSpace(tree, 2)._groups:
-        kept = 256 - 256 % radix
-        column = oracle._uniform_bytes(_ByteSource(stream), kept, reject, reduce)
-        assert column == bytes(v % radix for v in stream if v < kept), radix
-        assert Counter(column) == {k: kept // radix for k in range(radix)}, radix
+    # each lane keeps the first draw below its radix from its own iid
+    # sequence, which makes it exactly uniform: read back off the recorded
+    # getrandbits calls lane by lane, radix by radix in the order of their
+    # first steps, one round of (radix - 1).bit_length() full-width planes
+    # after another until every lane has a digit
+    space = RuleSpace(tree, 2)
+    n = 300
+    rng = _RecordingRandom(5)
+    planes = space.draw(rng, n)
+    calls = iter(rng.calls)
+    for radix in dict.fromkeys(r for _, r, *_ in space._steps):
+        steps = [s for s, (_, r, *_) in enumerate(space._steps) if r == radix]
+        kept = [None] * (n * len(steps))
+        while None in kept:
+            draws = [next(calls) for _ in range((radix - 1).bit_length())]
+            assert all(k == len(kept) for k, _ in draws), radix
+            for lane, digit in enumerate(kept):
+                value = _digit_at([v for _, v in draws], lane)
+                if digit is None and value < radix:
+                    kept[lane] = value
+        for t, s in enumerate(steps):
+            assert [_digit_at(planes[s], j) for j in range(n)] == kept[t * n:(t + 1) * n], (radix, s)
+    assert next(calls, None) is None
 
 
 def test_oracle_memory_scales_with_the_block():
